@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -41,7 +42,10 @@ class GradedModuleView:
 
     The view only stores slices up to a bound; all verification semantics
     are relative to that bound.  The numerator must be closed under
-    multiplication by the invariants that get applied to it.
+    multiplication by the invariants that get applied to it, and the
+    denominator under multiplication by every invariant, within the bound:
+    ``socle_search`` relies on the latter to test only the generators of
+    the invariant ring.
     """
 
     def __init__(self, rep: CpRep, num: GradedBasis, den: GradedBasis,
@@ -250,11 +254,31 @@ def verify_regular_sequence(view: GradedModuleView, elements: Sequence[Poly],
     )
 
 
+@lru_cache(maxsize=256)
+def _generators(rep: CpRep, bound: int, degree: int) -> tuple[Poly, ...]:
+    """Degree-``degree`` generators of the invariant ring: a basis of the
+    invariants of that degree modulo the products of lower-degree
+    generators with invariants.  Each degree is computed on first use."""
+    inv = invariant_slice(rep, bound).basis
+    p, here = inv.p, inv.mat(degree).a
+    products = [la.mult_map(inv.mat(degree - k), g, degree - k).a
+                for k in range(1, degree) for g in _generators(rep, bound, k)]
+    decomposable = la.rref(MatFp(p, np.vstack([here[:0]] + products)))
+    fresh = la.rref(MatFp(p, la.reduce_rows(here, decomposable)))
+    return tuple(la.vec_to_poly(p, rep.nvars, degree, row) for row in fresh.a)
+
+
 def socle_search(view: GradedModuleView,
                  witness_degree_cap: int | None = None) -> tuple[SocleWitness | None, CheckReport]:
-    """Look for a nonzero class annihilated by every invariant basis
-    element of every degree that still fits under the bound.  Returns the
-    lowest-degree witness, if any survives all checkable constraints."""
+    """Look for a nonzero class annihilated by every invariant of every
+    positive degree that still fits under the bound.  Returns the
+    lowest-degree witness, if any survives all checkable constraints.
+
+    Candidates are multiplied only by the generators of the invariant ring
+    in those degrees.  That kills the same classes as every invariant
+    provided the denominator is closed under multiplication by invariants
+    within the bound: if c*g lies in the denominator, so does c*g*h, and the
+    products of generators with invariants span every positive degree."""
     rep = view.rep
     bound = view.max_degree
     cap = bound - 2 if witness_degree_cap is None else min(witness_degree_cap, bound)
@@ -275,7 +299,7 @@ def socle_search(view: GradedModuleView,
             candidates = q.a.astype(np.uint8)
             ann_degrees = [e for e in range(1, bound - d + 1) if inv.basis.dim(e)]
             for e in ann_degrees:
-                for u in inv.basis.row_polys(e):
+                for u in _generators(rep, bound, e):
                     if candidates.shape[0] == 0:
                         break
                     product = la.mult_map(MatFp(p, candidates), u, d)

@@ -18,7 +18,8 @@ from .poly import Mono, Poly, mono_mul, monomial_index, monomials_of_degree, num
 
 
 class MatFp:
-    """A matrix over the field with ``p`` elements, entries in uint8.
+    """A matrix over the field with ``p`` elements, entries in uint8, so
+    ``p`` may be at most 251, the largest prime below 256.
 
     ``pivots`` is set (a tuple of pivot column indices) exactly when the
     matrix is a canonical reduced row echelon form with zero rows dropped.
@@ -29,6 +30,9 @@ class MatFp:
     def __init__(self, p: int, a: np.ndarray, pivots: tuple[int, ...] | None = None):
         if a.ndim != 2:
             raise ValueError("matrix must be two-dimensional")
+        if p > 251:
+            raise ValueError(f"p = {p} is above 251: matrix entries are stored as uint8, "
+                             "so the largest supported prime is 251")
         self.p = p
         self.a = np.ascontiguousarray(a, dtype=np.uint8)
         self.pivots = pivots
@@ -215,6 +219,9 @@ def rref(mat: MatFp) -> MatFp:
 
 
 def rank(mat: MatFp) -> int:
+    """Rank, eliminating on the narrow side: rank(A) = rank(A^T)."""
+    if not mat.is_rref and mat.nrows < mat.ncols:
+        mat = MatFp(mat.p, mat.a.T)
     return len(rref(mat).pivots)
 
 

@@ -94,6 +94,13 @@ def test_config_errors_exit_two():
         assert out == ""
 
 
+def test_prime_above_251_exits_two():
+    code, out, err = invoke(["hilbert", "--p", "257", "--blocks", "2", "--max-degree", "2"])
+    assert code == 2
+    assert out == ""
+    assert "largest supported prime is 251" in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert invoke(["bogus"])[0] == 2
     assert invoke(["regseq"])[0] == 2  # missing required flags

@@ -3,7 +3,7 @@ import pytest
 
 from modinv import gradedla as la
 from modinv.depthlab import (BoundTooSmallError, DepthEvidence, DepthInstance,
-                             RegSeqCert, ZeroModuleError, bounded_depth,
+                             RegSeqCert, ZeroModuleError, _generators, bounded_depth,
                              bounded_grade, canonical_sequence,
                              depth_inequality_audit, depth_report, expected_depth,
                              ideal_module, is_regular_element, norm_reduction_check,
@@ -12,8 +12,9 @@ from modinv.depthlab import (BoundTooSmallError, DepthEvidence, DepthInstance,
                              transfer_quotient_module, verify_regular_sequence)
 from modinv.gradedla import MatFp
 from modinv.invariants import invariant_slice
-from modinv.poly import Poly, parse
+from modinv.poly import Poly, parse, render
 from modinv.rep import CpRep, is_invariant, norm, top_norms
+from modinv.report import CheckReport
 
 
 def in_denominator(view, f):
@@ -149,6 +150,86 @@ def test_socle_search_respects_witness_cap():
     assert witness is None
     assert not report.passed
     assert report.degrees_checked == [0, 1, 2, 3]
+
+
+def socle_search_all_rows(view, witness_degree_cap=None):
+    """Reference socle search: multiplies the candidates by every invariant
+    basis row of every checkable degree, not only by the generators."""
+    rep = view.rep
+    bound = view.max_degree
+    cap = bound - 2 if witness_degree_cap is None else min(witness_degree_cap, bound)
+    inv = invariant_slice(rep, bound)
+    report = CheckReport(name="socle-search",
+                         params={"module": view.label, "witness_degree_cap": cap, "max_degree": bound},
+                         passed=False)
+    p = view.num.p
+    for d in range(0, cap + 1):
+        report.degrees_checked.append(d)
+        candidates = view.quotient_mat(d).a
+        if candidates.shape[0] == 0:
+            continue
+        ann_degrees = [e for e in range(1, bound - d + 1) if inv.basis.dim(e)]
+        for e in ann_degrees:
+            for u in inv.basis.row_polys(e):
+                if candidates.shape[0] == 0:
+                    break
+                product = la.mult_map(MatFp(p, candidates), u, d)
+                residue = la.reduce_rows(product.a, view.den.mat(d + e))
+                if not residue.any():
+                    continue
+                left = la.kernel(MatFp(p, residue.T))
+                candidates = la.matmul_mod(left.a.astype(np.int64), candidates.astype(np.int64), p)
+        if candidates.shape[0] and ann_degrees:
+            vec = la.rref(MatFp(p, candidates)).a[0]
+            rendered = render(la.vec_to_poly(p, view.num.nvars, d, vec), rep.varnames)
+            report.passed = True
+            report.witnesses.append({"degree": d, "element": rendered, "annihilator_degrees": ann_degrees})
+            report.notes.append(f"witness killed by all invariants of degree 1..{ann_degrees[-1]}; "
+                                "evidence is bounded, not a proof")
+            return report
+    report.notes.append(f"no socle element found for witness degrees 0..{cap}; "
+                        "maximality evidence is missing")
+    return report
+
+
+MODULE_CONSTRUCTORS = {
+    "ring": ring_module,
+    "ideal": lambda rep, bound: ideal_module(rep, canonical_sequence(rep)[:2], bound),
+    "quotient": lambda rep, bound: quotient_module(rep, canonical_sequence(rep), bound),
+    "transfer-ideal": transfer_ideal_module,
+    "transfer-quotient": transfer_quotient_module,
+    "quotient-by": lambda rep, bound: quotient_module(
+        rep, canonical_sequence(rep)[:3], bound).quotient_by(canonical_sequence(rep)[3]),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", sorted(MODULE_CONSTRUCTORS))
+def test_socle_search_over_generators_matches_all_rows(p, kind):
+    rep = CpRep.make(p, (2, 2))
+    bound = 8
+    view = MODULE_CONSTRUCTORS[kind](rep, bound)
+    # precondition of the generator shortcut: the denominator is closed
+    # under multiplication by the generators within the bound
+    for e in range(1, bound + 1):
+        for g in _generators(rep, bound, e):
+            for d in range(bound - e + 1):
+                assert la.subspace_le(la.mult_map(view.den.mat(d), g, d), view.den.mat(d + e)), (e, d)
+    witness, report = socle_search(view)
+    want = socle_search_all_rows(view)
+    assert report.to_json_dict() == want.to_json_dict()
+    assert (witness is not None) == want.passed
+    if witness is not None:
+        assert want.witnesses[0]["element"] == witness.rendered
+
+
+def test_generator_counts_are_the_indecomposable_dimensions():
+    # dim (R+/R+^2)_e, independent of which generators are picked
+    for p, blocks, bound, want in [(2, (2, 2, 2), 6, {1: 3, 2: 6, 3: 1}),
+                                   (3, (2, 3), 10, {1: 2, 2: 2, 3: 5, 4: 2, 5: 1})]:
+        rep = CpRep.make(p, blocks)
+        counts = {e: len(_generators(rep, bound, e)) for e in range(1, bound + 1)}
+        assert counts == {e: want.get(e, 0) for e in range(1, bound + 1)}
 
 
 def test_bounded_depth_of_invariant_rings():

@@ -78,9 +78,16 @@ def test_rref_pivot_structure():
 
 def test_rank_and_rank_nullity():
     rng = random.Random(31)
-    for p in (2, 3, 5):
+
+    def shapes():
         for _ in range(15):
-            a = random_matrix(rng, p, rng.randrange(1, 9), rng.randrange(1, 9))
+            yield rng.randrange(1, 9), rng.randrange(1, 9)
+        # wide shapes: rank eliminates the transpose
+        yield from ((3, 40), (1, 64))
+
+    for p in (2, 3, 5):
+        for rows, cols in shapes():
+            a = random_matrix(rng, p, rows, cols)
             m = MatFp(p, a)
             assert la.rank(m) == len(oracle_rref(a.tolist(), p))
             ker = la.kernel(m)
@@ -89,6 +96,12 @@ def test_rank_and_rank_nullity():
                 # right null space: every kernel row is killed by the matrix
                 prod = la.matmul_mod(a.astype(np.int64), ker.a.T.astype(np.int64), p)
                 assert not prod.any()
+
+
+def test_matfp_refuses_primes_above_uint8_range():
+    with pytest.raises(ValueError, match="251"):
+        MatFp(257, np.array([[1, 1]]))
+    MatFp(251, np.array([[250, 1]]))
 
 
 def test_matmul_mod_exact():
