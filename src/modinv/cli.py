@@ -2,7 +2,8 @@
 deterministic JSON reports, exit codes.
 
 Exit codes: 0 all checks passed, 1 at least one check failed (the report
-carries the witnesses), 2 usage or configuration error.  Reports are
+carries the witnesses), 2 usage or configuration error, 3 internal error
+(a consistency check inside the computation broke; no report).  Reports are
 byte-identical for identical configurations; ``--timings`` opts into real
 wall-clock fields and gives that determinism up.
 """
@@ -337,6 +338,9 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=err)
+        return 3
     text = dumps_report(_document(config, checks))
     if config.output:
         try:

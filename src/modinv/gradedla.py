@@ -2,9 +2,11 @@
 
 Matrices follow the row convention: a row is a vector, and a linear map
 sends ``v`` to ``v @ A``.  Coordinates in degree ``d`` are indexed by
-``poly.monomials_of_degree``.  Mod-2 elimination runs on bit-packed rows;
-odd primes go through exact float64 matrix products (all intermediate sums
-stay far below 2**53).
+``poly.monomials_of_degree``.  Mod-2 elimination runs on bit-packed rows.
+Odd primes use classic elimination on small matrices and, from
+``_BLOCKED_THRESHOLD`` entries up, panel elimination whose updates are
+exact float64 matrix products (all intermediate sums stay far below 2**53)
+applied only to the rows a panel's pivots touch.
 """
 
 from __future__ import annotations
@@ -144,22 +146,27 @@ def _invert_modp(u: np.ndarray, p: int) -> np.ndarray:
 
 
 def _rref_modp_blocked(a: np.ndarray, p: int, panel: int = 64) -> tuple[np.ndarray, tuple[int, ...]]:
-    """RREF for odd p with panel pivoting and BLAS trailing updates.
+    """RREF for odd p with panel pivoting and BLAS updates.
 
-    Each panel finds its pivots with classic elimination on a small copy,
-    reduces the pivot rows with one k x k inverse, then clears the pivot
-    columns of every other row with a single exact float64 product.
+    Rows stay in place.  Each panel finds its pivots with classic
+    elimination on a small copy of the rows not yet used as pivot rows,
+    reduces the new pivot rows with one k x k inverse, then clears the pivot
+    columns with a single exact float64 product applied only to the rows
+    that have an entry there.  Rows left of the panel are zero in every row
+    not yet used as a pivot row, so updates start at the panel.  Pivot rows
+    are put in pivot order once, at the end.
     """
     nrows, ncols = a.shape
     m = a.astype(np.int64) % p
-    rank = 0
+    unused = np.ones(nrows, dtype=bool)
+    order: list[np.ndarray] = []
     pivots: list[int] = []
     for start in range(0, ncols, panel):
-        if rank >= nrows:
+        if len(pivots) == nrows:
             break
         stop = min(start + panel, ncols)
-        probe = m[rank:, start:stop].copy()
-        rowids = np.arange(rank, nrows)
+        rowids = np.nonzero(unused)[0]
+        probe = m[rowids, start:stop]
         k = 0
         local_pivots: list[int] = []
         for c in range(stop - start):
@@ -178,27 +185,27 @@ def _rref_modp_blocked(a: np.ndarray, p: int, panel: int = 64) -> tuple[np.ndarr
                 probe[hits] = (probe[hits] - np.outer(probe[hits, c], probe[k])) % p
             local_pivots.append(start + c)
             k += 1
-            if rank + k == nrows:
+            if k == rowids.size:
                 break
         if k == 0:
             continue
         pivrows = rowids[:k]
         pivcols = np.asarray(local_pivots)
-        u = m[pivrows][:, pivcols]
-        np_rows = matmul_mod(_invert_modp(u, p), m[pivrows], p).astype(np.int64)
-        keep = np.ones(nrows, dtype=bool)
-        keep[pivrows] = False
-        coeffs = m[keep][:, pivcols]
-        m[keep] = (m[keep] - matmul_mod(coeffs, np_rows, p).astype(np.int64)) % p
-        # reassemble: finished rows stay on top, new pivot rows follow,
-        # untouched rows keep their relative order underneath
-        rest = np.nonzero(keep)[0]
-        rest_top = rest[rest < rank]
-        rest_bottom = rest[rest >= rank]
-        m = np.concatenate([m[rest_top], np_rows, m[rest_bottom]])
+        u = m[np.ix_(pivrows, pivcols)]
+        reduced = matmul_mod(_invert_modp(u, p), m[pivrows, start:], p).astype(np.int64)
+        m[pivrows, start:] = reduced
+        unused[pivrows] = False
+        touched = m[:, pivcols].any(axis=1)
+        touched[pivrows] = False
+        hit = np.nonzero(touched)[0]
+        if hit.size:
+            coeffs = m[np.ix_(hit, pivcols)]
+            m[hit, start:] = (m[hit, start:] - matmul_mod(coeffs, reduced, p)) % p
+        order.append(pivrows)
         pivots.extend(local_pivots)
-        rank += k
-    return m[:rank].astype(np.uint8), tuple(pivots)
+    if not order:
+        return np.zeros((0, ncols), dtype=np.uint8), ()
+    return m[np.concatenate(order)].astype(np.uint8), tuple(pivots)
 
 
 _BLOCKED_THRESHOLD = 200_000
@@ -278,11 +285,6 @@ def kernel(mat: MatFp) -> MatFp:
     if piv:
         out[:, piv] = (-r.a[:, free].astype(np.int64).T) % mat.p
     return rref(MatFp(mat.p, out.astype(np.uint8)))
-
-
-def image(mat: MatFp) -> MatFp:
-    """Canonical basis of the row space."""
-    return rref(mat)
 
 
 def contains(space: MatFp, vector: np.ndarray | Sequence[int]) -> bool:
@@ -410,12 +412,3 @@ def graded_le(inner: GradedBasis, outer: GradedBasis) -> bool:
     if inner.p != outer.p or inner.nvars != outer.nvars or inner.max_degree != outer.max_degree:
         raise ValueError("graded inclusion test on mismatched gradings")
     return all(subspace_le(inner.mats[d], outer.mats[d]) for d in range(inner.max_degree + 1))
-
-
-def graded_sum(a: GradedBasis, b: GradedBasis) -> GradedBasis:
-    """Degreewise span of the union."""
-    if a.p != b.p or a.nvars != b.nvars or a.max_degree != b.max_degree:
-        raise ValueError("graded sum of mismatched gradings")
-    mats = [rref(MatFp(a.p, np.vstack([a.mats[d].a, b.mats[d].a])))
-            for d in range(a.max_degree + 1)]
-    return GradedBasis(a.p, a.nvars, mats)

@@ -1,15 +1,23 @@
 """Degreewise invariant rings, transfer images, and ideal slices.
 
-Everything is computed one degree at a time: the matrix of a generator
-power on the degree-d slice is assembled recursively from the degree-(d-1)
-slice, invariants are the fixed vectors of the generator, and the transfer
-image is the row space of the summed powers.
+Everything is computed one degree at a time, and within a degree one block
+multidegree at a time.  The generator keeps each Jordan block's degree, so
+the degree-d slice is the direct sum of the pieces S^{d_1}(V_1) x ... x
+S^{d_r}(V_r) with d_1 + ... + d_r = d, and on a piece the generator is the
+Kronecker product of its matrices on the blocks' symmetric powers (each
+assembled recursively from the previous degree).  Invariants are the fixed
+vectors of the generator; the transfer image is the row space of the sum of
+its powers, which in characteristic p is (sigma - 1)^(p-1).  The canonical
+echelon form of a direct sum on disjoint columns is the union of the pieces'
+echelon forms ordered by pivot, so the pieces are eliminated separately and
+merged without a further elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -39,13 +47,13 @@ def _mono_parents(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return var_of, parent
 
 
-def _next_degree_matrix(rep: CpRep, k: int, degree: int, prev: np.ndarray) -> np.ndarray:
-    """Matrix of the k-th generator power on the degree-d slice (rows act:
-    image of monomial i is row i), built from the degree-(d-1) matrix."""
+def _next_degree_matrix(rep: CpRep, degree: int, prev: np.ndarray) -> np.ndarray:
+    """Matrix of the generator on the degree-d slice (rows act: image of
+    monomial i is row i), built from the degree-(d-1) matrix."""
     p, n = rep.p.value, rep.nvars
     width = num_monomials(n, degree)
     var_of, parent = _mono_parents(n, degree)
-    images = _generator_power_images(rep, k)
+    images = _generator_power_images(rep, 1)
     acc = np.zeros((width, width), dtype=np.int64)
     prev64 = prev.astype(np.int64)
     for v in range(n):
@@ -57,6 +65,40 @@ def _next_degree_matrix(rep: CpRep, k: int, degree: int, prev: np.ndarray) -> np
             colmap = la._mult_colmap(n, degree - 1, var_mono(n, target))
             acc[np.ix_(rows_v, colmap)] += coeff * block
     return (acc % p).astype(np.uint8)
+
+
+@lru_cache(maxsize=256)
+def _block_sigma(p: int, size: int, degree: int) -> np.ndarray:
+    """Matrix of the generator on S^degree of one Jordan block of ``size``."""
+    if degree == 0:
+        mat = np.ones((1, 1), dtype=np.uint8)
+    else:
+        mat = _next_degree_matrix(CpRep.make(p, (size,)), degree, _block_sigma(p, size, degree - 1))
+    mat.setflags(write=False)  # cached: shared by every caller
+    return mat
+
+
+def _piece_columns(blocks: tuple[int, ...], multidegree: tuple[int, ...]) -> np.ndarray:
+    """Positions in the degree slice of the piece's monomials, listed in
+    Kronecker order (first block outermost).  Each block lists its
+    monomials in descending lex order, so the positions increase."""
+    index = monomial_index(sum(blocks), sum(multidegree))
+    parts = [monomials_of_degree(n, d) for n, d in zip(blocks, multidegree)]
+    return np.fromiter((index[sum(combo, ())] for combo in product(*parts)), dtype=np.intp)
+
+
+def _merge_pieces(p: int, width: int, pieces: list[tuple[np.ndarray, MatFp]]) -> MatFp:
+    """Scatter echelon bases of pieces on disjoint increasing column sets
+    into one canonical echelon basis of the degree slice."""
+    pivots = np.concatenate([cols[list(m.pivots)] for cols, m in pieces])
+    slot = np.empty(pivots.size, dtype=np.intp)
+    slot[np.argsort(pivots)] = np.arange(pivots.size)
+    out = np.zeros((pivots.size, width), dtype=np.uint8)
+    start = 0
+    for cols, m in pieces:
+        out[np.ix_(slot[start:start + m.nrows], cols)] = m.a
+        start += m.nrows
+    return MatFp(p, out, tuple(int(c) for c in np.sort(pivots)))
 
 
 @dataclass(frozen=True)
@@ -85,21 +127,27 @@ class TransferIdealSlice:
 
 @lru_cache(maxsize=16)
 def _slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
-    """One sweep computing invariant and transfer-image bases per degree."""
-    p, n = rep.p.value, rep.nvars
-    inv_mats = [MatFp.identity(p, 1)]
-    tra_mats = [MatFp(p, np.zeros((0, 1), dtype=np.uint8), ())]
-    prev = {k: np.ones((1, 1), dtype=np.uint8) for k in range(1, p)}
-    for d in range(1, max_degree + 1):
-        cur = {k: _next_degree_matrix(rep, k, d, prev[k]) for k in range(1, p)}
+    """One sweep computing invariant and transfer-image bases per degree,
+    piece by piece over the block multidegrees."""
+    p, n, blocks = rep.p.value, rep.nvars, rep.blocks
+    inv_mats, tra_mats = [], []
+    for d in range(max_degree + 1):
+        inv_pieces, tra_pieces = [], []
+        # a block multidegree splits d into one part per block
+        for multidegree in monomials_of_degree(len(blocks), d):
+            sig = np.ones((1, 1), dtype=np.int64)
+            for size, e in zip(blocks, multidegree):
+                sig = np.kron(sig, _block_sigma(p, size, e)) % p
+            step = (sig - np.eye(sig.shape[0], dtype=np.int64)) % p
+            total = step  # (sigma - 1)^(p-1), the orbit sum mod p
+            for _ in range(p - 2):
+                total = la.matmul_mod(total, step, p)
+            cols = _piece_columns(blocks, multidegree)
+            inv_pieces.append((cols, la.kernel(MatFp(p, step.T))))
+            tra_pieces.append((cols, la.rref(MatFp(p, total))))
         width = num_monomials(n, d)
-        fixed = (cur[1].astype(np.int64).T - np.eye(width, dtype=np.int64)) % p
-        inv_mats.append(la.kernel(MatFp(p, fixed.astype(np.uint8))))
-        total = np.eye(width, dtype=np.int64)
-        for k in range(1, p):
-            total += cur[k]
-        tra_mats.append(la.image(MatFp(p, (total % p).astype(np.uint8))))
-        prev = cur
+        inv_mats.append(_merge_pieces(p, width, inv_pieces))
+        tra_mats.append(_merge_pieces(p, width, tra_pieces))
     return GradedBasis(p, n, inv_mats), GradedBasis(p, n, tra_mats)
 
 

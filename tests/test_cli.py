@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from modinv import depthlab
 from modinv.cli import build_parser, run
 
 DOCUMENT_KEYS = ["tool", "version", "config", "checks", "summary"]
@@ -99,6 +100,16 @@ def test_prime_above_251_exits_two():
     assert code == 2
     assert out == ""
     assert "largest supported prime is 251" in err
+
+
+def test_internal_error_exits_three(monkeypatch):
+    # a quotient that forgets to divide breaks the dimension bookkeeping
+    # inside verify_regular_sequence, which is a defect, not a failed check
+    monkeypatch.setattr(depthlab.GradedModuleView, "quotient_by", lambda self, f: self)
+    code, out, err = invoke(["regseq", "--p", "2", "--blocks", "2", "--max-degree", "6"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: dimension bookkeeping broke")
 
 
 def test_usage_errors_exit_two(capsys):

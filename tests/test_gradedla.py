@@ -52,14 +52,44 @@ def test_rref_matches_oracle(p):
             assert got.is_rref
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_rref_large_matrix_agrees_with_oracle(p):
+def sparse_matrix(rng: random.Random, p: int, rows: int, cols: int, density: float) -> np.ndarray:
+    return np.array([[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(cols)]
+                     for _ in range(rows)], dtype=np.uint8)
+
+
+def large_matrix(rng: random.Random, p: int, kind: str) -> np.ndarray:
+    if kind == "dense":
+        return random_matrix(rng, p, 500, 420)
+    if kind == "sparse":
+        # tall, ~2% nonzero, rank-deficient: one whole panel of columns is
+        # zero and every third column is a multiple of its left neighbour
+        a = sparse_matrix(rng, p, 540, 380, 0.02)
+        a[:, 64:128] = 0
+        for c in range(2, a.shape[1], 3):
+            a[:, c] = a[:, c - 1] * 2 % p
+        return a
+    # block diagonal: the first panels find pivots among the upper rows
+    # while every lower row has no entry in their pivot columns
+    a = np.zeros((540, 380), dtype=np.uint8)
+    a[:270, :190] = sparse_matrix(rng, p, 270, 190, 0.05)
+    a[270:, 190:] = sparse_matrix(rng, p, 270, 190, 0.05)
+    return a
+
+
+@pytest.mark.parametrize("p,kind", [
+    pytest.param(2, "dense", id="2"),
+    pytest.param(3, "dense", id="3"),
+    *(pytest.param(p, kind, id=f"{p}-{kind}") for p in (3, 5) for kind in ("sparse", "split")),
+])
+def test_rref_large_matrix_agrees_with_oracle(p, kind):
     # large enough to cross into the panel-elimination path for odd p
     rng = random.Random(77)
-    a = random_matrix(rng, p, 500, 420)
+    a = large_matrix(rng, p, kind)
+    assert a.size >= la._BLOCKED_THRESHOLD
     got = la.rref(MatFp(p, a))
     want = oracle_rref(a.tolist(), p)
     assert got.a.tolist() == want
+    assert list(got.pivots) == [row.index(next(v for v in row if v)) for row in want]
 
 
 def test_rref_pivot_structure():
@@ -146,7 +176,7 @@ def test_image_contains_subspace_le():
     rng = random.Random(12)
     p = 3
     a = random_matrix(rng, p, 5, 8)
-    img = la.image(MatFp(p, a))
+    img = la.rref(MatFp(p, a))
     for row in a:
         assert la.contains(img, row)
     assert la.subspace_le(MatFp(p, a), img)
@@ -219,22 +249,4 @@ def test_graded_basis_accessors():
     assert full.contains_poly(f)
     assert not zero.contains_poly(f)
     assert zero.contains_poly(Poly.zero(p, 2))
-    summed = la.graded_sum(zero, full)
-    assert summed == full
 
-
-def test_graded_sum_merges_spans():
-    p = 3
-    mats_a, mats_b = [], []
-    for d in range(3):
-        n = len(monomials_of_degree(2, d))
-        a = np.zeros((1, n), dtype=np.uint8)
-        b = np.zeros((1, n), dtype=np.uint8)
-        a[0, 0] = 1
-        b[0, -1] = 1
-        mats_a.append(la.rref(MatFp(p, a)))
-        mats_b.append(la.rref(MatFp(p, b)))
-    ga = GradedBasis(p, 2, mats_a)
-    gb = GradedBasis(p, 2, mats_b)
-    merged = la.graded_sum(ga, gb)
-    assert merged.dims() == [1, 2, 2]

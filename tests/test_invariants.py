@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from modinv import gradedla as la
-from modinv.gradedla import MatFp
-from modinv.invariants import (HilbertData, dimension_growth_check,
+from modinv.gradedla import GradedBasis, MatFp
+from modinv.invariants import (HilbertData, _mono_parents, dimension_growth_check,
                                finite_difference, ideal_slice, invariant_slice,
                                quotient_dims, transfer_slice)
-from modinv.poly import Poly, monomials_of_degree
-from modinv.rep import CpRep, is_invariant, norm, sigma, top_norms, transfer
+from modinv.poly import Poly, monomials_of_degree, num_monomials, var_mono
+from modinv.rep import (CpRep, _generator_power_images, is_invariant, norm, sigma,
+                        top_norms, transfer)
 
 
 def oracle_invariant_dim(rep: CpRep, degree: int) -> int:
@@ -38,6 +39,47 @@ def oracle_transfer_dim(rep: CpRep, degree: int) -> int:
     return la.rank(MatFp(p, np.array(rows, dtype=np.uint8)))
 
 
+def dense_power_matrix(rep: CpRep, k: int, degree: int, prev: np.ndarray) -> np.ndarray:
+    """Matrix of the k-th generator power on the whole degree-d slice (rows
+    act), built from the degree-(d-1) matrix, width x width and dense."""
+    p, n = rep.p.value, rep.nvars
+    width = num_monomials(n, degree)
+    var_of, parent = _mono_parents(n, degree)
+    images = _generator_power_images(rep, k)
+    acc = np.zeros((width, width), dtype=np.int64)
+    prev64 = prev.astype(np.int64)
+    for v in range(n):
+        rows_v = np.nonzero(var_of == v)[0]
+        if rows_v.size == 0:
+            continue
+        block = prev64[parent[rows_v]]
+        for target, coeff in images[v]:
+            colmap = la._mult_colmap(n, degree - 1, var_mono(n, target))
+            acc[np.ix_(rows_v, colmap)] += coeff * block
+    return (acc % p).astype(np.uint8)
+
+
+def dense_slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
+    """Reference slices on the full degree slice: invariants are the kernel
+    of sigma^T - 1, the transfer image is the row space of the sum of all
+    p - 1 nontrivial generator powers plus the identity."""
+    p, n = rep.p.value, rep.nvars
+    inv_mats = [MatFp.identity(p, 1)]
+    tra_mats = [MatFp(p, np.zeros((0, 1), dtype=np.uint8), ())]
+    prev = {k: np.ones((1, 1), dtype=np.uint8) for k in range(1, p)}
+    for d in range(1, max_degree + 1):
+        cur = {k: dense_power_matrix(rep, k, d, prev[k]) for k in range(1, p)}
+        width = num_monomials(n, d)
+        fixed = (cur[1].astype(np.int64).T - np.eye(width, dtype=np.int64)) % p
+        inv_mats.append(la.kernel(MatFp(p, fixed.astype(np.uint8))))
+        total = np.eye(width, dtype=np.int64)
+        for k in range(1, p):
+            total += cur[k]
+        tra_mats.append(la.rref(MatFp(p, (total % p).astype(np.uint8))))
+        prev = cur
+    return GradedBasis(p, n, inv_mats), GradedBasis(p, n, tra_mats)
+
+
 def series_coefficients(denominator_degrees: list[int], bound: int) -> list[int]:
     """Taylor coefficients of 1 / prod(1 - t^d) by iterated convolution."""
     coeffs = [1] + [0] * bound
@@ -62,6 +104,22 @@ def test_transfer_dims_match_direct_image(p, blocks, bound):
     tra = transfer_slice(rep, bound)
     for d in range(bound + 1):
         assert tra.basis.dim(d) == oracle_transfer_dim(rep, d)
+
+
+@pytest.mark.parametrize("p,blocks,bound", [
+    (2, (2, 2, 2), 8), (3, (2, 3), 9), (3, (2, 3, 2), 6), (5, (2, 2), 10),
+    (5, (3, 4), 6), (3, (3,), 9), (3, (1, 2), 8), (2, (1, 1, 2), 7),
+])
+def test_slices_match_dense_construction_bytes(p, blocks, bound):
+    rep = CpRep.make(p, blocks)
+    want_inv, want_tra = dense_slices(rep, bound)
+    got_inv = invariant_slice(rep, bound).basis
+    got_tra = transfer_slice(rep, bound).basis
+    for got, want in ((got_inv, want_inv), (got_tra, want_tra)):
+        for d in range(bound + 1):
+            assert got.mat(d).pivots == want.mat(d).pivots
+            assert got.mat(d).a.shape == want.mat(d).a.shape
+            assert got.mat(d).a.tobytes() == want.mat(d).a.tobytes()
 
 
 def test_invariant_slice_contains_known_invariants():
