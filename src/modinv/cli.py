@@ -97,7 +97,7 @@ def _load_sequence(rep: CpRep, source: str) -> list[Poly]:
     return seq
 
 
-def _cmd_hilbert(args: argparse.Namespace, workers: int) -> list[CheckReport]:
+def _cmd_hilbert(args: argparse.Namespace) -> list[CheckReport]:
     rep = _make_rep(args)
     bound = args.max_degree
     report = CheckReport(
@@ -125,11 +125,11 @@ def _cmd_hilbert(args: argparse.Namespace, workers: int) -> list[CheckReport]:
     return [report]
 
 
-def _cmd_regseq(args: argparse.Namespace, workers: int) -> list[CheckReport]:
+def _cmd_regseq(args: argparse.Namespace) -> list[CheckReport]:
     rep = _make_rep(args)
     seq = _load_sequence(rep, args.sequence)
     ring = depthlab.ring_module(rep, args.max_degree)
-    cert = depthlab.verify_regular_sequence(ring, seq, workers=workers)
+    cert = depthlab.verify_regular_sequence(ring, seq)
     reports = list(cert.steps)
     reports.append(CheckReport(
         name="regular-sequence",
@@ -148,12 +148,12 @@ def _cmd_regseq(args: argparse.Namespace, workers: int) -> list[CheckReport]:
     return reports
 
 
-def _cmd_transfer_quotient(args: argparse.Namespace, workers: int) -> list[CheckReport]:
+def _cmd_transfer_quotient(args: argparse.Namespace) -> list[CheckReport]:
     rep = _make_rep(args)
-    return depthlab.transfer_quotient_check(rep, args.max_degree, workers=workers)
+    return depthlab.transfer_quotient_check(rep, args.max_degree)
 
 
-def _cmd_norm_decompose(args: argparse.Namespace, workers: int) -> list[CheckReport]:
+def _cmd_norm_decompose(args: argparse.Namespace) -> list[CheckReport]:
     rep = _make_rep(args)
     texts: list[str] = []
     if args.poly:
@@ -204,20 +204,18 @@ def _cmd_norm_decompose(args: argparse.Namespace, workers: int) -> list[CheckRep
     return reports
 
 
-def _cmd_grade(args: argparse.Namespace, workers: int) -> list[CheckReport]:
+def _cmd_grade(args: argparse.Namespace) -> list[CheckReport]:
     rep = _make_rep(args)
     ring = depthlab.ring_module(rep, args.max_degree)
-    return depthlab.norm_reduction_check(ring, search_degree_cap=args.search_cap,
-                                         workers=workers)
+    return depthlab.norm_reduction_check(ring, search_degree_cap=args.search_cap)
 
 
-def _cmd_depth_report(args: argparse.Namespace, workers: int) -> list[CheckReport]:
+def _cmd_depth_report(args: argparse.Namespace) -> list[CheckReport]:
     rep = _make_rep(args)
-    return depthlab.depth_report(rep, args.max_degree,
-                                 search_degree_cap=args.search_cap, workers=workers)
+    return depthlab.depth_report(rep, args.max_degree, search_degree_cap=args.search_cap)
 
 
-def _cmd_monomial_example(args: argparse.Namespace, workers: int) -> list[CheckReport]:
+def _cmd_monomial_example(args: argparse.Namespace) -> list[CheckReport]:
     return monoalg.run_preset(args.name, degree_cap=args.degree_cap)
 
 
@@ -334,7 +332,7 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
             timings=args.timings,
             output=args.output,
         )
-        checks = args.handler(args, workers)
+        checks = args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2

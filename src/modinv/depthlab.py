@@ -10,7 +10,6 @@ every checkable invariant).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -110,7 +109,7 @@ def ring_module(rep: CpRep, max_degree: int) -> GradedModuleView:
     return GradedModuleView(rep, inv.basis, zero, "invariant ring", check_inclusion=False)
 
 
-def is_regular_element(view: GradedModuleView, f: Poly, workers: int = 1) -> CheckReport:
+def is_regular_element(view: GradedModuleView, f: Poly) -> CheckReport:
     """Check that multiplication by f is injective on every checkable
     degree slice of the module.  Failure carries an explicit nonzero
     element whose product with f falls into the denominator.
@@ -140,28 +139,23 @@ def is_regular_element(view: GradedModuleView, f: Poly, workers: int = 1) -> Che
     )
     with timed(report):
         p = view.num.p
-        inputs = [(d, view.quotient_mat(d), view.den.mat(d + e)) for d in degrees]
 
-        def check_one(item: tuple[int, MatFp, MatFp]) -> tuple[int, int, Poly | None]:
-            d, q, den_mat = item
+        def check_one(d: int) -> tuple[int, int, Poly | None]:
+            q = view.quotient_mat(d)
             if q.nrows == 0:
                 return d, 0, None
             product = la.mult_map(q, f, d)
-            residue = la.reduce_rows(product.a, den_mat)
-            if la.rank(MatFp(p, residue)) == q.nrows:
-                return d, q.nrows, None
+            residue = la.reduce_rows(product.a, view.den.mat(d + e))
+            # a left-kernel row combines classes whose products fall into the
+            # denominator; an empty left kernel means f is injective here
             left = la.kernel(MatFp(p, residue.T))
+            if left.nrows == 0:
+                return d, q.nrows, None
             wit_row = la.matmul_mod(left.a[:1].astype(np.int64), q.a.astype(np.int64), p)
             return d, q.nrows, la.vec_to_poly(p, view.num.nvars, d, wit_row[0])
 
-        if workers > 1 and len(inputs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(check_one, inputs))
-        else:
-            results = [check_one(item) for item in inputs]
-
         nonzero_seen = False
-        for d, dim_d, witness in sorted(results):
+        for d, dim_d, witness in map(check_one, degrees):
             nonzero_seen = nonzero_seen or dim_d > 0
             if witness is not None:
                 report.passed = False
@@ -214,8 +208,7 @@ class RegSeqCert:
         return sum(1 for s in self.steps if s.passed)
 
 
-def verify_regular_sequence(view: GradedModuleView, elements: Sequence[Poly],
-                            workers: int = 1) -> RegSeqCert:
+def verify_regular_sequence(view: GradedModuleView, elements: Sequence[Poly]) -> RegSeqCert:
     """Verify elements in order, quotienting after each verified step.
 
     Each passing step records the module dimensions before and after; the
@@ -226,7 +219,7 @@ def verify_regular_sequence(view: GradedModuleView, elements: Sequence[Poly],
     steps: list[CheckReport] = []
     ok = True
     for f in elements:
-        rpt = is_regular_element(current, f, workers=workers)
+        rpt = is_regular_element(current, f)
         before = current.dims()
         rpt.params["hilbert_before"] = before
         if not rpt.passed:
@@ -363,7 +356,7 @@ def _candidate_pool(rep: CpRep, inv: InvariantRingSlice, degree_cap: int) -> lis
 
 
 def _greedy_regular(view: GradedModuleView, pool: Sequence[Poly],
-                    workers: int = 1) -> tuple[list[Poly], list[CheckReport], list[dict], GradedModuleView]:
+                    ) -> tuple[list[Poly], list[CheckReport], list[dict], GradedModuleView]:
     """Extend a regular sequence greedily from the pool until nothing
     works.  Returns the failure records of the final, exhausted round."""
     current = view
@@ -380,7 +373,7 @@ def _greedy_regular(view: GradedModuleView, pool: Sequence[Poly],
         for f in pool:
             if any(f == g for g in found):
                 continue
-            rpt = is_regular_element(current, f, workers=workers)
+            rpt = is_regular_element(current, f)
             if rpt.passed and not _report_is_vacuous(rpt):
                 rpt.params["hilbert_before"] = current.dims()
                 nxt = current.quotient_by(f)
@@ -422,7 +415,7 @@ class DepthEvidence:
 
 
 def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None,
-                  witness_degree_cap: int | None = None, workers: int = 1) -> DepthEvidence:
+                  witness_degree_cap: int | None = None) -> DepthEvidence:
     """Greedy depth evidence for a module: longest regular sequence the
     pool yields, then a socle search on the quotient for maximality."""
     rep = view.rep
@@ -432,7 +425,7 @@ def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None,
     cap = min(cap, view.max_degree)
     inv = invariant_slice(rep, view.max_degree)
     pool = _candidate_pool(rep, inv, cap)
-    found, steps, failures, final = _greedy_regular(view, pool, workers=workers)
+    found, steps, failures, final = _greedy_regular(view, pool)
     cert = RegSeqCert(
         elements=tuple(found),
         rendered=[render(f, rep.varnames) for f in found],
@@ -480,13 +473,12 @@ class GradeResult:
     report: CheckReport
 
 
-def bounded_grade(view: GradedModuleView, pool: Sequence[Poly], pool_label: str,
-                  workers: int = 1) -> GradeResult:
+def bounded_grade(view: GradedModuleView, pool: Sequence[Poly], pool_label: str) -> GradeResult:
     """Longest regular sequence on the module found inside the pool; when
     the scan exhausts, the per-element failure certificates are kept."""
     if view.is_zero():
         raise ZeroModuleError(f"module {view.label!r} is zero up to degree {view.max_degree}")
-    found, steps, failures, final = _greedy_regular(view, pool, workers=workers)
+    found, steps, failures, final = _greedy_regular(view, pool)
     cert = RegSeqCert(
         elements=tuple(found),
         rendered=[render(f, view.rep.varnames) for f in found],
@@ -570,8 +562,7 @@ def transfer_ideal_module(rep: CpRep, max_degree: int) -> GradedModuleView:
     return GradedModuleView(rep, tra.basis, zero, "transfer ideal", check_inclusion=False)
 
 
-def transfer_quotient_check(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
-                            workers: int = 1) -> list[CheckReport]:
+def transfer_quotient_check(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE) -> list[CheckReport]:
     """Certify the Cohen-Macaulay picture of the invariant ring modulo the
     transfer ideal: the top-variable norms form a regular sequence on it,
     the quotient by those norms vanishes above (number of blocks) * p, the
@@ -585,7 +576,7 @@ def transfer_quotient_check(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
             f"bound {max_degree} is below blocks*p = {blocks * p}; the vanishing window is empty")
     module = transfer_quotient_module(rep, max_degree)
     norms = top_norms(rep)
-    cert = verify_regular_sequence(module, norms, workers=workers)
+    cert = verify_regular_sequence(module, norms)
     reports = list(cert.steps)
 
     final_dims = cert.final_view.dims()
@@ -620,7 +611,7 @@ def transfer_quotient_check(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
     )
     reports.append(hilbert)
 
-    ideal_depth = bounded_depth(transfer_ideal_module(rep, max_degree), workers=workers)
+    ideal_depth = bounded_depth(transfer_ideal_module(rep, max_degree))
     expected = blocks + 1
     summary = CheckReport(
         name="transfer-ideal-depth",
@@ -638,8 +629,7 @@ def transfer_quotient_check(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
     return reports
 
 
-def norm_reduction_check(view: GradedModuleView, search_degree_cap: int | None = None,
-                         workers: int = 1) -> list[CheckReport]:
+def norm_reduction_check(view: GradedModuleView, search_degree_cap: int | None = None) -> list[CheckReport]:
     """Certify depth(M) = grade(transfer ideal on M mod norms) + blocks:
     verify the top norms are regular on M, measure both sides with bounded
     evidence, and compare."""
@@ -648,7 +638,7 @@ def norm_reduction_check(view: GradedModuleView, search_degree_cap: int | None =
     if view.is_zero():
         raise ZeroModuleError(f"module {view.label!r} is zero up to degree {view.max_degree}")
     norms = top_norms(rep)
-    cert = verify_regular_sequence(view, norms, workers=workers)
+    cert = verify_regular_sequence(view, norms)
     reports = list(cert.steps)
     if not cert.passed:
         reports.append(CheckReport(
@@ -660,7 +650,7 @@ def norm_reduction_check(view: GradedModuleView, search_degree_cap: int | None =
         ))
         return reports
 
-    depth_ev = bounded_depth(view, search_degree_cap=search_degree_cap, workers=workers)
+    depth_ev = bounded_depth(view, search_degree_cap=search_degree_cap)
     reports.extend(depth_ev.reports)
 
     reduced = cert.final_view
@@ -668,7 +658,7 @@ def norm_reduction_check(view: GradedModuleView, search_degree_cap: int | None =
     cap = rep.p.value if search_degree_cap is None else search_degree_cap
     pool = [f for e in range(1, min(cap, view.max_degree) + 1)
             for f in tra.basis.row_polys(e)]
-    grade_res = bounded_grade(reduced, pool, "transfer-image basis elements", workers=workers)
+    grade_res = bounded_grade(reduced, pool, "transfer-image basis elements")
     reports.extend(grade_res.cert.steps)
     reports.append(grade_res.report)
 
@@ -698,7 +688,7 @@ def norm_reduction_check(view: GradedModuleView, search_degree_cap: int | None =
 
 
 def depth_report(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
-                 search_degree_cap: int | None = None, workers: int = 1) -> list[CheckReport]:
+                 search_degree_cap: int | None = None) -> list[CheckReport]:
     """One bundled depth audit for a representation: verify the canonical
     sequence on the invariant ring, collect two-sided depth evidence for
     the ring, for the ideal of each sequence prefix with its quotient, and
@@ -707,7 +697,7 @@ def depth_report(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
     rep.require_nontrivial()
     seq = canonical_sequence(rep)
     ring = ring_module(rep, max_degree)
-    cert = verify_regular_sequence(ring, seq, workers=workers)
+    cert = verify_regular_sequence(ring, seq)
     reports = list(cert.steps)
     reports.append(CheckReport(
         name="canonical-sequence",
@@ -720,7 +710,7 @@ def depth_report(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
         notes=["fixed variables and top norms; length should be min(blocks + 2, dim)"],
     ))
 
-    ring_ev = bounded_depth(ring, search_degree_cap=search_degree_cap, workers=workers)
+    ring_ev = bounded_depth(ring, search_degree_cap=search_degree_cap)
     reports.extend(ring_ev.reports)
     # the invariant ring is a subring of a polynomial ring, so a domain;
     # Cohen-Macaulayness is taken from the evidence, not assumed
@@ -730,9 +720,9 @@ def depth_report(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
     for k in range(1, len(seq) + 1):
         prefix = seq[:k]
         ideal_ev = bounded_depth(ideal_module(rep, prefix, max_degree),
-                                 search_degree_cap=search_degree_cap, workers=workers)
+                                 search_degree_cap=search_degree_cap)
         quot_ev = bounded_depth(quotient_module(rep, prefix, max_degree),
-                                search_degree_cap=search_degree_cap, workers=workers)
+                                search_degree_cap=search_degree_cap)
         reports.extend(ideal_ev.reports)
         reports.extend(quot_ev.reports)
         instances.append(DepthInstance(
@@ -745,9 +735,9 @@ def depth_report(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
         ))
 
     transfer_ideal_ev = bounded_depth(transfer_ideal_module(rep, max_degree),
-                                      search_degree_cap=search_degree_cap, workers=workers)
+                                      search_degree_cap=search_degree_cap)
     transfer_quot_ev = bounded_depth(transfer_quotient_module(rep, max_degree),
-                                     search_degree_cap=search_degree_cap, workers=workers)
+                                     search_degree_cap=search_degree_cap)
     reports.extend(transfer_ideal_ev.reports)
     reports.extend(transfer_quot_ev.reports)
     instances.append(DepthInstance(

@@ -2,15 +2,18 @@
 
 Matrices follow the row convention: a row is a vector, and a linear map
 sends ``v`` to ``v @ A``.  Coordinates in degree ``d`` are indexed by
-``poly.monomials_of_degree``.  Mod-2 elimination runs on bit-packed rows.
-Odd primes use classic elimination on small matrices and, from
-``_BLOCKED_THRESHOLD`` entries up, panel elimination whose updates are
-exact float64 matrix products (all intermediate sums stay far below 2**53)
-applied only to the rows a panel's pivots touch.
+``poly.monomials_of_degree``.  Mod-2 elimination keeps each row as one
+Python integer; mod-2 reduction modulo a canonical echelon basis reads the
+coefficients off the pivot columns and applies them all in one gathered XOR
+of packed basis rows.  Odd primes use classic elimination on small matrices
+and, from ``_BLOCKED_THRESHOLD`` entries up, panel elimination whose updates
+are exact float64 matrix products (all intermediate sums stay far below
+2**53) applied only to the rows a panel's pivots touch.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -80,31 +83,43 @@ class MatFp:
 
 
 def _rref_p2(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """GF(2) RREF with each row held as one Python int, column 0 the top
+    bit.  Each input row is reduced by XORing in the stored pivot row of its
+    highest pivot bit until no pivot bit is left; a nonzero remainder is
+    stored under its leading bit.  The stored rows are back-reduced once at
+    the end, lowest pivot first."""
     nrows, ncols = a.shape
     if nrows == 0 or ncols == 0:
         return np.zeros((0, ncols), dtype=np.uint8), ()
-    packed = np.packbits(a, axis=1)
-    rank = 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        byte, bit = divmod(col, 8)
-        mask = np.uint8(0x80 >> bit)
-        below = np.nonzero(packed[rank:, byte] & mask)[0]
-        if below.size == 0:
-            continue
-        piv = rank + int(below[0])
-        if piv != rank:
-            packed[[rank, piv]] = packed[[piv, rank]]
-        hits = np.nonzero(packed[:, byte] & mask)[0]
-        hits = hits[hits != rank]
-        if hits.size:
-            packed[hits] ^= packed[rank]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    out = np.unpackbits(packed[:rank], axis=1, count=ncols)
-    return np.ascontiguousarray(out), tuple(pivots)
+    width = (ncols + 7) // 8
+    data = np.packbits(a, axis=1).tobytes()
+    piv: dict[int, int] = {}
+    pmask = 0
+    for start in range(0, nrows * width, width):
+        x = int.from_bytes(data[start:start + width], "big")
+        y = x & pmask
+        while y:
+            x ^= piv[y.bit_length() - 1]
+            y = x & pmask
+        if x:
+            top = x.bit_length() - 1
+            piv[top] = x
+            pmask |= 1 << top
+    order = sorted(piv)
+    for top in order:
+        # lower pivot rows are already reduced, so each XOR clears one bit
+        x = piv[top]
+        y = (x & pmask) ^ (1 << top)
+        while y:
+            bit = y.bit_length() - 1
+            x ^= piv[bit]
+            y ^= 1 << bit
+        piv[top] = x
+    order.reverse()
+    packed = np.frombuffer(b"".join(piv[top].to_bytes(width, "big") for top in order),
+                           dtype=np.uint8).reshape(len(order), width)
+    out = np.unpackbits(packed, axis=1, count=ncols)
+    return out, tuple(8 * width - 1 - top for top in order)
 
 
 def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -225,13 +240,6 @@ def rref(mat: MatFp) -> MatFp:
     return MatFp(mat.p, reduced, pivots)
 
 
-def rank(mat: MatFp) -> int:
-    """Rank, eliminating on the narrow side: rank(A) = rank(A^T)."""
-    if not mat.is_rref and mat.nrows < mat.ncols:
-        mat = MatFp(mat.p, mat.a.T)
-    return len(rref(mat).pivots)
-
-
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) % p through float64; valid while the inner dimension
     times (p-1)**2 stays below 2**53."""
@@ -256,15 +264,17 @@ def reduce_rows(vectors: np.ndarray, basis: MatFp) -> np.ndarray:
     if v.shape[0] == 0 or basis.nrows == 0:
         return v.copy()
     if basis.p == 2:
+        # pivot columns are unit vectors, so the coefficients are v[:, pivots]
+        rows, piv = np.nonzero(v[:, list(basis.pivots)])
+        if rows.size == 0:
+            return v.copy()
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        starts = np.flatnonzero(first)
         vp = np.packbits(v, axis=1)
         bp = np.packbits(basis.a, axis=1)
-        for i, col in enumerate(basis.pivots):
-            byte, bit = divmod(col, 8)
-            mask = np.uint8(0x80 >> bit)
-            hits = np.nonzero(vp[:, byte] & mask)[0]
-            if hits.size:
-                vp[hits] ^= bp[i]
-        return np.ascontiguousarray(np.unpackbits(vp, axis=1, count=basis.ncols))
+        vp[rows[starts]] ^= np.bitwise_xor.reduceat(bp[piv], starts, axis=0)
+        return np.unpackbits(vp, axis=1, count=basis.ncols)
     coeffs = v[:, list(basis.pivots)].astype(np.int64)
     combo = matmul_mod(coeffs, basis.a, basis.p)
     return ((v.astype(np.int64) - combo) % basis.p).astype(np.uint8)
@@ -272,7 +282,16 @@ def reduce_rows(vectors: np.ndarray, basis: MatFp) -> np.ndarray:
 
 def kernel(mat: MatFp) -> MatFp:
     """Canonical basis of the right null space {v : v @ mat.T = 0}, i.e. of
-    row vectors v with mat @ v = 0, returned as rows in echelon form."""
+    row vectors v with mat @ v = 0, returned as rows in echelon form.
+
+    Over GF(2) this is one elimination of [mat.T | I]: the rows whose pivot
+    lies in the identity part are the canonical null-space basis."""
+    if mat.p == 2:
+        n = mat.nrows
+        aug = np.concatenate([mat.a.T, np.eye(mat.ncols, dtype=np.uint8)], axis=1)
+        reduced, pivots = _rref_p2(aug)
+        first = bisect_left(pivots, n)
+        return MatFp(2, reduced[first:, n:], tuple(c - n for c in pivots[first:]))
     r = rref(mat)
     ncols = mat.ncols
     piv = list(r.pivots)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -38,6 +39,28 @@ def test_reports_are_byte_identical():
     second = invoke(argv)
     assert first == second
     assert first[0] == 0
+
+
+PINNED_REPORTS = {
+    "depth-report --p 2 --blocks 2,2,2 --max-degree 6":
+        "943f0fc75b09bea4429a45aaa4ca2fc41c198c56058ba4a27a7f350548fca7b1",
+    "transfer-quotient --p 3 --blocks 2,3 --max-degree 10":
+        "b4fc169644dcedd0a7f1eb1cff218f4a5e6b1adaa37ef2703bdf1304a94e45e3",
+    "regseq --p 2 --blocks 2,2,2 --max-degree 8 --sequence canonical --socle":
+        "c03dfd2bb9bcd141f02c285a55e04a0a48985e77879c37a0afaac41f3523f31c",
+    "depth-report --p 3 --blocks 3 --max-degree 9":
+        "57c180d6baeda7b8031df1a0495a24661854f440db39e617919a64bfe617c372",
+    "transfer-quotient --p 2 --blocks 2,2,2 --max-degree 8":
+        "bbe7827f8f4de0af2b53c48baebd4d42bc05c9ccb1e0220265a3d2ce561658a1",
+}
+
+
+def test_default_reports_are_pinned():
+    # default report bytes are the behaviour contract every optimisation keeps
+    for argv, digest in PINNED_REPORTS.items():
+        code, out, _ = invoke(argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
 
 
 def test_timings_flag_unzeroes_millis():

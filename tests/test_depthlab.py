@@ -93,15 +93,6 @@ def test_regular_element_vacuous_and_out_of_bound_notes():
     assert any("nothing was checkable" in n for n in report.notes)
 
 
-def test_workers_do_not_change_the_report():
-    rep = CpRep.make(2, (2, 2))
-    ring = ring_module(rep, 8)
-    f = norm(rep, 2, 1)
-    solo = is_regular_element(ring, f, workers=1)
-    multi = is_regular_element(ring, f, workers=4)
-    assert solo.to_json_dict() == multi.to_json_dict()
-
-
 def test_verify_regular_sequence_bookkeeping():
     rep = CpRep.make(2, (2, 2))
     ring = ring_module(rep, 10)

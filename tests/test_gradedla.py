@@ -35,6 +35,10 @@ def oracle_rref(rows: list[list[int]], p: int) -> list[list[int]]:
     return [row for row in mat if any(row)]
 
 
+def oracle_pivots(rows: list[list[int]]) -> list[int]:
+    return [row.index(next(v for v in row if v)) for row in rows]
+
+
 def random_matrix(rng: random.Random, p: int, rows: int, cols: int) -> np.ndarray:
     return np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
                     dtype=np.uint8)
@@ -79,7 +83,7 @@ def large_matrix(rng: random.Random, p: int, kind: str) -> np.ndarray:
 @pytest.mark.parametrize("p,kind", [
     pytest.param(2, "dense", id="2"),
     pytest.param(3, "dense", id="3"),
-    *(pytest.param(p, kind, id=f"{p}-{kind}") for p in (3, 5) for kind in ("sparse", "split")),
+    *(pytest.param(p, kind, id=f"{p}-{kind}") for p in (2, 3, 5) for kind in ("sparse", "split")),
 ])
 def test_rref_large_matrix_agrees_with_oracle(p, kind):
     # large enough to cross into the panel-elimination path for odd p
@@ -89,7 +93,7 @@ def test_rref_large_matrix_agrees_with_oracle(p, kind):
     got = la.rref(MatFp(p, a))
     want = oracle_rref(a.tolist(), p)
     assert got.a.tolist() == want
-    assert list(got.pivots) == [row.index(next(v for v in row if v)) for row in want]
+    assert list(got.pivots) == oracle_pivots(want)
 
 
 def test_rref_pivot_structure():
@@ -112,20 +116,96 @@ def test_rank_and_rank_nullity():
     def shapes():
         for _ in range(15):
             yield rng.randrange(1, 9), rng.randrange(1, 9)
-        # wide shapes: rank eliminates the transpose
         yield from ((3, 40), (1, 64))
 
     for p in (2, 3, 5):
         for rows, cols in shapes():
             a = random_matrix(rng, p, rows, cols)
             m = MatFp(p, a)
-            assert la.rank(m) == len(oracle_rref(a.tolist(), p))
+            rank = len(la.rref(m).pivots)
+            assert rank == len(oracle_rref(a.tolist(), p))
             ker = la.kernel(m)
-            assert la.rank(m) + ker.nrows == m.ncols
+            assert rank + ker.nrows == m.ncols
             if ker.nrows:
                 # right null space: every kernel row is killed by the matrix
                 prod = la.matmul_mod(a.astype(np.int64), ker.a.T.astype(np.int64), p)
                 assert not prod.any()
+
+
+@pytest.mark.parametrize("width", [1, 7, 9, 63, 65, 130])
+def test_rref_p2_odd_widths_and_edge_inputs(width):
+    # widths off a byte boundary exercise the bit padding of the packed rows
+    rng = random.Random(500 + width)
+    dense = [random_matrix(rng, 2, rows, width) for rows in (1, 3, width // 2 + 1, width + 5)]
+    sparse = [sparse_matrix(rng, 2, rows, width, 0.1) for rows in (4, width + 2)]
+    base = random_matrix(rng, 2, 6, width)
+    inputs = [
+        *dense,
+        *sparse,
+        np.zeros((5, width), dtype=np.uint8),
+        np.vstack([base, base, base[::-1]]),
+        np.eye(width, dtype=np.uint8),
+        np.vstack([random_matrix(rng, 2, 3, width), np.eye(width, dtype=np.uint8)]),
+    ]
+    for a in inputs:
+        got = la.rref(MatFp(2, a))
+        want = oracle_rref(a.tolist(), 2)
+        assert got.a.tolist() == want
+        assert list(got.pivots) == oracle_pivots(want)
+        assert got.a.shape == (len(want), width)
+
+
+@pytest.mark.parametrize("width", [7, 65, 130])
+def test_reduce_rows_p2_matches_plain_residual(width):
+    rng = random.Random(600 + width)
+
+    def residual(v: list[int], basis: list[list[int]]) -> list[int]:
+        # v - coeffs @ basis mod 2, the coefficients read off the unit pivot columns
+        out = list(v)
+        for row, col in zip(basis, oracle_pivots(basis)):
+            if v[col]:
+                out = [(a + b) % 2 for a, b in zip(out, row)]
+        return out
+
+    for rows in (1, width // 3 + 1, width + 4):
+        a = random_matrix(rng, 2, rows, width)
+        basis = la.rref(MatFp(2, a))
+        want_basis = oracle_rref(a.tolist(), 2)
+        vecs = random_matrix(rng, 2, 9, width)
+        # rows with no entry in any pivot column come back unchanged
+        vecs[:3, oracle_pivots(want_basis)] = 0
+        got = la.reduce_rows(vecs, basis)
+        assert got.tolist() == [residual(v, want_basis) for v in vecs.tolist()]
+        assert got[:3].tolist() == vecs[:3].tolist()
+        assert la.reduce_rows(vecs[:3], basis).tolist() == vecs[:3].tolist()
+    empty = MatFp(2, np.zeros((0, width), dtype=np.uint8), ())
+    vecs = random_matrix(rng, 2, 4, width)
+    assert la.reduce_rows(vecs, empty).tolist() == vecs.tolist()
+    assert la.reduce_rows(vecs[:0], basis).shape == (0, width)
+
+
+KERNEL_SHAPES = {
+    "tall": [(40, 9), (130, 65), (12, 1), (70, 63)],
+    "wide": [(9, 40), (65, 130), (1, 12), (63, 70)],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
+def test_kernel_p2_is_canonical_null_space(shape):
+    rng = random.Random(shape)
+    for rows, cols in KERNEL_SHAPES[shape]:
+        # a product through an inner dimension below cols has a wide kernel
+        inner = max(1, cols // 3)
+        low_rank = random_matrix(rng, 2, rows, inner).astype(np.int64) @ random_matrix(rng, 2, inner, cols)
+        for a in (random_matrix(rng, 2, rows, cols), sparse_matrix(rng, 2, rows, cols, 0.05),
+                  (low_rank % 2).astype(np.uint8)):
+            ker = la.kernel(MatFp(2, a))
+            assert ker.a.shape[1] == cols
+            assert len(oracle_rref(a.tolist(), 2)) + ker.nrows == cols
+            assert ker.a.tolist() == oracle_rref(ker.a.tolist(), 2)
+            assert list(ker.pivots) == oracle_pivots(ker.a.tolist())
+            prod = [[sum(x * y for x, y in zip(r, k)) % 2 for k in ker.a.tolist()] for r in a.tolist()]
+            assert not any(any(row) for row in prod)
 
 
 def test_matfp_refuses_primes_above_uint8_range():
@@ -182,7 +262,7 @@ def test_image_contains_subspace_le():
     assert la.subspace_le(MatFp(p, a), img)
     assert la.subspace_le(img, MatFp(p, a))
     bigger = MatFp(p, np.vstack([a, random_matrix(rng, p, 1, 8)]))
-    if la.rank(bigger) > la.rank(img):
+    if len(la.rref(bigger).pivots) > img.nrows:
         assert not la.subspace_le(bigger, img)
 
 

@@ -24,7 +24,7 @@ def oracle_invariant_dim(rep: CpRep, degree: int) -> int:
         rows.append(la.poly_to_vec(f, degree) if not f.is_zero()
                     else np.zeros(len(monos), dtype=np.uint8))
     mat = np.array(rows, dtype=np.uint8)
-    return len(monos) - la.rank(MatFp(p, mat))
+    return len(monos) - len(la.rref(MatFp(p, mat)).pivots)
 
 
 def oracle_transfer_dim(rep: CpRep, degree: int) -> int:
@@ -36,7 +36,7 @@ def oracle_transfer_dim(rep: CpRep, degree: int) -> int:
         f = transfer(rep, Poly.monomial(p, n, m, 1))
         rows.append(la.poly_to_vec(f, degree) if not f.is_zero()
                     else np.zeros(len(monos), dtype=np.uint8))
-    return la.rank(MatFp(p, np.array(rows, dtype=np.uint8)))
+    return len(la.rref(MatFp(p, np.array(rows, dtype=np.uint8))).pivots)
 
 
 def dense_power_matrix(rep: CpRep, k: int, degree: int, prev: np.ndarray) -> np.ndarray:
