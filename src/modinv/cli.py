@@ -57,6 +57,11 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
     return blocks
 
 
+def _require_at_least(option: str, value: int | None, least: int) -> None:
+    if value is not None and value < least:
+        raise ConfigError(f"{option} must be at least {least}, got {value}")
+
+
 def _workers_from_env() -> int:
     raw = environ.get("MODINV_THREADS")
     if raw is None:
@@ -112,13 +117,12 @@ def _cmd_hilbert(args: argparse.Namespace) -> list[CheckReport]:
     with timed(report):
         inv = invariant_slice(rep, bound)
         tra = transfer_slice(rep, bound)
-        quotient = quotient_dims(inv.basis, tra.basis)
         growth_ok, offenders = dimension_growth_check(
-            inv.basis.dims(), order=rep.dim, step=rep.p.value,
+            inv.dims(), order=rep.dim, step=rep.p.value,
             window_start=rep.p.value * rep.dim)
-        report.params["invariant_dims"] = inv.basis.dims()
-        report.params["transfer_ideal_dims"] = tra.basis.dims()
-        report.params["quotient_dims"] = quotient.as_list()
+        report.params["invariant_dims"] = inv.dims()
+        report.params["transfer_ideal_dims"] = tra.dims()
+        report.params["quotient_dims"] = quotient_dims(inv, tra)
         report.passed = growth_ok
         report.witnesses.extend({"degree": d, "problem": "dimension growth difference not zero"}
                                 for d in offenders)
@@ -205,17 +209,20 @@ def _cmd_norm_decompose(args: argparse.Namespace) -> list[CheckReport]:
 
 
 def _cmd_grade(args: argparse.Namespace) -> list[CheckReport]:
+    _require_at_least("--search-cap", args.search_cap, 1)
     rep = _make_rep(args)
     ring = depthlab.ring_module(rep, args.max_degree)
     return depthlab.norm_reduction_check(ring, search_degree_cap=args.search_cap)
 
 
 def _cmd_depth_report(args: argparse.Namespace) -> list[CheckReport]:
+    _require_at_least("--search-cap", args.search_cap, 1)
     rep = _make_rep(args)
     return depthlab.depth_report(rep, args.max_degree, search_degree_cap=args.search_cap)
 
 
 def _cmd_monomial_example(args: argparse.Namespace) -> list[CheckReport]:
+    _require_at_least("--degree-cap", args.degree_cap, 0)
     return monoalg.run_preset(args.name, degree_cap=args.degree_cap)
 
 
@@ -274,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="depth vs grade-plus-blocks comparison on the invariant ring")
     _add_rep_arguments(sub)
     sub.add_argument("--search-cap", type=int, default=None,
-                     help="degree cap for candidate search pools (default: p)")
+                     help="degree cap for candidate search pools, at least 1 (default: p)")
     sub.set_defaults(handler=_cmd_grade)
 
     sub = commands.add_parser("depth-report", parents=[common],
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "depth, and the inequality audit in one run")
     _add_rep_arguments(sub)
     sub.add_argument("--search-cap", type=int, default=None,
-                     help="degree cap for candidate search pools (default: p)")
+                     help="degree cap for candidate search pools, at least 1 (default: p)")
     sub.set_defaults(handler=_cmd_depth_report)
 
     sub = commands.add_parser("monomial-example", parents=[common],
@@ -290,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--name", required=True, choices=sorted(monoalg.PRESETS),
                      help="which bundled example to run")
     sub.add_argument("--degree-cap", type=int, default=24,
-                     help="bound for the brute-force enumeration identity (default 24)")
+                     help="bound for the brute-force enumeration identity, at least 0 "
+                          "(default 24)")
     sub.set_defaults(handler=_cmd_monomial_example)
     return parser
 
@@ -333,7 +341,7 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
             output=args.output,
         )
         checks = args.handler(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 2
     except RuntimeError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gradedla as la
 from .gradedla import GradedBasis, MatFp
-from .invariants import InvariantRingSlice, ideal_slice, invariant_slice, transfer_slice
+from .invariants import ideal_slice, invariant_slice, transfer_slice
 from .poly import Poly, render
 from .rep import CpRep, is_invariant, norm, top_norms
 from .report import CheckReport, timed
@@ -104,9 +104,9 @@ class GradedModuleView:
 
 def ring_module(rep: CpRep, max_degree: int) -> GradedModuleView:
     """The invariant ring as a module over itself, up to a degree bound."""
-    inv = invariant_slice(rep, max_degree)
     zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
-    return GradedModuleView(rep, inv.basis, zero, "invariant ring", check_inclusion=False)
+    return GradedModuleView(rep, invariant_slice(rep, max_degree), zero, "invariant ring",
+                            check_inclusion=False)
 
 
 def is_regular_element(view: GradedModuleView, f: Poly) -> CheckReport:
@@ -252,7 +252,7 @@ def _generators(rep: CpRep, bound: int, degree: int) -> tuple[Poly, ...]:
     """Degree-``degree`` generators of the invariant ring: a basis of the
     invariants of that degree modulo the products of lower-degree
     generators with invariants.  Each degree is computed on first use."""
-    inv = invariant_slice(rep, bound).basis
+    inv = invariant_slice(rep, bound)
     p, here = inv.p, inv.mat(degree).a
     products = [la.mult_map(inv.mat(degree - k), g, degree - k).a
                 for k in range(1, degree) for g in _generators(rep, bound, k)]
@@ -290,7 +290,7 @@ def socle_search(view: GradedModuleView,
             if q.nrows == 0:
                 continue
             candidates = q.a.astype(np.uint8)
-            ann_degrees = [e for e in range(1, bound - d + 1) if inv.basis.dim(e)]
+            ann_degrees = [e for e in range(1, bound - d + 1) if inv.dim(e)]
             for e in ann_degrees:
                 for u in _generators(rep, bound, e):
                     if candidates.shape[0] == 0:
@@ -333,7 +333,7 @@ def socle_search(view: GradedModuleView,
     return witness, report
 
 
-def _candidate_pool(rep: CpRep, inv: InvariantRingSlice, degree_cap: int) -> list[Poly]:
+def _candidate_pool(rep: CpRep, inv: GradedBasis, degree_cap: int) -> list[Poly]:
     """Search pool for depth-style greedy searches: the fixed variables
     and the variable norms first, then the invariant basis elements by
     degree, duplicates dropped."""
@@ -349,16 +349,16 @@ def _candidate_pool(rep: CpRep, inv: InvariantRingSlice, degree_cap: int) -> lis
         for i in range(2, rep.blocks[j - 1] + 1):
             push(norm(rep, i, j))
     for e in range(1, degree_cap + 1):
-        for f in inv.basis.row_polys(e):
+        for f in inv.row_polys(e):
             push(f)
     pool.sort(key=lambda f: f.homogeneous_degree())
     return pool
 
 
-def _greedy_regular(view: GradedModuleView, pool: Sequence[Poly],
-                    ) -> tuple[list[Poly], list[CheckReport], list[dict], GradedModuleView]:
+def _greedy_regular(view: GradedModuleView, pool: Sequence[Poly]) -> tuple[RegSeqCert, list[dict]]:
     """Extend a regular sequence greedily from the pool until nothing
-    works.  Returns the failure records of the final, exhausted round."""
+    works.  Returns the certificate of the sequence found and the failure
+    records of the final, exhausted round."""
     current = view
     found: list[Poly] = []
     steps: list[CheckReport] = []
@@ -393,7 +393,15 @@ def _greedy_regular(view: GradedModuleView, pool: Sequence[Poly],
         if not progressed:
             last_failures = round_failures
             break
-    return found, steps, last_failures, current
+    cert = RegSeqCert(
+        elements=tuple(found),
+        rendered=[render(f, varnames) for f in found],
+        max_degree=view.max_degree,
+        steps=steps,
+        passed=True,
+        final_view=current,
+    )
+    return cert, last_failures
 
 
 @dataclass
@@ -423,18 +431,10 @@ def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None,
         raise ZeroModuleError(f"module {view.label!r} is zero up to degree {view.max_degree}")
     cap = rep.p.value if search_degree_cap is None else search_degree_cap
     cap = min(cap, view.max_degree)
-    inv = invariant_slice(rep, view.max_degree)
-    pool = _candidate_pool(rep, inv, cap)
-    found, steps, failures, final = _greedy_regular(view, pool)
-    cert = RegSeqCert(
-        elements=tuple(found),
-        rendered=[render(f, rep.varnames) for f in found],
-        max_degree=view.max_degree,
-        steps=steps,
-        passed=True,
-        final_view=final,
-    )
-    reports = list(steps)
+    pool = _candidate_pool(rep, invariant_slice(rep, view.max_degree), cap)
+    cert, failures = _greedy_regular(view, pool)
+    final = cert.final_view
+    reports = list(cert.steps)
     maximal = False
     if final.is_zero():
         summary_notes = ["quotient vanished inside the bound; depth may continue above it"]
@@ -449,7 +449,7 @@ def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None,
         params={
             "module": view.label,
             "sequence": list(cert.rendered),
-            "lower_bound": len(found),
+            "lower_bound": len(cert.elements),
             "maximal": maximal,
             "search_degree_cap": cap,
             "max_degree": view.max_degree,
@@ -459,7 +459,7 @@ def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None,
         notes=["depth bounds are certified only up to the degree bound"] + summary_notes,
     )
     reports.append(summary)
-    return DepthEvidence(lower=len(found), maximal=maximal, cert=cert, reports=reports)
+    return DepthEvidence(lower=len(cert.elements), maximal=maximal, cert=cert, reports=reports)
 
 
 @dataclass
@@ -478,21 +478,13 @@ def bounded_grade(view: GradedModuleView, pool: Sequence[Poly], pool_label: str)
     the scan exhausts, the per-element failure certificates are kept."""
     if view.is_zero():
         raise ZeroModuleError(f"module {view.label!r} is zero up to degree {view.max_degree}")
-    found, steps, failures, final = _greedy_regular(view, pool)
-    cert = RegSeqCert(
-        elements=tuple(found),
-        rendered=[render(f, view.rep.varnames) for f in found],
-        max_degree=view.max_degree,
-        steps=steps,
-        passed=True,
-        final_view=final,
-    )
+    cert, failures = _greedy_regular(view, pool)
     report = CheckReport(
         name="grade-search",
         params={
             "module": view.label,
             "pool": pool_label,
-            "length": len(found),
+            "length": len(cert.elements),
             "sequence": list(cert.rendered),
             "max_degree": view.max_degree,
         },
@@ -500,7 +492,7 @@ def bounded_grade(view: GradedModuleView, pool: Sequence[Poly], pool_label: str)
         witnesses=failures,
         notes=["grade evidence is a lower bound certified up to the degree bound"],
     )
-    return GradeResult(length=len(found), cert=cert, failures=failures, report=report)
+    return GradeResult(length=len(cert.elements), cert=cert, failures=failures, report=report)
 
 
 def canonical_sequence(rep: CpRep) -> list[Poly]:
@@ -526,40 +518,31 @@ def expected_depth(rep: CpRep) -> int:
     return min(rep.num_blocks + 2, rep.dim)
 
 
-def ideal_module(rep: CpRep, gens: Sequence[Poly], max_degree: int,
-                 label: str | None = None) -> GradedModuleView:
-    """The ideal generated by invariant elements inside the invariant
-    ring, as a graded module over that ring."""
+def ideal_modules(rep: CpRep, gens: Sequence[Poly],
+                  max_degree: int) -> tuple[GradedModuleView, GradedModuleView]:
+    """The ideal generated by invariant elements inside the invariant ring,
+    and the invariant ring modulo that ideal, as graded modules over the
+    ring; both views share one ideal slice."""
     inv = invariant_slice(rep, max_degree)
-    basis = ideal_slice(inv, gens)
+    basis = ideal_slice(rep, max_degree, gens)
     zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
-    name = label if label is not None else (
-        "ideal (" + ", ".join(render(g, rep.varnames) for g in gens) + ")")
-    return GradedModuleView(rep, basis, zero, name, check_inclusion=False)
-
-
-def quotient_module(rep: CpRep, gens: Sequence[Poly], max_degree: int,
-                    label: str | None = None) -> GradedModuleView:
-    """The invariant ring modulo the ideal the given invariants generate."""
-    inv = invariant_slice(rep, max_degree)
-    basis = ideal_slice(inv, gens)
-    name = label if label is not None else (
-        "invariant ring mod (" + ", ".join(render(g, rep.varnames) for g in gens) + ")")
-    return GradedModuleView(rep, inv.basis, basis, name, check_inclusion=False)
+    names = ", ".join(render(g, rep.varnames) for g in gens)
+    return (GradedModuleView(rep, basis, zero, f"ideal ({names})", check_inclusion=False),
+            GradedModuleView(rep, inv, basis, f"invariant ring mod ({names})",
+                             check_inclusion=False))
 
 
 def transfer_quotient_module(rep: CpRep, max_degree: int) -> GradedModuleView:
     """Invariant ring modulo the transfer ideal, as a graded module."""
-    inv = invariant_slice(rep, max_degree)
-    tra = transfer_slice(rep, max_degree)
-    return GradedModuleView(rep, inv.basis, tra.basis, "invariants mod transfer ideal")
+    return GradedModuleView(rep, invariant_slice(rep, max_degree), transfer_slice(rep, max_degree),
+                            "invariants mod transfer ideal")
 
 
 def transfer_ideal_module(rep: CpRep, max_degree: int) -> GradedModuleView:
     """The transfer ideal as a module over the invariant ring."""
-    tra = transfer_slice(rep, max_degree)
     zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
-    return GradedModuleView(rep, tra.basis, zero, "transfer ideal", check_inclusion=False)
+    return GradedModuleView(rep, transfer_slice(rep, max_degree), zero, "transfer ideal",
+                            check_inclusion=False)
 
 
 def transfer_quotient_check(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE) -> list[CheckReport]:
@@ -657,7 +640,7 @@ def norm_reduction_check(view: GradedModuleView, search_degree_cap: int | None =
     tra = transfer_slice(rep, view.max_degree)
     cap = rep.p.value if search_degree_cap is None else search_degree_cap
     pool = [f for e in range(1, min(cap, view.max_degree) + 1)
-            for f in tra.basis.row_polys(e)]
+            for f in tra.row_polys(e)]
     grade_res = bounded_grade(reduced, pool, "transfer-image basis elements")
     reports.extend(grade_res.cert.steps)
     reports.append(grade_res.report)
@@ -718,11 +701,9 @@ def depth_report(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
 
     instances = []
     for k in range(1, len(seq) + 1):
-        prefix = seq[:k]
-        ideal_ev = bounded_depth(ideal_module(rep, prefix, max_degree),
-                                 search_degree_cap=search_degree_cap)
-        quot_ev = bounded_depth(quotient_module(rep, prefix, max_degree),
-                                search_degree_cap=search_degree_cap)
+        ideal, quotient = ideal_modules(rep, seq[:k], max_degree)
+        ideal_ev = bounded_depth(ideal, search_degree_cap=search_degree_cap)
+        quot_ev = bounded_depth(quotient, search_degree_cap=search_degree_cap)
         reports.extend(ideal_ev.reports)
         reports.extend(quot_ev.reports)
         instances.append(DepthInstance(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,15 +41,6 @@ class MatFp:
         self.p = p
         self.a = np.ascontiguousarray(a, dtype=np.uint8)
         self.pivots = pivots
-
-    @classmethod
-    def from_rows(cls, p: int, rows: Iterable[Sequence[int]], cols: int | None = None) -> MatFp:
-        data = [list(r) for r in rows]
-        if not data:
-            if cols is None:
-                raise ValueError("column count required for an empty matrix")
-            return cls(p, np.zeros((0, cols), dtype=np.uint8))
-        return cls(p, np.asarray(data, dtype=np.int64) % p)
 
     @classmethod
     def zeros(cls, p: int, nrows: int, ncols: int) -> MatFp:

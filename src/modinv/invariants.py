@@ -15,7 +15,6 @@ merged without a further elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Sequence
@@ -101,30 +100,6 @@ def _merge_pieces(p: int, width: int, pieces: list[tuple[np.ndarray, MatFp]]) ->
     return MatFp(p, out, tuple(int(c) for c in np.sort(pivots)))
 
 
-@dataclass(frozen=True)
-class InvariantRingSlice:
-    """Invariant polynomials, one echelon basis per degree up to a bound."""
-
-    rep: CpRep
-    max_degree: int
-    basis: GradedBasis
-
-    def dims(self) -> list[int]:
-        return self.basis.dims()
-
-
-@dataclass(frozen=True)
-class TransferIdealSlice:
-    """Image of the transfer map, one echelon basis per degree."""
-
-    rep: CpRep
-    max_degree: int
-    basis: GradedBasis
-
-    def dims(self) -> list[int]:
-        return self.basis.dims()
-
-
 @lru_cache(maxsize=16)
 def _slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
     """One sweep computing invariant and transfer-image bases per degree,
@@ -151,30 +126,25 @@ def _slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
     return GradedBasis(p, n, inv_mats), GradedBasis(p, n, tra_mats)
 
 
-def invariant_slice(rep: CpRep, max_degree: int) -> InvariantRingSlice:
+def invariant_slice(rep: CpRep, max_degree: int) -> GradedBasis:
     """Echelon bases of the invariant ring in degrees 0..max_degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    inv, _ = _slices(rep, max_degree)
-    return InvariantRingSlice(rep, max_degree, inv)
+    return _slices(rep, max_degree)[0]
 
 
-def transfer_slice(rep: CpRep, max_degree: int) -> TransferIdealSlice:
+def transfer_slice(rep: CpRep, max_degree: int) -> GradedBasis:
     """Echelon bases of the transfer image in degrees 0..max_degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    _, tra = _slices(rep, max_degree)
-    return TransferIdealSlice(rep, max_degree, tra)
+    return _slices(rep, max_degree)[1]
 
 
-def ideal_slice(ring: InvariantRingSlice, gens: Sequence[Poly], max_degree: int | None = None) -> GradedBasis:
+def ideal_slice(rep: CpRep, max_degree: int, gens: Sequence[Poly]) -> GradedBasis:
     """Degree slices of the ideal the given invariants generate inside the
     invariant ring: each slice is spanned by generator times invariant
     basis elements of the complementary degree."""
-    rep = ring.rep
-    bound = ring.max_degree if max_degree is None else max_degree
-    if bound > ring.max_degree:
-        raise ValueError(f"requested degree {bound} above the slice bound {ring.max_degree}")
+    inv = invariant_slice(rep, max_degree)
     checked = []
     for g in gens:
         rep.check_poly(g)
@@ -186,12 +156,12 @@ def ideal_slice(ring: InvariantRingSlice, gens: Sequence[Poly], max_degree: int 
             checked.append(g)
     p, n = rep.p.value, rep.nvars
     mats = []
-    for d in range(bound + 1):
+    for d in range(max_degree + 1):
         pieces = []
         for g in checked:
             e = g.homogeneous_degree()
-            if e <= d and ring.basis.dim(d - e):
-                pieces.append(la.mult_map(ring.basis.mat(d - e), g, d - e).a)
+            if e <= d and inv.dim(d - e):
+                pieces.append(la.mult_map(inv.mat(d - e), g, d - e).a)
         if pieces:
             mats.append(la.rref(MatFp(p, np.vstack(pieces))))
         else:
@@ -199,31 +169,14 @@ def ideal_slice(ring: InvariantRingSlice, gens: Sequence[Poly], max_degree: int 
     return GradedBasis(p, n, mats)
 
 
-@dataclass(frozen=True)
-class HilbertData:
-    """Dimension counts per degree, index = degree."""
-
-    dims: tuple[int, ...]
-
-    def dim(self, degree: int) -> int:
-        return self.dims[degree]
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.dims) - 1
-
-    def as_list(self) -> list[int]:
-        return [int(d) for d in self.dims]
-
-
-def quotient_dims(ambient: GradedBasis, sub: GradedBasis) -> HilbertData:
+def quotient_dims(ambient: GradedBasis, sub: GradedBasis) -> list[int]:
     """Degreewise dimensions of ambient/sub, after verifying the inclusion
     sub <= ambient in every stored degree."""
     if not la.graded_le(sub, ambient):
         bad = [d for d in range(sub.max_degree + 1)
                if not la.subspace_le(sub.mats[d], ambient.mats[d])]
         raise ValueError(f"subspace inclusion fails in degrees {bad}")
-    return HilbertData(tuple(ambient.dim(d) - sub.dim(d) for d in range(ambient.max_degree + 1)))
+    return [ambient.dim(d) - sub.dim(d) for d in range(ambient.max_degree + 1)]
 
 
 def finite_difference(values: Sequence[int], step: int, order: int) -> list[int]:

@@ -33,69 +33,8 @@ class PrimeP:
         return self.value
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """Element of the prime field with ``p`` elements."""
-
-    residue: int
-    modulus: PrimeP
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.residue < self.modulus.value:
-            raise ValueError(
-                f"residue {self.residue} out of range for modulus {self.modulus.value}"
-            )
-
-    @classmethod
-    def of(cls, value: int, p: PrimeP) -> Scalar:
-        return cls(value % p.value, p)
-
-    def _check(self, other: Scalar) -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("scalars from different fields")
-
-    def __add__(self, other: Scalar) -> Scalar:
-        self._check(other)
-        return Scalar((self.residue + other.residue) % self.modulus.value, self.modulus)
-
-    def __sub__(self, other: Scalar) -> Scalar:
-        self._check(other)
-        return Scalar((self.residue - other.residue) % self.modulus.value, self.modulus)
-
-    def __mul__(self, other: Scalar) -> Scalar:
-        self._check(other)
-        return Scalar((self.residue * other.residue) % self.modulus.value, self.modulus)
-
-    def __neg__(self) -> Scalar:
-        return Scalar((-self.residue) % self.modulus.value, self.modulus)
-
-    def inverse(self) -> Scalar:
-        """Multiplicative inverse; zero has none."""
-        if self.residue == 0:
-            raise ZeroDivisionError("inverse of zero")
-        p = self.modulus.value
-        return Scalar(pow(self.residue, p - 2, p), self.modulus)
-
-    def __truediv__(self, other: Scalar) -> Scalar:
-        self._check(other)
-        return self * other.inverse()
-
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
-
-def mono_degree(m: Mono) -> int:
-    return sum(m)
-
-
 def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a: Mono, b: Mono) -> Mono | None:
-    """Exact quotient a / b, or None when some exponent would go negative."""
-    out = tuple(x - y for x, y in zip(a, b))
-    return None if any(e < 0 for e in out) else out
 
 
 def var_mono(nvars: int, index: int) -> Mono:
@@ -287,12 +226,6 @@ class Poly:
             base = base * base
             e >>= 1
         return result
-
-    def shift(self, mono: Mono) -> Poly:
-        """Multiply by a single monomial."""
-        return Poly._raw(
-            self.p, self.nvars, {mono_mul(m, tuple(mono)): c for m, c in self._terms.items()}
-        )
 
     def homogeneous_component(self, degree: int) -> Poly:
         return Poly._raw(

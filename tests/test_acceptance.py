@@ -13,10 +13,9 @@ import pytest
 from modinv import gradedla as la
 from modinv.cli import run as cli_run
 from modinv.depthlab import (DepthInstance, bounded_depth, canonical_sequence,
-                             depth_inequality_audit, expected_depth, ideal_module,
-                             norm_reduction_check, quotient_module, ring_module,
-                             socle_search, transfer_quotient_check,
-                             verify_regular_sequence)
+                             depth_inequality_audit, expected_depth, ideal_modules,
+                             norm_reduction_check, ring_module, socle_search,
+                             transfer_quotient_check, verify_regular_sequence)
 from modinv.invariants import ideal_slice, invariant_slice, quotient_dims, transfer_slice
 from modinv.monoalg import run_preset
 from modinv.poly import Poly
@@ -73,8 +72,9 @@ def depth_audit_22():
     triples = []
     instances = []
     for k in range(1, len(seq) + 1):
-        ideal_ev = bounded_depth(ideal_module(rep, seq[:k], BOUND))
-        quot_ev = bounded_depth(quotient_module(rep, seq[:k], BOUND))
+        ideal, quotient = ideal_modules(rep, seq[:k], BOUND)
+        ideal_ev = bounded_depth(ideal)
+        quot_ev = bounded_depth(quotient)
         triples.append((k, ideal_ev, quot_ev))
         instances.append(DepthInstance(
             label=f"first {k} canonical elements",
@@ -150,7 +150,7 @@ def test_criterion_04_socle_witness(canonical_results):
     vec = la.poly_to_vec(witness.element, witness.degree).reshape(1, -1)
     assert la.reduce_rows(vec, view.den.mat(witness.degree)).any()
     for e in range(1, 9):
-        for u in inv.basis.row_polys(e):
+        for u in inv.row_polys(e):
             product = u * witness.element
             pv = la.poly_to_vec(product, witness.degree + e).reshape(1, -1)
             assert not la.reduce_rows(pv, view.den.mat(witness.degree + e)).any()
@@ -331,10 +331,10 @@ def test_criterion_09_sanity_oracles():
     rep = CpRep.make(2, (2,))
     bound = 12
     inv = invariant_slice(rep, bound)
-    assert inv.basis.dims() == series_coefficients([1, 2], bound)
+    assert inv.dims() == series_coefficients([1, 2], bound)
     tra = transfer_slice(rep, bound)
-    assert tra.basis == ideal_slice(inv, [rep.variable(1, 1)])
-    assert quotient_dims(inv.basis, tra.basis).as_list() == [1, 0] * 6 + [1]
+    assert tra == ideal_slice(rep, bound, [rep.variable(1, 1)])
+    assert quotient_dims(inv, tra) == [1, 0] * 6 + [1]
 
 
 @criterion(10, "two identical depth-report invocations emit byte-identical JSON")

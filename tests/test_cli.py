@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import modinv
 from modinv import depthlab
 from modinv.cli import build_parser, run
 
@@ -52,6 +53,12 @@ PINNED_REPORTS = {
         "57c180d6baeda7b8031df1a0495a24661854f440db39e617919a64bfe617c372",
     "transfer-quotient --p 2 --blocks 2,2,2 --max-degree 8":
         "bbe7827f8f4de0af2b53c48baebd4d42bc05c9ccb1e0220265a3d2ce561658a1",
+    "hilbert --p 3 --blocks 2,3 --max-degree 8":
+        "e8fb43a253253725ec2dcc078d07fa57ce1d6421f9f4269c26c85b4974773478",
+    "grade --p 3 --blocks 2,2 --max-degree 8":
+        "43d85ec6f4b9a6c07a6579b74612a014f6c33d4ed80fd413f8e18cb20a78b218",
+    "depth-report --p 2 --blocks 2,2 --max-degree 6":
+        "1c1d7b8d39409b4faef61862ce59965466ea757f23fa22538c698ae0d18c92cb",
 }
 
 
@@ -111,11 +118,30 @@ def test_config_errors_exit_two():
         ["norm-decompose", "--p", "2", "--blocks", "2"],
         ["norm-decompose", "--p", "2", "--blocks", "2", "--poly", "x[9,9]"],
         ["regseq", "--p", "2", "--blocks", "2", "--sequence", "/nonexistent/path"],
+        # an empty candidate pool or enumeration would read as failed or
+        # passed checks, so these caps are refused before computing
+        ["depth-report", "--p", "2", "--blocks", "2,2", "--max-degree", "4", "--search-cap", "0"],
+        ["depth-report", "--p", "2", "--blocks", "2,2", "--max-degree", "4", "--search-cap", "-1"],
+        ["grade", "--p", "2", "--blocks", "2", "--max-degree", "6", "--search-cap", "0"],
+        ["monomial-example", "--name", "example-1", "--degree-cap", "-1"],
     ):
         code, out, err = invoke(argv)
         assert code == 2, argv
         assert "error:" in err
         assert out == ""
+
+
+def test_smallest_caps_are_accepted():
+    code, out, _ = invoke("grade --p 2 --blocks 2 --max-degree 6 --search-cap 1".split())
+    assert code in (0, 1)
+    assert json.loads(out)["config"]["search_cap"] == 1
+    code, out, _ = invoke("monomial-example --name example-1 --degree-cap 0".split())
+    assert code == 0
+    assert json.loads(out)["config"]["degree_cap"] == 0
+
+
+def test_public_exports_resolve():
+    assert [name for name in modinv.__all__ if not hasattr(modinv, name)] == []
 
 
 def test_prime_above_251_exits_two():

@@ -6,10 +6,10 @@ from modinv.depthlab import (BoundTooSmallError, DepthEvidence, DepthInstance,
                              RegSeqCert, ZeroModuleError, _generators, bounded_depth,
                              bounded_grade, canonical_sequence,
                              depth_inequality_audit, depth_report, expected_depth,
-                             ideal_module, is_regular_element, norm_reduction_check,
-                             quotient_module, ring_module, socle_search,
-                             transfer_ideal_module, transfer_quotient_check,
-                             transfer_quotient_module, verify_regular_sequence)
+                             ideal_modules, is_regular_element, norm_reduction_check,
+                             ring_module, socle_search, transfer_ideal_module,
+                             transfer_quotient_check, transfer_quotient_module,
+                             verify_regular_sequence)
 from modinv.gradedla import MatFp
 from modinv.invariants import invariant_slice
 from modinv.poly import Poly, parse, render
@@ -29,7 +29,7 @@ def test_ring_module_is_the_invariant_ring():
     rep = CpRep.make(2, (2, 2))
     ring = ring_module(rep, 6)
     inv = invariant_slice(rep, 6)
-    assert ring.dims() == inv.basis.dims()
+    assert ring.dims() == inv.dims()
     assert not ring.is_zero()
     assert ring.max_degree == 6
 
@@ -129,7 +129,7 @@ def test_socle_search_on_finite_quotient():
     inv = invariant_slice(rep, view.max_degree)
     assert not in_denominator(view, witness.element)
     for e in witness.annihilator_degrees:
-        for u in inv.basis.row_polys(e):
+        for u in inv.row_polys(e):
             assert in_denominator(view, u * witness.element)
 
 
@@ -159,9 +159,9 @@ def socle_search_all_rows(view, witness_degree_cap=None):
         candidates = view.quotient_mat(d).a
         if candidates.shape[0] == 0:
             continue
-        ann_degrees = [e for e in range(1, bound - d + 1) if inv.basis.dim(e)]
+        ann_degrees = [e for e in range(1, bound - d + 1) if inv.dim(e)]
         for e in ann_degrees:
-            for u in inv.basis.row_polys(e):
+            for u in inv.row_polys(e):
                 if candidates.shape[0] == 0:
                     break
                 product = la.mult_map(MatFp(p, candidates), u, d)
@@ -185,12 +185,12 @@ def socle_search_all_rows(view, witness_degree_cap=None):
 
 MODULE_CONSTRUCTORS = {
     "ring": ring_module,
-    "ideal": lambda rep, bound: ideal_module(rep, canonical_sequence(rep)[:2], bound),
-    "quotient": lambda rep, bound: quotient_module(rep, canonical_sequence(rep), bound),
+    "ideal": lambda rep, bound: ideal_modules(rep, canonical_sequence(rep)[:2], bound)[0],
+    "quotient": lambda rep, bound: ideal_modules(rep, canonical_sequence(rep), bound)[1],
     "transfer-ideal": transfer_ideal_module,
     "transfer-quotient": transfer_quotient_module,
-    "quotient-by": lambda rep, bound: quotient_module(
-        rep, canonical_sequence(rep)[:3], bound).quotient_by(canonical_sequence(rep)[3]),
+    "quotient-by": lambda rep, bound: ideal_modules(
+        rep, canonical_sequence(rep)[:3], bound)[1].quotient_by(canonical_sequence(rep)[3]),
 }
 
 
@@ -281,11 +281,13 @@ def test_ideal_and_quotient_modules_split_the_ring():
     bound = 8
     gens = [rep.variable(1, 1), rep.variable(1, 2)]
     ring = ring_module(rep, bound)
-    ideal = ideal_module(rep, gens, bound)
-    quotient = quotient_module(rep, gens, bound)
+    ideal, quotient = ideal_modules(rep, gens, bound)
     for d in range(bound + 1):
         assert ideal.dim(d) + quotient.dim(d) == ring.dim(d)
     assert ideal.label == "ideal (x[1,1], x[1,2])"
+    assert quotient.label == "invariant ring mod (x[1,1], x[1,2])"
+    # both views rest on the same ideal slice
+    assert quotient.den is ideal.num
 
 
 def test_transfer_modules_split_the_ring():

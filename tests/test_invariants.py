@@ -5,9 +5,8 @@ import pytest
 
 from modinv import gradedla as la
 from modinv.gradedla import GradedBasis, MatFp
-from modinv.invariants import (HilbertData, _mono_parents, dimension_growth_check,
-                               finite_difference, ideal_slice, invariant_slice,
-                               quotient_dims, transfer_slice)
+from modinv.invariants import (_mono_parents, dimension_growth_check, finite_difference,
+                               ideal_slice, invariant_slice, quotient_dims, transfer_slice)
 from modinv.poly import Poly, monomials_of_degree, num_monomials, var_mono
 from modinv.rep import (CpRep, _generator_power_images, is_invariant, norm, sigma,
                         top_norms, transfer)
@@ -95,7 +94,7 @@ def test_invariant_dims_match_direct_kernel(p, blocks, bound):
     rep = CpRep.make(p, blocks)
     inv = invariant_slice(rep, bound)
     for d in range(bound + 1):
-        assert inv.basis.dim(d) == oracle_invariant_dim(rep, d)
+        assert inv.dim(d) == oracle_invariant_dim(rep, d)
 
 
 @pytest.mark.parametrize("p,blocks,bound", [(2, (2, 2), 6), (3, (3,), 6)])
@@ -103,7 +102,7 @@ def test_transfer_dims_match_direct_image(p, blocks, bound):
     rep = CpRep.make(p, blocks)
     tra = transfer_slice(rep, bound)
     for d in range(bound + 1):
-        assert tra.basis.dim(d) == oracle_transfer_dim(rep, d)
+        assert tra.dim(d) == oracle_transfer_dim(rep, d)
 
 
 @pytest.mark.parametrize("p,blocks,bound", [
@@ -113,8 +112,8 @@ def test_transfer_dims_match_direct_image(p, blocks, bound):
 def test_slices_match_dense_construction_bytes(p, blocks, bound):
     rep = CpRep.make(p, blocks)
     want_inv, want_tra = dense_slices(rep, bound)
-    got_inv = invariant_slice(rep, bound).basis
-    got_tra = transfer_slice(rep, bound).basis
+    got_inv = invariant_slice(rep, bound)
+    got_tra = transfer_slice(rep, bound)
     for got, want in ((got_inv, want_inv), (got_tra, want_tra)):
         for d in range(bound + 1):
             assert got.mat(d).pivots == want.mat(d).pivots
@@ -127,20 +126,20 @@ def test_invariant_slice_contains_known_invariants():
     rep = CpRep.make(3, (2, 3))
     bound = 8
     inv = invariant_slice(rep, bound)
-    assert inv.basis.contains_poly(rep.variable(1, 1))
-    assert inv.basis.contains_poly(rep.variable(1, 2))
+    assert inv.contains_poly(rep.variable(1, 1))
+    assert inv.contains_poly(rep.variable(1, 2))
     for f in top_norms(rep):
-        assert inv.basis.contains_poly(f)
+        assert inv.contains_poly(f)
     for _ in range(10):
         mono = [0] * rep.nvars
         for _ in range(rng.randrange(1, 5)):
             mono[rng.randrange(rep.nvars)] += 1
         tr = transfer(rep, Poly.monomial(3, rep.nvars, tuple(mono), 1))
         if not tr.is_zero() and tr.homogeneous_degree() <= bound:
-            assert inv.basis.contains_poly(tr)
+            assert inv.contains_poly(tr)
     # every basis row is genuinely invariant
     for d in range(bound + 1):
-        for f in inv.basis.row_polys(d):
+        for f in inv.row_polys(d):
             assert is_invariant(rep, f)
 
 
@@ -149,16 +148,16 @@ def test_transfer_slice_inside_invariants():
         rep = CpRep.make(p, blocks)
         inv = invariant_slice(rep, 8)
         tra = transfer_slice(rep, 8)
-        assert la.graded_le(tra.basis, inv.basis)
+        assert la.graded_le(tra, inv)
 
 
 def test_degree_zero_slices():
     rep = CpRep.make(2, (2,))
     inv = invariant_slice(rep, 4)
     tra = transfer_slice(rep, 4)
-    assert inv.basis.dim(0) == 1
+    assert inv.dim(0) == 1
     # the transfer of a constant is p * c = 0, so degree zero is empty
-    assert tra.basis.dim(0) == 0
+    assert tra.dim(0) == 0
 
 
 def test_v2_dims_match_rational_series():
@@ -166,7 +165,7 @@ def test_v2_dims_match_rational_series():
     rep = CpRep.make(2, (2,))
     bound = 12
     inv = invariant_slice(rep, bound)
-    assert inv.basis.dims() == series_coefficients([1, 2], bound)
+    assert inv.dims() == series_coefficients([1, 2], bound)
 
 
 def test_transfer_ideal_of_v2_is_principal():
@@ -174,52 +173,36 @@ def test_transfer_ideal_of_v2_is_principal():
     bound = 12
     inv = invariant_slice(rep, bound)
     tra = transfer_slice(rep, bound)
-    principal = ideal_slice(inv, [rep.variable(1, 1)])
-    assert tra.basis == principal
-    assert quotient_dims(inv.basis, tra.basis).as_list() == [1, 0] * 6 + [1]
+    principal = ideal_slice(rep, bound, [rep.variable(1, 1)])
+    assert tra == principal
+    assert quotient_dims(inv, tra) == [1, 0] * 6 + [1]
 
 
 def test_ideal_slice_validation_and_monotonicity():
     rep = CpRep.make(2, (2, 2))
     inv = invariant_slice(rep, 6)
     with pytest.raises(ValueError):
-        ideal_slice(inv, [rep.variable(2, 1)])  # not invariant
+        ideal_slice(rep, 6, [rep.variable(2, 1)])  # not invariant
     x11 = rep.variable(1, 1)
     with pytest.raises(ValueError):
-        ideal_slice(inv, [x11 + x11 * x11])  # not homogeneous
-    ideal = ideal_slice(inv, [x11])
-    assert la.graded_le(ideal, inv.basis)
-    bigger = ideal_slice(inv, [x11, rep.variable(1, 2)])
+        ideal_slice(rep, 6, [x11 + x11 * x11])  # not homogeneous
+    ideal = ideal_slice(rep, 6, [x11])
+    assert ideal.max_degree == 6
+    assert la.graded_le(ideal, inv)
+    bigger = ideal_slice(rep, 6, [x11, rep.variable(1, 2)])
     assert la.graded_le(ideal, bigger)
     # the zero generator contributes nothing
-    same = ideal_slice(inv, [x11, Poly.zero(2, 4)])
+    same = ideal_slice(rep, 6, [x11, Poly.zero(2, 4)])
     assert same == ideal
-
-
-def test_ideal_slice_degree_cap():
-    rep = CpRep.make(2, (2,))
-    inv = invariant_slice(rep, 6)
-    short = ideal_slice(inv, [rep.variable(1, 1)], max_degree=4)
-    assert short.max_degree == 4
-    with pytest.raises(ValueError):
-        ideal_slice(inv, [rep.variable(1, 1)], max_degree=9)
 
 
 def test_quotient_dims_requires_inclusion():
     rep = CpRep.make(2, (2,))
     inv = invariant_slice(rep, 4)
     full = la.GradedBasis.full(2, 2, 4)
-    assert quotient_dims(full, inv.basis).dims == tuple(
-        full.dim(d) - inv.basis.dim(d) for d in range(5))
+    assert quotient_dims(full, inv) == [full.dim(d) - inv.dim(d) for d in range(5)]
     with pytest.raises(ValueError):
-        quotient_dims(inv.basis, full)
-
-
-def test_hilbert_data_accessors():
-    data = HilbertData((1, 0, 2))
-    assert data.dim(2) == 2
-    assert data.max_degree == 2
-    assert data.as_list() == [1, 0, 2]
+        quotient_dims(inv, full)
 
 
 def test_finite_difference():
@@ -240,7 +223,7 @@ def test_dimension_growth_check():
     assert bad
     # genuine invariant ring dims pass their own growth check
     rep = CpRep.make(2, (2,))
-    dims = invariant_slice(rep, 12).basis.dims()
+    dims = invariant_slice(rep, 12).dims()
     ok, bad = dimension_growth_check(dims, order=2, step=2, window_start=4)
     assert ok
 
@@ -250,4 +233,4 @@ def test_slices_are_cached_and_consistent_across_bounds():
     small = invariant_slice(rep, 4)
     large = invariant_slice(rep, 7)
     for d in range(5):
-        assert small.basis.mat(d).a.tolist() == large.basis.mat(d).a.tolist()
+        assert small.mat(d).a.tolist() == large.mat(d).a.tolist()
