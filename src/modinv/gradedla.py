@@ -5,10 +5,9 @@ sends ``v`` to ``v @ A``.  Coordinates in degree ``d`` are indexed by
 ``poly.monomials_of_degree``.  Mod-2 elimination keeps each row as one
 Python integer; mod-2 reduction modulo a canonical echelon basis reads the
 coefficients off the pivot columns and applies them all in one gathered XOR
-of packed basis rows.  Odd primes use classic elimination on small matrices
-and, from ``_BLOCKED_THRESHOLD`` entries up, panel elimination whose updates
-are exact float64 matrix products (all intermediate sums stay far below
-2**53) applied only to the rows a panel's pivots touch.
+of packed basis rows.  Odd primes use one classic elimination on int32
+(exact for p <= 251: entries stay below p and each update term is at most
+(p-1)**2) that updates only the columns from the pivot on.
 """
 
 from __future__ import annotations
@@ -41,14 +40,6 @@ class MatFp:
         self.p = p
         self.a = np.ascontiguousarray(a, dtype=np.uint8)
         self.pivots = pivots
-
-    @classmethod
-    def zeros(cls, p: int, nrows: int, ncols: int) -> MatFp:
-        return cls(p, np.zeros((nrows, ncols), dtype=np.uint8))
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> MatFp:
-        return cls(p, np.eye(n, dtype=np.uint8), pivots=tuple(range(n)))
 
     @property
     def nrows(self) -> int:
@@ -114,10 +105,13 @@ def _rref_p2(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Gauss-Jordan over F_p for odd p.  The pivot row is zero left of its
+    pivot column, so scaling it and clearing the other rows touch only the
+    columns from the pivot on."""
     nrows, ncols = a.shape
     if nrows == 0 or ncols == 0:
         return np.zeros((0, ncols), dtype=np.uint8), ()
-    m = a.astype(np.int64)
+    m = a.astype(np.int32) % p
     rank = 0
     pivots: list[int] = []
     for col in range(ncols):
@@ -129,92 +123,16 @@ def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
             m[[rank, piv]] = m[[piv, rank]]
         inv = pow(int(m[rank, col]), p - 2, p)
         if inv != 1:
-            m[rank] = (m[rank] * inv) % p
+            m[rank, col:] = (m[rank, col:] * inv) % p
         hits = np.nonzero(m[:, col])[0]
         hits = hits[hits != rank]
         if hits.size:
-            m[hits] = (m[hits] - np.outer(m[hits, col], m[rank])) % p
+            m[hits, col:] = (m[hits, col:] - np.outer(m[hits, col], m[rank, col:])) % p
         pivots.append(col)
         rank += 1
         if rank == nrows:
             break
     return m[:rank].astype(np.uint8), tuple(pivots)
-
-
-def _invert_modp(u: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a small invertible matrix, by Gauss-Jordan on [U | I]."""
-    k = u.shape[0]
-    aug = np.concatenate([u.astype(np.int64) % p, np.eye(k, dtype=np.int64)], axis=1)
-    reduced, pivots = _rref_modp(aug, p)
-    if pivots[:k] != tuple(range(k)):
-        raise ValueError("matrix is singular")
-    return reduced[:, k:].astype(np.int64)
-
-
-def _rref_modp_blocked(a: np.ndarray, p: int, panel: int = 64) -> tuple[np.ndarray, tuple[int, ...]]:
-    """RREF for odd p with panel pivoting and BLAS updates.
-
-    Rows stay in place.  Each panel finds its pivots with classic
-    elimination on a small copy of the rows not yet used as pivot rows,
-    reduces the new pivot rows with one k x k inverse, then clears the pivot
-    columns with a single exact float64 product applied only to the rows
-    that have an entry there.  Rows left of the panel are zero in every row
-    not yet used as a pivot row, so updates start at the panel.  Pivot rows
-    are put in pivot order once, at the end.
-    """
-    nrows, ncols = a.shape
-    m = a.astype(np.int64) % p
-    unused = np.ones(nrows, dtype=bool)
-    order: list[np.ndarray] = []
-    pivots: list[int] = []
-    for start in range(0, ncols, panel):
-        if len(pivots) == nrows:
-            break
-        stop = min(start + panel, ncols)
-        rowids = np.nonzero(unused)[0]
-        probe = m[rowids, start:stop]
-        k = 0
-        local_pivots: list[int] = []
-        for c in range(stop - start):
-            below = np.nonzero(probe[k:, c])[0]
-            if below.size == 0:
-                continue
-            piv = k + int(below[0])
-            if piv != k:
-                probe[[k, piv]] = probe[[piv, k]]
-                rowids[[k, piv]] = rowids[[piv, k]]
-            inv = pow(int(probe[k, c]), p - 2, p)
-            if inv != 1:
-                probe[k] = (probe[k] * inv) % p
-            hits = k + 1 + np.nonzero(probe[k + 1:, c])[0]
-            if hits.size:
-                probe[hits] = (probe[hits] - np.outer(probe[hits, c], probe[k])) % p
-            local_pivots.append(start + c)
-            k += 1
-            if k == rowids.size:
-                break
-        if k == 0:
-            continue
-        pivrows = rowids[:k]
-        pivcols = np.asarray(local_pivots)
-        u = m[np.ix_(pivrows, pivcols)]
-        reduced = matmul_mod(_invert_modp(u, p), m[pivrows, start:], p).astype(np.int64)
-        m[pivrows, start:] = reduced
-        unused[pivrows] = False
-        touched = m[:, pivcols].any(axis=1)
-        touched[pivrows] = False
-        hit = np.nonzero(touched)[0]
-        if hit.size:
-            coeffs = m[np.ix_(hit, pivcols)]
-            m[hit, start:] = (m[hit, start:] - matmul_mod(coeffs, reduced, p)) % p
-        order.append(pivrows)
-        pivots.extend(local_pivots)
-    if not order:
-        return np.zeros((0, ncols), dtype=np.uint8), ()
-    return m[np.concatenate(order)].astype(np.uint8), tuple(pivots)
-
-
-_BLOCKED_THRESHOLD = 200_000
 
 
 def rref(mat: MatFp) -> MatFp:
@@ -224,8 +142,6 @@ def rref(mat: MatFp) -> MatFp:
         return mat
     if mat.p == 2:
         reduced, pivots = _rref_p2(mat.a)
-    elif mat.a.size >= _BLOCKED_THRESHOLD:
-        reduced, pivots = _rref_modp_blocked(mat.a, mat.p)
     else:
         reduced, pivots = _rref_modp(mat.a, mat.p)
     return MatFp(mat.p, reduced, pivots)
@@ -297,11 +213,6 @@ def kernel(mat: MatFp) -> MatFp:
     return rref(MatFp(mat.p, out.astype(np.uint8)))
 
 
-def contains(space: MatFp, vector: np.ndarray | Sequence[int]) -> bool:
-    v = np.asarray(vector, dtype=np.int64).reshape(1, -1) % space.p
-    return not reduce_rows(v.astype(np.uint8), rref(space)).any()
-
-
 def subspace_le(inner: MatFp, outer: MatFp) -> bool:
     """Row space inclusion test."""
     if inner.p != outer.p or inner.ncols != outer.ncols:
@@ -333,8 +244,8 @@ def mult_map(basis: MatFp, f: Poly, degree: int) -> MatFp:
     wide = num_monomials(nvars, degree + shift)
     acc = np.zeros((basis.nrows, wide), dtype=np.int64)
     for mono, c in f.terms.items():
-        colmap = _mult_colmap(nvars, degree, mono)
-        acc[:, colmap] += c * basis.a.astype(np.int64)
+        # the ufunc widens basis.a chunk by chunk: no int64 copy of the basis
+        acc[:, _mult_colmap(nvars, degree, mono)] += np.multiply(basis.a, c, dtype=np.int64)
     return MatFp(f.p, (acc % f.p).astype(np.uint8))
 
 
@@ -379,11 +290,6 @@ class GradedBasis:
         return cls(p, nvars, [MatFp(p, np.zeros((0, num_monomials(nvars, d)), dtype=np.uint8), ())
                               for d in range(max_degree + 1)])
 
-    @classmethod
-    def full(cls, p: int, nvars: int, max_degree: int) -> GradedBasis:
-        return cls(p, nvars, [MatFp.identity(p, num_monomials(nvars, d))
-                              for d in range(max_degree + 1)])
-
     def mat(self, degree: int) -> MatFp:
         if not 0 <= degree <= self.max_degree:
             raise ValueError(f"degree {degree} outside stored range 0..{self.max_degree}")
@@ -398,12 +304,6 @@ class GradedBasis:
     def row_polys(self, degree: int) -> list[Poly]:
         m = self.mat(degree)
         return [vec_to_poly(self.p, self.nvars, degree, m.a[i]) for i in range(m.nrows)]
-
-    def contains_poly(self, f: Poly) -> bool:
-        if f.is_zero():
-            return True
-        d = f.homogeneous_degree()
-        return contains(self.mat(d), poly_to_vec(f, d))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedBasis):
