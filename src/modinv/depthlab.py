@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,7 +76,10 @@ class GradedModuleView:
 
     def quotient_mat(self, degree: int) -> MatFp:
         """Echelon representatives of the degree slice modulo the
-        denominator."""
+        denominator; with nothing to divide by, the numerator's own
+        canonical basis."""
+        if self.den.dim(degree) == 0:
+            return self.num.mat(degree)
         got = self._quotients.get(degree)
         if got is None:
             residues = la.reduce_rows(self.num.mat(degree).a, self.den.mat(degree))
@@ -109,21 +112,50 @@ def ring_module(rep: CpRep, max_degree: int) -> GradedModuleView:
                             check_inclusion=False)
 
 
-def is_regular_element(view: GradedModuleView, f: Poly) -> CheckReport:
-    """Check that multiplication by f is injective on every checkable
-    degree slice of the module.  Failure carries an explicit nonzero
-    element whose product with f falls into the denominator.
+# one degree of a regularity check: (degree, module dimension there,
+# nonzero class whose product falls into the denominator or None)
+RegularStep = tuple[int, int, Poly | None]
 
-    All degrees 0..D-deg(f) are examined even after a failure, so the
-    report does not depend on evaluation order.
-    """
-    rep = view.rep
+
+def _regular_candidate_degree(rep: CpRep, f: Poly) -> int:
+    """Validate a regularity candidate and return its degree."""
     rep.check_poly(f)
     e = f.homogeneous_degree()
     if f.is_zero() or e < 1:
         raise ValueError("regularity candidate must be nonzero, homogeneous, of positive degree")
     if not is_invariant(rep, f):
         raise ValueError("regularity candidate must be invariant")
+    return e
+
+
+def _regular_step(view: GradedModuleView, f: Poly, e: int, d: int) -> RegularStep:
+    """Injectivity of multiplication by f, of degree e, on degree d."""
+    q = view.quotient_mat(d)
+    if q.nrows == 0:
+        return d, 0, None
+    p = view.num.p
+    product = la.mult_map(q, f, d)
+    residue = la.reduce_rows(product.a, view.den.mat(d + e))
+    # a left-kernel row combines classes whose products fall into the
+    # denominator; an empty left kernel means f is injective here
+    left = la.kernel(MatFp(p, residue.T))
+    if left.nrows == 0:
+        return d, q.nrows, None
+    wit_row = la.matmul_mod(left.a[:1].astype(np.int64), q.a.astype(np.int64), p)
+    return d, q.nrows, la.vec_to_poly(p, view.num.nvars, d, wit_row[0])
+
+
+def _regular_steps(view: GradedModuleView, f: Poly, e: int) -> Iterator[RegularStep]:
+    """The checks of degrees 0..D-e in order, each run when it is asked for."""
+    return (_regular_step(view, f, e, d) for d in range(view.max_degree - e + 1))
+
+
+def _regular_report(view: GradedModuleView, f: Poly, e: int,
+                    steps: Iterable[RegularStep]) -> CheckReport:
+    """The regular-element report over degrees 0..D-e, built from
+    ``steps`` inside the timing.  Given only the steps up to a first
+    failure, it is a partial report whose first witness is still exact."""
+    rep = view.rep
     bound = view.max_degree
     degrees = list(range(0, bound - e + 1))
     report = CheckReport(
@@ -138,24 +170,8 @@ def is_regular_element(view: GradedModuleView, f: Poly) -> CheckReport:
         degrees_checked=degrees,
     )
     with timed(report):
-        p = view.num.p
-
-        def check_one(d: int) -> tuple[int, int, Poly | None]:
-            q = view.quotient_mat(d)
-            if q.nrows == 0:
-                return d, 0, None
-            product = la.mult_map(q, f, d)
-            residue = la.reduce_rows(product.a, view.den.mat(d + e))
-            # a left-kernel row combines classes whose products fall into the
-            # denominator; an empty left kernel means f is injective here
-            left = la.kernel(MatFp(p, residue.T))
-            if left.nrows == 0:
-                return d, q.nrows, None
-            wit_row = la.matmul_mod(left.a[:1].astype(np.int64), q.a.astype(np.int64), p)
-            return d, q.nrows, la.vec_to_poly(p, view.num.nvars, d, wit_row[0])
-
         nonzero_seen = False
-        for d, dim_d, witness in map(check_one, degrees):
+        for d, dim_d, witness in steps:
             nonzero_seen = nonzero_seen or dim_d > 0
             if witness is not None:
                 report.passed = False
@@ -173,6 +189,27 @@ def is_regular_element(view: GradedModuleView, f: Poly) -> CheckReport:
             report.notes.append(
                 f"regular on degrees 0..{degrees[-1]}; higher degrees are outside the bound")
     return report
+
+
+def is_regular_element(view: GradedModuleView, f: Poly) -> CheckReport:
+    """Check that multiplication by f is injective on every checkable
+    degree slice of the module.  Failure carries an explicit nonzero
+    element whose product with f falls into the denominator.
+
+    All degrees 0..D-deg(f) are examined even after a failure, so the
+    report does not depend on evaluation order.
+    """
+    e = _regular_candidate_degree(view.rep, f)
+    return _regular_report(view, f, e, _regular_steps(view, f, e))
+
+
+def _through_first_failure(steps: Iterator[RegularStep]) -> Iterator[RegularStep]:
+    """Pass steps on up to and including the first one with a witness,
+    leaving the rest of ``steps`` unrun."""
+    for step in steps:
+        yield step
+        if step[2] is not None:
+            return
 
 
 def _report_is_vacuous(report: CheckReport) -> bool:
@@ -358,22 +395,30 @@ def _candidate_pool(rep: CpRep, inv: GradedBasis, degree_cap: int) -> list[Poly]
 def _greedy_regular(view: GradedModuleView, pool: Sequence[Poly]) -> tuple[RegSeqCert, list[dict]]:
     """Extend a regular sequence greedily from the pool until nothing
     works.  Returns the certificate of the sequence found and the failure
-    records of the final, exhausted round."""
+    records of the final, exhausted round.
+
+    Each pool element is validated once per search.  Within a round a
+    candidate is checked degree by degree and set aside at its first
+    failing degree, with its remaining degrees left unrun; an accepted
+    element has passed every degree, so its step report is the one
+    ``is_regular_element`` gives.  Only the final round, whose records reach
+    the report, runs the remaining degrees, so every record still lists all
+    failing degrees."""
+    rep = view.rep
+    varnames = rep.varnames
+    candidates = [(f, _regular_candidate_degree(rep, f)) for f in pool]
     current = view
     found: list[Poly] = []
     steps: list[CheckReport] = []
-    last_failures: list[dict] = []
-    varnames = view.rep.varnames
-    while True:
-        if current.is_zero():
-            last_failures = [{"note": "module is zero up to the bound; search stopped"}]
-            break
-        progressed = False
-        round_failures: list[dict] = []
-        for f in pool:
+    last_failures: list[dict] = [{"note": "module is zero up to the bound; search stopped"}]
+    while not current.is_zero():
+        rejected = []
+        for f, e in candidates:
             if any(f == g for g in found):
                 continue
-            rpt = is_regular_element(current, f)
+            rest = _regular_steps(current, f, e)
+            # complete if f passes; otherwise partial, with ``rest`` suspended
+            rpt = _regular_report(current, f, e, _through_first_failure(rest))
             if rpt.passed and not _report_is_vacuous(rpt):
                 rpt.params["hilbert_before"] = current.dims()
                 nxt = current.quotient_by(f)
@@ -381,17 +426,20 @@ def _greedy_regular(view: GradedModuleView, pool: Sequence[Poly]) -> tuple[RegSe
                 steps.append(rpt)
                 found.append(f)
                 current = nxt
-                progressed = True
                 break
-            record = {"element": render(f, varnames)}
-            if rpt.passed:
-                record["skipped"] = "no checkable degree"
-            else:
-                record["failing_degrees"] = [w["degree"] for w in rpt.witnesses]
-                record["witness"] = rpt.witnesses[0]["annihilated"]
-            round_failures.append(record)
-        if not progressed:
-            last_failures = round_failures
+            rejected.append((f, rpt, rest))
+        else:
+            last_failures = []
+            for f, rpt, rest in rejected:
+                record = {"element": render(f, varnames)}
+                if rpt.passed:
+                    record["skipped"] = "no checkable degree"
+                else:
+                    first = rpt.witnesses[0]
+                    record["failing_degrees"] = [first["degree"]] + [
+                        d for d, _, witness in rest if witness is not None]
+                    record["witness"] = first["annihilated"]
+                last_failures.append(record)
             break
     cert = RegSeqCert(
         elements=tuple(found),
@@ -402,6 +450,18 @@ def _greedy_regular(view: GradedModuleView, pool: Sequence[Poly]) -> tuple[RegSe
         final_view=current,
     )
     return cert, last_failures
+
+
+def _require_within_dimension(view: GradedModuleView, cert: RegSeqCert) -> None:
+    """No sequence longer than n = dim V is regular on a module over the
+    invariant ring, so a longer one verified up to the bound proves the
+    bound too small."""
+    n = view.rep.dim
+    if len(cert.elements) > n:
+        raise BoundTooSmallError(
+            f"module {view.label!r}: a regular sequence of length {len(cert.elements)} was "
+            f"verified up to degree {view.max_degree}, but no sequence longer than n = {n} "
+            "is regular; the degree bound is too small")
 
 
 @dataclass
@@ -433,6 +493,7 @@ def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None,
     cap = min(cap, view.max_degree)
     pool = _candidate_pool(rep, invariant_slice(rep, view.max_degree), cap)
     cert, failures = _greedy_regular(view, pool)
+    _require_within_dimension(view, cert)
     final = cert.final_view
     reports = list(cert.steps)
     maximal = False
@@ -479,6 +540,7 @@ def bounded_grade(view: GradedModuleView, pool: Sequence[Poly], pool_label: str)
     if view.is_zero():
         raise ZeroModuleError(f"module {view.label!r} is zero up to degree {view.max_degree}")
     cert, failures = _greedy_regular(view, pool)
+    _require_within_dimension(view, cert)
     report = CheckReport(
         name="grade-search",
         params={

@@ -7,7 +7,10 @@ Python integer; mod-2 reduction modulo a canonical echelon basis reads the
 coefficients off the pivot columns and applies them all in one gathered XOR
 of packed basis rows.  Odd primes use one classic elimination on int32
 (exact for p <= 251: entries stay below p and each update term is at most
-(p-1)**2) that updates only the columns from the pivot on.
+(p-1)**2) that updates only the columns from the pivot on.  A mod-2
+multiplication map XORs the uint8 basis into its output through each
+term's column map; odd primes accumulate the terms in int64 and reduce
+once.
 """
 
 from __future__ import annotations
@@ -242,6 +245,12 @@ def mult_map(basis: MatFp, f: Poly, degree: int) -> MatFp:
     if basis.ncols != num_monomials(nvars, degree):
         raise ValueError(f"basis width {basis.ncols} is not the degree-{degree} slice of {nvars} variables")
     wide = num_monomials(nvars, degree + shift)
+    if f.p == 2:
+        # each column map is injective, so XOR through it adds exactly mod 2
+        out = np.zeros((basis.nrows, wide), dtype=np.uint8)
+        for mono in f.terms:
+            out[:, _mult_colmap(nvars, degree, mono)] ^= basis.a
+        return MatFp(2, out)
     acc = np.zeros((basis.nrows, wide), dtype=np.int64)
     for mono, c in f.terms.items():
         # the ufunc widens basis.a chunk by chunk: no int64 copy of the basis

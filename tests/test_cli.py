@@ -59,6 +59,10 @@ PINNED_REPORTS = {
         "43d85ec6f4b9a6c07a6579b74612a014f6c33d4ed80fd413f8e18cb20a78b218",
     "depth-report --p 2 --blocks 2,2 --max-degree 6":
         "1c1d7b8d39409b4faef61862ce59965466ea757f23fa22538c698ae0d18c92cb",
+    "depth-report --p 2 --blocks 2,2,2 --max-degree 8":
+        "488a4ea6edc0e4b6f50aa4e6735a678498b78954d72aa24cce22ec908d7381e6",
+    "transfer-quotient --p 3 --blocks 2,3 --max-degree 12":
+        "e88c10d8503d5d2de8fc793bf532939d6a8b33af388b9c5469502c637eddb7aa",
 }
 
 
@@ -225,6 +229,17 @@ def test_depth_report_command():
     doc = json.loads(out)
     assert doc["checks"][-1]["name"] == "depth-inequality-audit"
     assert doc["summary"]["all_passed"]
+
+
+def test_regular_sequence_longer_than_dimension_exits_two():
+    # at D=4 the ideal (x[1,1]) yields a "regular" sequence of length 5 while
+    # n = 4: the evidence is too short, so the run is refused, not failed
+    code, out, err = invoke(["depth-report", "--p", "2", "--blocks", "2,2",
+                             "--max-degree", "4"])
+    assert code == 2
+    assert out == ""
+    assert "ideal (x[1,1])" in err
+    assert "length 5" in err and "n = 4" in err
 
 
 def test_monomial_example_command():

@@ -3,7 +3,8 @@ import pytest
 
 from modinv import gradedla as la
 from modinv.depthlab import (BoundTooSmallError, DepthEvidence, DepthInstance,
-                             RegSeqCert, ZeroModuleError, _generators, bounded_depth,
+                             RegSeqCert, ZeroModuleError, _candidate_pool, _generators,
+                             _greedy_regular, bounded_depth,
                              bounded_grade, canonical_sequence,
                              depth_inequality_audit, depth_report, expected_depth,
                              ideal_modules, is_regular_element, norm_reduction_check,
@@ -11,7 +12,7 @@ from modinv.depthlab import (BoundTooSmallError, DepthEvidence, DepthInstance,
                              transfer_quotient_check, transfer_quotient_module,
                              verify_regular_sequence)
 from modinv.gradedla import MatFp
-from modinv.invariants import invariant_slice
+from modinv.invariants import invariant_slice, transfer_slice
 from modinv.poly import Poly, parse, render
 from modinv.rep import CpRep, is_invariant, norm, top_norms
 from modinv.report import CheckReport
@@ -252,6 +253,83 @@ def test_bounded_grade_records_failures():
     assert result.length == 0
     assert len(result.failures) == 2
     assert result.report.params["pool"] == "parameter system"
+
+
+def reference_greedy(view, pool):
+    """Exhaustive reference of the greedy search: every round runs the
+    public ``is_regular_element`` on every pool element not yet taken, then
+    takes the first one that passes on a nonzero degree."""
+    varnames = view.rep.varnames
+    current, found, steps = view, [], []
+    while not current.is_zero():
+        tried = [(f, is_regular_element(current, f)) for f in pool
+                 if not any(f == g for g in found)]
+        accepted = [(f, r) for f, r in tried if r.passed and not any(
+            note.startswith(("vacuous", "element degree")) for note in r.notes)]
+        if not accepted:
+            records = []
+            for f, r in tried:
+                record = {"element": render(f, varnames)}
+                if r.passed:
+                    record["skipped"] = "no checkable degree"
+                else:
+                    record["failing_degrees"] = [w["degree"] for w in r.witnesses]
+                    record["witness"] = r.witnesses[0]["annihilated"]
+                records.append(record)
+            return found, steps, records
+        f, report = accepted[0]
+        report.params["hilbert_before"] = current.dims()
+        current = current.quotient_by(f)
+        report.params["hilbert_after"] = current.dims()
+        steps.append(report)
+        found.append(f)
+    return found, steps, [{"note": "module is zero up to the bound; search stopped"}]
+
+
+def assert_same_search(view, pool, search):
+    """Compare a search wrapper with the reference; a sequence longer than
+    n must make the wrapper refuse the bound, so the greedy search it wraps
+    is compared directly."""
+    found, steps, records = reference_greedy(view, pool)
+    if len(found) > view.rep.dim:
+        with pytest.raises(BoundTooSmallError):
+            search()
+        cert, failures = _greedy_regular(view, pool)
+    else:
+        cert, failures = search()
+    assert cert.rendered == [render(f, view.rep.varnames) for f in found]
+    # whole step reports, params included
+    assert [s.to_json_dict() for s in cert.steps] == [s.to_json_dict() for s in steps]
+    assert failures == records
+    return records
+
+
+@pytest.mark.parametrize("p, blocks, bound", [(2, (2, 2, 2), 6), (3, (2, 3), 8), (5, (2, 2), 8)])
+def test_greedy_search_matches_exhaustive_reference(p, blocks, bound):
+    rep = CpRep.make(p, blocks)
+    ideal, quotient = ideal_modules(rep, canonical_sequence(rep)[:2], bound)
+    pool = _candidate_pool(rep, invariant_slice(rep, bound), min(p, bound))
+    records = []
+    for view in (ring_module(rep, bound), ideal, quotient, transfer_ideal_module(rep, bound)):
+        def depth_search(view=view):
+            evidence = bounded_depth(view)
+            return evidence.cert, evidence.reports[-1].witnesses
+        records += assert_same_search(view, pool, depth_search)
+    # the grade search of the norm-reduction check: transfer elements on the
+    # ring modulo the top norms
+    reduced = verify_regular_sequence(ring_module(rep, bound), top_norms(rep)).final_view
+    transfer = transfer_slice(rep, bound)
+    transfer_pool = [f for e in range(1, min(p, bound) + 1) for f in transfer.row_polys(e)]
+
+    def grade_search():
+        grade = bounded_grade(reduced, transfer_pool, "transfer-image basis elements")
+        return grade.cert, grade.failures
+    records += assert_same_search(reduced, transfer_pool, grade_search)
+    assert any("failing_degrees" in r for r in records)
+    if p == 5:
+        # degree-5 pool elements see only degrees 0..3, where the transfer
+        # ideal is zero
+        assert any("skipped" in r for r in records)
 
 
 def test_canonical_sequence_shapes():

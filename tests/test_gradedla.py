@@ -311,6 +311,45 @@ def test_mult_map_zero_polynomial():
     basis = MatFp(p, np.eye(2, dtype=np.uint8))
     out = la.mult_map(basis, Poly.zero(p, 2), 1)
     assert not out.a.any()
+    # both characteristic paths: zero multiplier, and a basis with no rows
+    nvars, degree = 3, 2
+    width = num_monomials(nvars, degree)
+    for p in (2, 3):
+        basis = MatFp(p, random_matrix(random.Random(50 + p), p, 4, width))
+        zero = la.mult_map(basis, Poly.zero(p, nvars), degree)
+        assert zero.a.shape == (4, width) and not zero.a.any()
+        empty = MatFp(p, np.zeros((0, width), dtype=np.uint8))
+        f = Poly.variable(p, nvars, 0) + Poly.variable(p, nvars, 1)
+        assert la.mult_map(empty, f, degree).a.shape == (0, num_monomials(nvars, degree + 1))
+
+
+def mult_map_oracle(basis: MatFp, f: Poly, degree: int) -> list[list[int]]:
+    """Rows of the multiplication map, one polynomial product at a time."""
+    shift = f.homogeneous_degree()
+    return [la.poly_to_vec(la.vec_to_poly(basis.p, f.nvars, degree, row) * f,
+                           degree + shift).tolist() for row in basis.a]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_mult_map_rows_match_polynomial_products(p):
+    rng = random.Random(40 + p)
+    nvars, degree = 3, 2
+    x = [Poly.variable(p, nvars, i) for i in range(nvars)]
+    # the terms x0 and x1 send the basis monomials x1*x2 and x0*x2 to the
+    # same product x0*x1*x2, so over GF(2) the row x0*x2 + x1*x2 cancels there
+    f = x[0] + x[1] + (p - 1) * x[2]
+    crossing = x[0] * x[2] + x[1] * x[2]
+    rows = [la.poly_to_vec(crossing, degree)]
+    rows += [random_matrix(rng, p, 1, num_monomials(nvars, degree))[0] for _ in range(6)]
+    basis = MatFp(p, np.array(rows, dtype=np.uint8))
+    out = la.mult_map(basis, f, degree)
+    assert out.a.shape == (basis.nrows, num_monomials(nvars, degree + 1))
+    assert out.a.tolist() == mult_map_oracle(basis, f, degree)
+    if p == 2:
+        assert (1, 1, 1) not in la.vec_to_poly(p, nvars, degree + 1, out.a[0]).terms
+    # a degree-2 multiplier with several terms on the same rows
+    g = x[0] * x[0] + 2 * x[0] * x[1] + x[1] * x[2]
+    assert la.mult_map(basis, g, degree).a.tolist() == mult_map_oracle(basis, g, degree)
 
 
 def test_poly_vec_round_trip():
