@@ -40,11 +40,19 @@ class GradedModuleView:
     """A graded module presented as numerator/denominator subspace bases.
 
     The view only stores slices up to a bound; all verification semantics
-    are relative to that bound.  The numerator must be closed under
-    multiplication by the invariants that get applied to it, and the
-    denominator under multiplication by every invariant, within the bound:
-    ``socle_search`` relies on the latter to test only the generators of
-    the invariant ring.
+    are relative to that bound.  In each degree the denominator lies inside
+    the numerator and both are canonical echelon bases, so every denominator
+    pivot is a numerator pivot, and the numerator rows on the other pivots
+    are the canonical basis of the quotient (``quotient_mat``), found
+    without elimination.
+
+    The numerator must be closed under multiplication by the invariants
+    that get applied to it, and the denominator under multiplication by
+    every invariant, within the bound.  Products of quotient rows then lie
+    in the numerator, so regularity and socle checks read their residues in
+    the coordinates of the quotient rows of the target degree;
+    ``quotient_by`` multiplies only the quotient rows; and ``socle_search``
+    tests only the generators of the invariant ring.
     """
 
     def __init__(self, rep: CpRep, num: GradedBasis, den: GradedBasis,
@@ -75,28 +83,42 @@ class GradedModuleView:
         return all(v == 0 for v in self.dims())
 
     def quotient_mat(self, degree: int) -> MatFp:
-        """Echelon representatives of the degree slice modulo the
-        denominator; with nothing to divide by, the numerator's own
-        canonical basis."""
+        """Canonical echelon basis of the degree slice's classes modulo the
+        denominator: the numerator rows whose pivot is not a denominator
+        pivot.  Each such row is zero on every denominator pivot, so the
+        rows are their own residues and equal the RREF of the reduced
+        numerator, with no elimination.  With nothing to divide by, this is
+        the numerator's own basis.  A denominator pivot that is no numerator
+        pivot means the denominator left the numerator: RuntimeError."""
         if self.den.dim(degree) == 0:
             return self.num.mat(degree)
         got = self._quotients.get(degree)
         if got is None:
-            residues = la.reduce_rows(self.num.mat(degree).a, self.den.mat(degree))
-            got = la.rref(MatFp(self.num.p, residues))
+            num = self.num.mat(degree)
+            den_pivots = set(self.den.mat(degree).pivots)
+            if not den_pivots.issubset(num.pivots):
+                raise RuntimeError(f"module {self.label!r}: the degree-{degree} denominator "
+                                   "is not inside the numerator")
+            keep = [i for i, c in enumerate(num.pivots) if c not in den_pivots]
+            got = MatFp(num.p, num.a[keep], tuple(num.pivots[i] for i in keep))
             self._quotients[degree] = got
         return got
 
     def quotient_by(self, f: Poly, label: str | None = None) -> GradedModuleView:
-        """The module modulo f times it; f must be invariant homogeneous."""
+        """The module modulo f times it; f must be invariant homogeneous.
+
+        The new degree-d denominator is spanned by the old one and f times
+        the degree-(d - e) quotient rows: f times the old denominator adds
+        nothing, as the denominator is closed under invariants.  Degrees
+        where the module is zero keep their denominator."""
         self.rep.check_poly(f)
         if not is_invariant(self.rep, f):
             raise ValueError("can only quotient by an invariant element")
         e = f.homogeneous_degree()
         mats = []
         for d in range(self.max_degree + 1):
-            if e <= d and not f.is_zero() and self.num.dim(d - e):
-                extra = la.mult_map(self.num.mat(d - e), f, d - e).a
+            if e <= d and not f.is_zero() and self.dim(d) and self.dim(d - e):
+                extra = la.mult_map(self.quotient_mat(d - e), f, d - e).a
                 mats.append(la.rref(MatFp(self.num.p, np.vstack([self.den.mat(d).a, extra]))))
             else:
                 mats.append(self.den.mat(d))
@@ -128,6 +150,14 @@ def _regular_candidate_degree(rep: CpRep, f: Poly) -> int:
     return e
 
 
+def _quotient_coords(view: GradedModuleView, residue: np.ndarray, degree: int) -> np.ndarray:
+    """Coordinates of degree-``degree`` residues in the quotient rows there.
+    A residue of a product lies in the numerator (closure) and is zero on
+    the denominator pivots, so it lies in the span of the quotient rows, and
+    its entries on their pivot columns are its coordinates."""
+    return residue[:, list(view.quotient_mat(degree).pivots)]
+
+
 def _regular_step(view: GradedModuleView, f: Poly, e: int, d: int) -> RegularStep:
     """Injectivity of multiplication by f, of degree e, on degree d."""
     q = view.quotient_mat(d)
@@ -138,7 +168,7 @@ def _regular_step(view: GradedModuleView, f: Poly, e: int, d: int) -> RegularSte
     residue = la.reduce_rows(product.a, view.den.mat(d + e))
     # a left-kernel row combines classes whose products fall into the
     # denominator; an empty left kernel means f is injective here
-    left = la.kernel(MatFp(p, residue.T))
+    left = la.kernel(MatFp(p, _quotient_coords(view, residue, d + e).T))
     if left.nrows == 0:
         return d, q.nrows, None
     wit_row = la.matmul_mod(left.a[:1].astype(np.int64), q.a.astype(np.int64), p)
@@ -336,7 +366,7 @@ def socle_search(view: GradedModuleView,
                     residue = la.reduce_rows(product.a, view.den.mat(d + e))
                     if not residue.any():
                         continue
-                    left = la.kernel(MatFp(p, residue.T))
+                    left = la.kernel(MatFp(p, _quotient_coords(view, residue, d + e).T))
                     if left.nrows == 0:
                         candidates = candidates[:0]
                         break
@@ -370,10 +400,14 @@ def socle_search(view: GradedModuleView,
     return witness, report
 
 
-def _candidate_pool(rep: CpRep, inv: GradedBasis, degree_cap: int) -> list[Poly]:
+@lru_cache(maxsize=64)
+def _candidate_pool(rep: CpRep, bound: int, degree_cap: int) -> tuple[tuple[Poly, int], ...]:
     """Search pool for depth-style greedy searches: the fixed variables
     and the variable norms first, then the invariant basis elements by
-    degree, duplicates dropped."""
+    degree, duplicates dropped.  Each element is validated once, here, and
+    paired with its degree; the tuple is shared by every search with the
+    same representation, bound and cap."""
+    inv = invariant_slice(rep, bound)
     pool: list[Poly] = []
 
     def push(f: Poly) -> None:
@@ -389,24 +423,23 @@ def _candidate_pool(rep: CpRep, inv: GradedBasis, degree_cap: int) -> list[Poly]
         for f in inv.row_polys(e):
             push(f)
     pool.sort(key=lambda f: f.homogeneous_degree())
-    return pool
+    return tuple((f, _regular_candidate_degree(rep, f)) for f in pool)
 
 
-def _greedy_regular(view: GradedModuleView, pool: Sequence[Poly]) -> tuple[RegSeqCert, list[dict]]:
-    """Extend a regular sequence greedily from the pool until nothing
-    works.  Returns the certificate of the sequence found and the failure
-    records of the final, exhausted round.
+def _greedy_regular(view: GradedModuleView,
+                    candidates: Sequence[tuple[Poly, int]]) -> tuple[RegSeqCert, list[dict]]:
+    """Extend a regular sequence greedily from the candidates, validated
+    pool elements paired with their degrees, until nothing works.  Returns
+    the certificate of the sequence found and the failure records of the
+    final, exhausted round.
 
-    Each pool element is validated once per search.  Within a round a
-    candidate is checked degree by degree and set aside at its first
-    failing degree, with its remaining degrees left unrun; an accepted
-    element has passed every degree, so its step report is the one
+    Within a round a candidate is checked degree by degree and set aside at
+    its first failing degree, with its remaining degrees left unrun; an
+    accepted element has passed every degree, so its step report is the one
     ``is_regular_element`` gives.  Only the final round, whose records reach
     the report, runs the remaining degrees, so every record still lists all
     failing degrees."""
-    rep = view.rep
-    varnames = rep.varnames
-    candidates = [(f, _regular_candidate_degree(rep, f)) for f in pool]
+    varnames = view.rep.varnames
     current = view
     found: list[Poly] = []
     steps: list[CheckReport] = []
@@ -491,8 +524,7 @@ def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None,
         raise ZeroModuleError(f"module {view.label!r} is zero up to degree {view.max_degree}")
     cap = rep.p.value if search_degree_cap is None else search_degree_cap
     cap = min(cap, view.max_degree)
-    pool = _candidate_pool(rep, invariant_slice(rep, view.max_degree), cap)
-    cert, failures = _greedy_regular(view, pool)
+    cert, failures = _greedy_regular(view, _candidate_pool(rep, view.max_degree, cap))
     _require_within_dimension(view, cert)
     final = cert.final_view
     reports = list(cert.steps)
@@ -539,7 +571,8 @@ def bounded_grade(view: GradedModuleView, pool: Sequence[Poly], pool_label: str)
     the scan exhausts, the per-element failure certificates are kept."""
     if view.is_zero():
         raise ZeroModuleError(f"module {view.label!r} is zero up to degree {view.max_degree}")
-    cert, failures = _greedy_regular(view, pool)
+    cert, failures = _greedy_regular(
+        view, [(f, _regular_candidate_degree(view.rep, f)) for f in pool])
     _require_within_dimension(view, cert)
     report = CheckReport(
         name="grade-search",

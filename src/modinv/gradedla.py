@@ -10,18 +10,20 @@ of packed basis rows.  Odd primes use one classic elimination on int32
 (p-1)**2) that updates only the columns from the pivot on.  A mod-2
 multiplication map XORs the uint8 basis into its output through each
 term's column map; odd primes accumulate the terms in int64 and reduce
-once.
+once.  Column maps are ranked in one vectorised step from cached exponent
+arrays.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 import numpy as np
 
-from .poly import Mono, Poly, mono_mul, monomial_index, monomials_of_degree, num_monomials
+from .poly import Mono, Poly, monomial_index, monomials_of_degree, num_monomials
 
 
 class MatFp:
@@ -226,12 +228,34 @@ def subspace_le(inner: MatFp, outer: MatFp) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _exponents(nvars: int, degree: int) -> np.ndarray:
+    """The degree slice's exponent vectors as rows, in coordinate order."""
+    return np.array(monomials_of_degree(nvars, degree), dtype=np.int64).reshape(-1, nvars)
+
+
+@lru_cache(maxsize=None)
+def _rank_table(nvars: int, degree: int) -> np.ndarray:
+    """table[m, s] = C(s - 1 + m, m), the number of monomials of degree
+    below s in m variables, for m < nvars and s <= degree."""
+    return np.array([[comb(s - 1 + m, m) if s else 0 for s in range(degree + 1)]
+                     for m in range(nvars)], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
 def _mult_colmap(nvars: int, degree: int, mono: Mono) -> np.ndarray:
     """Index map of multiplication by one monomial: position i in degree
-    ``degree`` goes to position map[i] in degree ``degree + sum(mono)``."""
-    target = monomial_index(nvars, degree + sum(mono))
-    src = monomials_of_degree(nvars, degree)
-    return np.asarray([target[mono_mul(m, mono)] for m in src], dtype=np.intp)
+    ``degree`` goes to position map[i] in degree ``degree + sum(mono)``.
+
+    In descending lexicographic order, the monomials before one whose
+    exponents leave s_i of the degree after position i are, summed over i,
+    those agreeing before i with a larger exponent at i: C(s_i - 1 + m, m)
+    of them, m = nvars - 1 - i.  Every partial sum is below the slice
+    width, so the int64 rank is exact."""
+    target = degree + sum(mono)
+    exps = _exponents(nvars, degree) + np.asarray(mono, dtype=np.int64)
+    rest = target - np.cumsum(exps, axis=1)
+    m = np.arange(nvars - 1, 0, -1)
+    return _rank_table(nvars, target)[m, rest[:, :-1]].sum(axis=1, dtype=np.intp)
 
 
 def mult_map(basis: MatFp, f: Poly, degree: int) -> MatFp:

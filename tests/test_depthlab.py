@@ -3,8 +3,9 @@ import pytest
 
 from modinv import gradedla as la
 from modinv.depthlab import (BoundTooSmallError, DepthEvidence, DepthInstance,
-                             RegSeqCert, ZeroModuleError, _candidate_pool, _generators,
-                             _greedy_regular, bounded_depth,
+                             GradedModuleView, RegSeqCert, ZeroModuleError,
+                             _candidate_pool, _generators, _greedy_regular,
+                             _regular_step, bounded_depth,
                              bounded_grade, canonical_sequence,
                              depth_inequality_audit, depth_report, expected_depth,
                              ideal_modules, is_regular_element, norm_reduction_check,
@@ -215,6 +216,87 @@ def test_socle_search_over_generators_matches_all_rows(p, kind):
         assert want.witnesses[0]["element"] == witness.rendered
 
 
+def eliminating_quotient_mat(view, d):
+    """The quotient rows as elimination gives them: the numerator reduced
+    modulo the denominator, then brought to canonical RREF."""
+    if view.den.dim(d) == 0:
+        return view.num.mat(d)
+    return la.rref(MatFp(view.num.p, la.reduce_rows(view.num.mat(d).a, view.den.mat(d))))
+
+
+def full_numerator_denominators(view, f):
+    """quotient_by's denominators built from f times every numerator row."""
+    e = f.homogeneous_degree()
+    mats = []
+    for d in range(view.max_degree + 1):
+        if e <= d and view.num.dim(d - e):
+            extra = la.mult_map(view.num.mat(d - e), f, d - e).a
+            mats.append(la.rref(MatFp(view.num.p, np.vstack([view.den.mat(d).a, extra]))))
+        else:
+            mats.append(view.den.mat(d))
+    return mats
+
+
+def full_width_regular_step(view, f, e, d):
+    """A regularity step with the left kernel taken of the full-width residue."""
+    q = eliminating_quotient_mat(view, d)
+    if q.nrows == 0:
+        return d, 0, None
+    p = view.num.p
+    residue = la.reduce_rows(la.mult_map(q, f, d).a, view.den.mat(d + e))
+    left = la.kernel(MatFp(p, residue.T))
+    if left.nrows == 0:
+        return d, q.nrows, None
+    row = la.matmul_mod(left.a[:1].astype(np.int64), q.a.astype(np.int64), p)[0]
+    return d, q.nrows, la.vec_to_poly(p, view.num.nvars, d, row)
+
+
+def coordinate_modules(rep, bound):
+    seq = canonical_sequence(rep)
+    ideal, quotient = ideal_modules(rep, seq[:2], bound)
+    return {
+        "ring": ring_module(rep, bound),
+        "ideal": ideal,
+        "quotient": quotient,
+        "transfer-ideal": transfer_ideal_module(rep, bound),
+        "transfer-quotient": transfer_quotient_module(rep, bound),
+        "quotient-by chain": ring_module(rep, bound).quotient_by(seq[0]).quotient_by(seq[1]),
+    }
+
+
+@pytest.mark.parametrize("p, blocks, bound", [(2, (2, 2, 2), 6), (3, (2, 3), 8), (5, (2, 2), 8)])
+def test_quotient_coordinates_match_elimination(p, blocks, bound):
+    rep = CpRep.make(p, blocks)
+    pool = _candidate_pool(rep, bound, min(p, bound))
+    outcomes = set()
+    for name, view in coordinate_modules(rep, bound).items():
+        for d in range(bound + 1):
+            got, want = view.quotient_mat(d), eliminating_quotient_mat(view, d)
+            assert got.a.dtype == want.a.dtype and got.a.tobytes() == want.a.tobytes(), (name, d)
+            assert got.a.shape == want.a.shape and got.pivots == want.pivots, (name, d)
+        for f in canonical_sequence(rep)[:2] + top_norms(rep)[-1:]:
+            dens = view.quotient_by(f).den.mats
+            assert dens == tuple(full_numerator_denominators(view, f)), (name, render(f, rep.varnames))
+            assert all(a.pivots == b.pivots
+                       for a, b in zip(dens, full_numerator_denominators(view, f)))
+        for f, e in pool:
+            for d in range(bound - e + 1):
+                got = _regular_step(view, f, e, d)
+                assert got == full_width_regular_step(view, f, e, d), (name, render(f, rep.varnames), d)
+                outcomes.add(got[2] is None)
+    # both injective and annihilating steps were compared
+    assert outcomes == {True, False}
+
+
+def test_quotient_mat_refuses_a_denominator_outside_the_numerator():
+    rep = CpRep.make(3, (2, 2))
+    # the invariant ring is not inside the transfer ideal: degree 0 is 1 vs 0
+    view = GradedModuleView(rep, transfer_slice(rep, 4), invariant_slice(rep, 4),
+                            "inverted", check_inclusion=False)
+    with pytest.raises(RuntimeError, match="'inverted'.*degree-0"):
+        view.quotient_mat(0)
+
+
 def test_generator_counts_are_the_indecomposable_dimensions():
     # dim (R+/R+^2)_e, independent of which generators are picked
     for p, blocks, bound, want in [(2, (2, 2, 2), 6, {1: 3, 2: 6, 3: 1}),
@@ -294,7 +376,7 @@ def assert_same_search(view, pool, search):
     if len(found) > view.rep.dim:
         with pytest.raises(BoundTooSmallError):
             search()
-        cert, failures = _greedy_regular(view, pool)
+        cert, failures = _greedy_regular(view, [(f, f.homogeneous_degree()) for f in pool])
     else:
         cert, failures = search()
     assert cert.rendered == [render(f, view.rep.varnames) for f in found]
@@ -308,7 +390,7 @@ def assert_same_search(view, pool, search):
 def test_greedy_search_matches_exhaustive_reference(p, blocks, bound):
     rep = CpRep.make(p, blocks)
     ideal, quotient = ideal_modules(rep, canonical_sequence(rep)[:2], bound)
-    pool = _candidate_pool(rep, invariant_slice(rep, bound), min(p, bound))
+    pool = [f for f, _ in _candidate_pool(rep, bound, min(p, bound))]
     records = []
     for view in (ring_module(rep, bound), ideal, quotient, transfer_ideal_module(rep, bound)):
         def depth_search(view=view):

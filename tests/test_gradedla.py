@@ -5,7 +5,7 @@ import pytest
 
 from modinv import gradedla as la
 from modinv.gradedla import GradedBasis, MatFp
-from modinv.poly import Poly, monomials_of_degree, num_monomials, parse
+from modinv.poly import Poly, mono_mul, monomial_index, monomials_of_degree, num_monomials, parse
 
 VARS2 = ("x[1,1]", "x[2,1]")
 
@@ -321,6 +321,29 @@ def test_mult_map_zero_polynomial():
         empty = MatFp(p, np.zeros((0, width), dtype=np.uint8))
         f = Poly.variable(p, nvars, 0) + Poly.variable(p, nvars, 1)
         assert la.mult_map(empty, f, degree).a.shape == (0, num_monomials(nvars, degree + 1))
+
+
+def dict_colmap(nvars: int, degree: int, mono: tuple[int, ...]) -> np.ndarray:
+    """Column map of multiplication by a monomial, looked up one product at
+    a time in the target degree's index dictionary."""
+    target = monomial_index(nvars, degree + sum(mono))
+    src = monomials_of_degree(nvars, degree)
+    return np.asarray([target[mono_mul(m, mono)] for m in src], dtype=np.intp)
+
+
+def test_mult_colmap_matches_dictionary_lookup():
+    cases = [(nvars, degree, mono) for nvars in range(1, 6) for degree in range(6)
+             for e in range(4) for mono in monomials_of_degree(nvars, e)]
+    # 41 variables: a mixed-radix key of the degree-2 targets would need 3**40 > 2**63
+    n = 41
+    x0, x40 = (1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,)
+    x20_x40 = (0,) * 20 + (1,) + (0,) * 19 + (1,)
+    cases += [(n, 1, x0), (n, 1, x40), (n, 0, x20_x40), (n, 2, (0,) * n), (n, 2, x0), (n, 2, x40)]
+    cases += [(8, 7, (3, 0, 1, 0, 0, 2, 0, 1))]
+    for nvars, degree, mono in cases:
+        got = la._mult_colmap(nvars, degree, mono)
+        want = dict_colmap(nvars, degree, mono)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), (nvars, degree, mono)
 
 
 def mult_map_oracle(basis: MatFp, f: Poly, degree: int) -> list[list[int]]:
