@@ -36,6 +36,20 @@ class ZeroModuleError(ValueError):
     test is vacuous; callers must be told rather than handed a pass."""
 
 
+def _rows_off_pivots(num: MatFp, sub: MatFp, failure: str) -> MatFp:
+    """The rows of canonical ``num`` whose pivot is not a pivot of the
+    canonical basis ``sub`` of a subspace of it.  Each such row is zero on
+    every pivot of ``sub``, so the rows are their own residues modulo
+    ``sub`` and equal the RREF of the reduced ``num``, with no elimination.
+    A pivot of ``sub`` that is no pivot of ``num`` means ``sub`` is not
+    inside ``num``: RuntimeError with the ``failure`` message."""
+    sub_pivots = set(sub.pivots)
+    if not sub_pivots.issubset(num.pivots):
+        raise RuntimeError(failure)
+    keep = [i for i, c in enumerate(num.pivots) if c not in sub_pivots]
+    return MatFp(num.p, num.a[keep], tuple(num.pivots[i] for i in keep))
+
+
 class GradedModuleView:
     """A graded module presented as numerator/denominator subspace bases.
 
@@ -49,10 +63,11 @@ class GradedModuleView:
     The numerator must be closed under multiplication by the invariants
     that get applied to it, and the denominator under multiplication by
     every invariant, within the bound.  Products of quotient rows then lie
-    in the numerator, so regularity and socle checks read their residues in
-    the coordinates of the quotient rows of the target degree;
-    ``quotient_by`` multiplies only the quotient rows; and ``socle_search``
-    tests only the generators of the invariant ring.
+    in the numerator, so regularity and socle checks compute only the
+    coordinates of their classes in the quotient rows of the target degree
+    (``_quotient_coords``); ``quotient_by`` multiplies only the quotient
+    rows; and ``socle_search`` tests only the generators of the invariant
+    ring.
     """
 
     def __init__(self, rep: CpRep, num: GradedBasis, den: GradedBasis,
@@ -94,13 +109,9 @@ class GradedModuleView:
             return self.num.mat(degree)
         got = self._quotients.get(degree)
         if got is None:
-            num = self.num.mat(degree)
-            den_pivots = set(self.den.mat(degree).pivots)
-            if not den_pivots.issubset(num.pivots):
-                raise RuntimeError(f"module {self.label!r}: the degree-{degree} denominator "
+            got = _rows_off_pivots(self.num.mat(degree), self.den.mat(degree),
+                                   f"module {self.label!r}: the degree-{degree} denominator "
                                    "is not inside the numerator")
-            keep = [i for i, c in enumerate(num.pivots) if c not in den_pivots]
-            got = MatFp(num.p, num.a[keep], tuple(num.pivots[i] for i in keep))
             self._quotients[degree] = got
         return got
 
@@ -114,6 +125,10 @@ class GradedModuleView:
         self.rep.check_poly(f)
         if not is_invariant(self.rep, f):
             raise ValueError("can only quotient by an invariant element")
+        return self._quotient_by(f, label)
+
+    def _quotient_by(self, f: Poly, label: str | None = None) -> GradedModuleView:
+        """``quotient_by`` for an f its caller has already validated."""
         e = f.homogeneous_degree()
         mats = []
         for d in range(self.max_degree + 1):
@@ -150,12 +165,29 @@ def _regular_candidate_degree(rep: CpRep, f: Poly) -> int:
     return e
 
 
-def _quotient_coords(view: GradedModuleView, residue: np.ndarray, degree: int) -> np.ndarray:
-    """Coordinates of degree-``degree`` residues in the quotient rows there.
-    A residue of a product lies in the numerator (closure) and is zero on
-    the denominator pivots, so it lies in the span of the quotient rows, and
-    its entries on their pivot columns are its coordinates."""
-    return residue[:, list(view.quotient_mat(degree).pivots)]
+def _quotient_coords(view: GradedModuleView, product: np.ndarray, degree: int) -> np.ndarray:
+    """Coordinates of the classes of degree-``degree`` rows in the quotient
+    rows there: product[:, qp] - product[:, dp] @ den[:, qp] mod p, with qp
+    the quotient pivots and dp the denominator pivots.
+
+    Precondition (closure): the rows lie in the numerator.  Their residues
+    modulo the canonical denominator then lie in the numerator too and are
+    zero on the denominator pivots, so they lie in the span of the quotient
+    rows, and a residue's entries on the quotient pivots are its
+    coordinates; the other columns of the residue follow from those, so
+    dropping them loses nothing.  On the quotient pivots the residue is the
+    row minus its denominator-pivot entries times the denominator rows.  At
+    p = 2 the bit-packed XOR reduction is read off on the quotient pivots,
+    which keeps p = 2 off float64 products."""
+    qp = list(view.quotient_mat(degree).pivots)
+    den = view.den.mat(degree)
+    if den.nrows == 0:
+        return product[:, qp]
+    p = view.num.p
+    if p == 2:
+        return la.reduce_rows(product, den)[:, qp]
+    combo = la.matmul_mod(product[:, list(den.pivots)], den.a[:, qp], p)
+    return ((product[:, qp].astype(np.int16) - combo) % p).astype(np.uint8)
 
 
 def _regular_step(view: GradedModuleView, f: Poly, e: int, d: int) -> RegularStep:
@@ -164,11 +196,10 @@ def _regular_step(view: GradedModuleView, f: Poly, e: int, d: int) -> RegularSte
     if q.nrows == 0:
         return d, 0, None
     p = view.num.p
-    product = la.mult_map(q, f, d)
-    residue = la.reduce_rows(product.a, view.den.mat(d + e))
+    coords = _quotient_coords(view, la.mult_map(q, f, d).a, d + e)
     # a left-kernel row combines classes whose products fall into the
     # denominator; an empty left kernel means f is injective here
-    left = la.kernel(MatFp(p, _quotient_coords(view, residue, d + e).T))
+    left = la.kernel(MatFp(p, coords.T))
     if left.nrows == 0:
         return d, q.nrows, None
     wit_row = la.matmul_mod(left.a[:1].astype(np.int64), q.a.astype(np.int64), p)
@@ -293,7 +324,8 @@ def verify_regular_sequence(view: GradedModuleView, elements: Sequence[Poly]) ->
             steps.append(rpt)
             ok = False
             break
-        nxt = current.quotient_by(f)
+        # is_regular_element has validated f
+        nxt = current._quotient_by(f)
         after = nxt.dims()
         rpt.params["hilbert_after"] = after
         e = f.homogeneous_degree()
@@ -318,13 +350,16 @@ def verify_regular_sequence(view: GradedModuleView, elements: Sequence[Poly]) ->
 def _generators(rep: CpRep, bound: int, degree: int) -> tuple[Poly, ...]:
     """Degree-``degree`` generators of the invariant ring: a basis of the
     invariants of that degree modulo the products of lower-degree
-    generators with invariants.  Each degree is computed on first use."""
+    generators with invariants, namely the invariant rows off the pivots of
+    those products (they are invariants, so no elimination is needed).
+    Each degree is computed on first use."""
     inv = invariant_slice(rep, bound)
-    p, here = inv.p, inv.mat(degree).a
+    p, here = inv.p, inv.mat(degree)
     products = [la.mult_map(inv.mat(degree - k), g, degree - k).a
                 for k in range(1, degree) for g in _generators(rep, bound, k)]
-    decomposable = la.rref(MatFp(p, np.vstack([here[:0]] + products)))
-    fresh = la.rref(MatFp(p, la.reduce_rows(here, decomposable)))
+    decomposable = la.rref(MatFp(p, np.vstack([here.a[:0]] + products)))
+    fresh = _rows_off_pivots(here, decomposable,
+                             f"degree-{degree} products of generators are not invariants")
     return tuple(la.vec_to_poly(p, rep.nvars, degree, row) for row in fresh.a)
 
 
@@ -362,11 +397,10 @@ def socle_search(view: GradedModuleView,
                 for u in _generators(rep, bound, e):
                     if candidates.shape[0] == 0:
                         break
-                    product = la.mult_map(MatFp(p, candidates), u, d)
-                    residue = la.reduce_rows(product.a, view.den.mat(d + e))
-                    if not residue.any():
+                    coords = _quotient_coords(view, la.mult_map(MatFp(p, candidates), u, d).a, d + e)
+                    if not coords.any():
                         continue
-                    left = la.kernel(MatFp(p, _quotient_coords(view, residue, d + e).T))
+                    left = la.kernel(MatFp(p, coords.T))
                     if left.nrows == 0:
                         candidates = candidates[:0]
                         break
@@ -454,7 +488,7 @@ def _greedy_regular(view: GradedModuleView,
             rpt = _regular_report(current, f, e, _through_first_failure(rest))
             if rpt.passed and not _report_is_vacuous(rpt):
                 rpt.params["hilbert_before"] = current.dims()
-                nxt = current.quotient_by(f)
+                nxt = current._quotient_by(f)  # the pool is validated
                 rpt.params["hilbert_after"] = nxt.dims()
                 steps.append(rpt)
                 found.append(f)

@@ -11,7 +11,10 @@ of packed basis rows.  Odd primes use one classic elimination on int32
 multiplication map XORs the uint8 basis into its output through each
 term's column map; odd primes accumulate the terms in int64 and reduce
 once.  Column maps are ranked in one vectorised step from cached exponent
-arrays.
+arrays.  Inclusion of row spaces is read off canonical forms: the inner
+pivots must be outer pivots, and what is left of each inner row after its
+pivot's outer row is reduced modulo the other outer rows on the columns
+off the inner pivots only.
 """
 
 from __future__ import annotations
@@ -219,12 +222,30 @@ def kernel(mat: MatFp) -> MatFp:
 
 
 def subspace_le(inner: MatFp, outer: MatFp) -> bool:
-    """Row space inclusion test."""
+    """Row space inclusion test on canonical forms.
+
+    inner <= outer exactly when every inner pivot is an outer pivot and each
+    inner row, minus the outer row of its pivot, reduces to zero modulo the
+    outer rows on the other pivots.  That difference and those rows vanish
+    on every inner pivot column, so the reduction drops those columns."""
     if inner.p != outer.p or inner.ncols != outer.ncols:
         raise ValueError("subspace test on mismatched spaces")
+    inner = inner if inner.is_rref else rref(inner)
     if inner.nrows == 0:
         return True
-    return not reduce_rows(inner.a, rref(outer)).any()
+    outer = outer if outer.is_rref else rref(outer)
+    row_of = {c: i for i, c in enumerate(outer.pivots)}
+    if any(c not in row_of for c in inner.pivots):
+        return False
+    taken = set(inner.pivots)
+    cols = [c for c in range(inner.ncols) if c not in taken]
+    other = [i for i, c in enumerate(outer.pivots) if c not in taken]
+    slot = {c: k for k, c in enumerate(cols)}
+    narrow = MatFp(outer.p, outer.a[np.ix_(other, cols)],
+                   tuple(slot[outer.pivots[i]] for i in other))
+    own = outer.a[np.ix_([row_of[c] for c in inner.pivots], cols)]
+    diff = (inner.a[:, cols].astype(np.int16) - own) % outer.p
+    return not reduce_rows(diff, narrow).any()
 
 
 @lru_cache(maxsize=None)

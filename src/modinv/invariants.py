@@ -6,8 +6,11 @@ the degree-d slice is the direct sum of the pieces S^{d_1}(V_1) x ... x
 S^{d_r}(V_r) with d_1 + ... + d_r = d, and on a piece the generator is the
 Kronecker product of its matrices on the blocks' symmetric powers (each
 assembled recursively from the previous degree).  Invariants are the fixed
-vectors of the generator; the transfer image is the row space of the sum of
-its powers, which in characteristic p is (sigma - 1)^(p-1).  The canonical
+vectors of the generator.  The transfer image is the row space of the orbit
+sum of its powers, sum over k < p of the Kronecker products of the blocks'
+k-th generator powers (each built by the same recursion from the images of
+the variables under that power); in characteristic p this is
+(sigma - 1)^(p-1), since (x - 1)^(p-1) = sum x^k in F_p[x].  The canonical
 echelon form of a direct sum on disjoint columns is the union of the pieces'
 echelon forms ordered by pivot, so the pieces are eliminated separately and
 merged without a further elimination.
@@ -46,13 +49,14 @@ def _mono_parents(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return var_of, parent
 
 
-def _next_degree_matrix(rep: CpRep, degree: int, prev: np.ndarray) -> np.ndarray:
-    """Matrix of the generator on the degree-d slice (rows act: image of
-    monomial i is row i), built from the degree-(d-1) matrix."""
+def _next_degree_matrix(rep: CpRep, degree: int, prev: np.ndarray, power: int) -> np.ndarray:
+    """Matrix of the generator's ``power``-th power on the degree-d slice
+    (rows act: image of monomial i is row i), built from its degree-(d-1)
+    matrix."""
     p, n = rep.p.value, rep.nvars
     width = num_monomials(n, degree)
     var_of, parent = _mono_parents(n, degree)
-    images = _generator_power_images(rep, 1)
+    images = _generator_power_images(rep, power)
     acc = np.zeros((width, width), dtype=np.int64)
     prev64 = prev.astype(np.int64)
     for v in range(n):
@@ -66,15 +70,39 @@ def _next_degree_matrix(rep: CpRep, degree: int, prev: np.ndarray) -> np.ndarray
     return (acc % p).astype(np.uint8)
 
 
-@lru_cache(maxsize=256)
-def _block_sigma(p: int, size: int, degree: int) -> np.ndarray:
-    """Matrix of the generator on S^degree of one Jordan block of ``size``."""
+@lru_cache(maxsize=1024)
+def _block_sigma(p: int, size: int, degree: int, power: int) -> np.ndarray:
+    """Matrix of the generator's ``power``-th power, 1 <= power < p, on
+    S^degree of one Jordan block of ``size``.  ``power`` has no default and
+    is always passed positionally, so each matrix has one cache key; power 0,
+    the identity, is never asked for."""
     if degree == 0:
         mat = np.ones((1, 1), dtype=np.uint8)
     else:
-        mat = _next_degree_matrix(CpRep.make(p, (size,)), degree, _block_sigma(p, size, degree - 1))
+        mat = _next_degree_matrix(CpRep.make(p, (size,)), degree,
+                                  _block_sigma(p, size, degree - 1, power), power)
     mat.setflags(write=False)  # cached: shared by every caller
     return mat
+
+
+def _piece_power(p: int, blocks: tuple[int, ...], multidegree: tuple[int, ...], power: int) -> np.ndarray:
+    """The generator's ``power``-th power on one piece, in int64: the
+    Kronecker product of its powers on the blocks' symmetric powers."""
+    mats = [_block_sigma(p, size, e, power) for size, e in zip(blocks, multidegree)]
+    out = mats[0].astype(np.int64)
+    for mat in mats[1:]:
+        out = np.kron(out, mat) % p
+    return out
+
+
+def _orbit_sum(p: int, blocks: tuple[int, ...], multidegree: tuple[int, ...],
+               sig: np.ndarray) -> np.ndarray:
+    """The transfer on one piece: the sum of the generator's powers 0..p-1
+    there, given its first power ``sig``; power 0 is the identity."""
+    total = np.eye(sig.shape[0], dtype=np.int64) + sig
+    for k in range(2, p):
+        total += _piece_power(p, blocks, multidegree, k)
+    return total % p
 
 
 def _piece_columns(blocks: tuple[int, ...], multidegree: tuple[int, ...]) -> np.ndarray:
@@ -110,16 +138,11 @@ def _slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
         inv_pieces, tra_pieces = [], []
         # a block multidegree splits d into one part per block
         for multidegree in monomials_of_degree(len(blocks), d):
-            sig = np.ones((1, 1), dtype=np.int64)
-            for size, e in zip(blocks, multidegree):
-                sig = np.kron(sig, _block_sigma(p, size, e)) % p
+            sig = _piece_power(p, blocks, multidegree, 1)
             step = (sig - np.eye(sig.shape[0], dtype=np.int64)) % p
-            total = step  # (sigma - 1)^(p-1), the orbit sum mod p
-            for _ in range(p - 2):
-                total = la.matmul_mod(total, step, p)
             cols = _piece_columns(blocks, multidegree)
             inv_pieces.append((cols, la.kernel(MatFp(p, step.T))))
-            tra_pieces.append((cols, la.rref(MatFp(p, total))))
+            tra_pieces.append((cols, la.rref(MatFp(p, _orbit_sum(p, blocks, multidegree, sig)))))
         width = num_monomials(n, d)
         inv_mats.append(_merge_pieces(p, width, inv_pieces))
         tra_mats.append(_merge_pieces(p, width, tra_pieces))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modinv import depthlab
 from modinv import gradedla as la
 from modinv.depthlab import (BoundTooSmallError, DepthEvidence, DepthInstance,
                              GradedModuleView, RegSeqCert, ZeroModuleError,
@@ -264,12 +265,39 @@ def coordinate_modules(rep, bound):
     }
 
 
-@pytest.mark.parametrize("p, blocks, bound", [(2, (2, 2, 2), 6), (3, (2, 3), 8), (5, (2, 2), 8)])
-def test_quotient_coordinates_match_elimination(p, blocks, bound):
+def checked_quotient_coords(calls):
+    """_quotient_coords checked on every call against the full-width residue
+    modulo the denominator, restricted to the quotient pivots."""
+    real = depthlab._quotient_coords
+
+    def check(view, product, degree):
+        got = real(view, product, degree)
+        residue = la.reduce_rows(product, view.den.mat(degree))
+        want = residue[:, list(eliminating_quotient_mat(view, degree).pivots)]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (view.label, degree)
+        # zero coordinates mean a zero residue (products lie in the numerator)
+        assert got.any() == residue.any(), (view.label, degree)
+        # whether the denominator term mattered: entries on its pivots
+        calls.append(bool(product[:, list(view.den.mat(degree).pivots)].any()))
+        return got
+    return check
+
+
+QUOTIENT_COORDINATE_CASES = [(2, (2, 2, 2), 6), (3, (2, 3), 8), (5, (2, 2), 8)]
+
+
+@pytest.mark.parametrize("p, blocks, bound", QUOTIENT_COORDINATE_CASES)
+def test_quotient_coordinates_match_elimination(p, blocks, bound, monkeypatch):
     rep = CpRep.make(p, blocks)
     pool = _candidate_pool(rep, bound, min(p, bound))
     outcomes = set()
+    calls = []
+    monkeypatch.setattr(depthlab, "_quotient_coords", checked_quotient_coords(calls))
     for name, view in coordinate_modules(rep, bound).items():
+        # the socle search's candidate products, stage by stage
+        witness, report = socle_search(view)
+        assert report.to_json_dict() == socle_search_all_rows(view).to_json_dict(), name
         for d in range(bound + 1):
             got, want = view.quotient_mat(d), eliminating_quotient_mat(view, d)
             assert got.a.dtype == want.a.dtype and got.a.tobytes() == want.a.tobytes(), (name, d)
@@ -286,6 +314,8 @@ def test_quotient_coordinates_match_elimination(p, blocks, bound):
                 outcomes.add(got[2] is None)
     # both injective and annihilating steps were compared
     assert outcomes == {True, False}
+    # and the denominator term was needed in some of the coordinates
+    assert any(calls)
 
 
 def test_quotient_mat_refuses_a_denominator_outside_the_numerator():
@@ -304,6 +334,61 @@ def test_generator_counts_are_the_indecomposable_dimensions():
         rep = CpRep.make(p, blocks)
         counts = {e: len(_generators(rep, bound, e)) for e in range(1, bound + 1)}
         assert counts == {e: want.get(e, 0) for e in range(1, bound + 1)}
+
+
+def eliminating_generators(rep, bound, degree):
+    """_generators' step as elimination gives it: the invariants reduced
+    modulo the decomposable products, then brought to canonical RREF."""
+    inv = invariant_slice(rep, bound)
+    p, here = inv.p, inv.mat(degree).a
+    products = [la.mult_map(inv.mat(degree - k), g, degree - k).a
+                for k in range(1, degree) for g in _generators(rep, bound, k)]
+    decomposable = la.rref(MatFp(p, np.vstack([here[:0]] + products)))
+    fresh = la.rref(MatFp(p, la.reduce_rows(here, decomposable)))
+    return tuple(la.vec_to_poly(p, rep.nvars, degree, row) for row in fresh.a)
+
+
+@pytest.mark.parametrize("p, blocks, bound", QUOTIENT_COORDINATE_CASES)
+def test_generators_match_elimination(p, blocks, bound):
+    rep = CpRep.make(p, blocks)
+    for degree in range(1, bound + 1):
+        assert _generators(rep, bound, degree) == eliminating_generators(rep, bound, degree), degree
+
+
+def test_generators_refuse_products_outside_the_invariants(monkeypatch):
+    rep = CpRep.make(2, (2, 2))
+    real = _generators.__wrapped__
+
+    def with_a_non_invariant(rep, bound, degree):
+        # x[2,1] is not invariant, so its products leave the invariant ring
+        return (rep.variable(2, 1),) if degree == 1 else real(rep, bound, degree)
+
+    monkeypatch.setattr(depthlab, "_generators", with_a_non_invariant)
+    with pytest.raises(RuntimeError, match="degree-2 products of generators are not invariants"):
+        real(rep, 6, 2)
+
+
+def test_validated_elements_are_not_checked_again(monkeypatch):
+    rep = CpRep.make(2, (2, 2))
+    calls = []
+
+    def counting(rep, f):
+        calls.append(f)
+        return is_invariant(rep, f)
+
+    monkeypatch.setattr(depthlab, "is_invariant", counting)
+    ring = ring_module(rep, 8)
+    seq = canonical_sequence(rep)
+    # one check per element, in is_regular_element, none in the quotient step
+    assert verify_regular_sequence(ring, seq).passed
+    assert len(calls) == len(seq)
+    # the greedy search takes validated pairs and checks nothing
+    calls.clear()
+    cert, _ = _greedy_regular(ring, [(f, f.homogeneous_degree()) for f in seq])
+    assert cert.elements == tuple(seq) and calls == []
+    # the public quotient step keeps its check
+    ring.quotient_by(seq[0])
+    assert calls == [seq[0]]
 
 
 def test_bounded_depth_of_invariant_rings():

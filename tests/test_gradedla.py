@@ -274,6 +274,61 @@ def test_image_contains_subspace_le():
         assert not la.subspace_le(bigger, img)
 
 
+def rank_inclusion(inner: np.ndarray, outer: np.ndarray, p: int) -> bool:
+    """Inclusion as the rank test: stacking inner on outer keeps the rank."""
+    return la.rref(MatFp(p, np.vstack([outer, inner]))).nrows == la.rref(MatFp(p, outer)).nrows
+
+
+def inclusion_inputs(a: np.ndarray, p: int) -> list[MatFp]:
+    """The same row space as given (not canonical) and as its canonical form."""
+    return [MatFp(p, a), la.rref(MatFp(p, a))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+def test_subspace_le_matches_rank_inclusion(p, monkeypatch):
+    rng = random.Random(3000 + p)
+    outcomes = set()
+    for cols in (1, 6, 13, 40):
+        for trial in range(16):
+            outer = random_matrix(rng, p, rng.randrange(cols + 1), cols).reshape(-1, cols)
+            if trial % 2 and outer.shape[0]:
+                # combinations of outer rows: included, usually with entries
+                # on outer pivots that are not inner pivots
+                coeffs = random_matrix(rng, p, rng.randrange(1, 5), outer.shape[0])
+                inner = la.matmul_mod(coeffs, outer, p)
+            else:
+                inner = random_matrix(rng, p, rng.randrange(4), cols).reshape(-1, cols)
+            want = rank_inclusion(inner, outer, p)
+            outcomes.add(want)
+            for a in inclusion_inputs(inner, p):
+                for b in inclusion_inputs(outer, p):
+                    assert la.subspace_le(a, b) == want, (cols, trial)
+    assert outcomes == {True, False}
+
+    # outer pivots 0 and 3; columns 1, 2, 4 and 5 are free
+    u, v, w = (rng.randrange(1, p) for _ in range(3))
+    outer = la.rref(MatFp(p, np.array([[1, 0, u, 0, v, w], [0, 0, 0, 1, w, u]], dtype=np.uint8)))
+    cases = {
+        # row 0 plus twice row 1: its pivot is 0, and it is nonzero on the
+        # outer pivot 3, which is not an inner pivot
+        "included": (outer.a[0].astype(np.int64) + 2 * outer.a[1].astype(np.int64), True),
+        "inner pivot 1 is not an outer pivot": (np.eye(6, dtype=np.int64)[1], False),
+        "agrees on every pivot, not on free column 5":
+            (outer.a[0].astype(np.int64) + np.eye(6, dtype=np.int64)[5], False),
+    }
+    for name, (row, want) in cases.items():
+        inner = (row % p).astype(np.uint8).reshape(1, -1)
+        assert rank_inclusion(inner, outer.a, p) == want, name
+        for a in inclusion_inputs(inner, p):
+            assert la.subspace_le(a, outer) == want, name
+
+    # canonical inputs are used as they are, with no elimination
+    def no_rref(mat):
+        raise AssertionError("rref called on a canonical input")
+    monkeypatch.setattr(la, "rref", no_rref)
+    assert la.subspace_le(la.MatFp(p, outer.a[:1], outer.pivots[:1]), outer)
+
+
 def test_kernel_canonical_form():
     p = 3
     a = MatFp(p, np.array([[1, 2, 0], [0, 0, 1]], dtype=np.uint8))

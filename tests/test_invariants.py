@@ -5,8 +5,10 @@ import pytest
 
 from modinv import gradedla as la
 from modinv.gradedla import GradedBasis, MatFp
-from modinv.invariants import (_mono_parents, dimension_growth_check, finite_difference,
-                               ideal_slice, invariant_slice, quotient_dims, transfer_slice)
+from modinv.invariants import (_block_sigma, _merge_pieces, _mono_parents, _orbit_sum,
+                               _piece_columns, _piece_power, dimension_growth_check,
+                               finite_difference, ideal_slice, invariant_slice, quotient_dims,
+                               transfer_slice)
 from modinv.poly import Poly, monomials_of_degree, num_monomials, var_mono
 from modinv.rep import (CpRep, _generator_power_images, is_invariant, norm, sigma,
                         top_norms, transfer)
@@ -128,6 +130,57 @@ def test_slices_match_dense_construction_bytes(p, blocks, bound):
             assert got.mat(d).pivots == want.mat(d).pivots
             assert got.mat(d).a.shape == want.mat(d).a.shape
             assert got.mat(d).a.tobytes() == want.mat(d).a.tobytes()
+
+
+def chain_transfer_piece(p, blocks, multidegree):
+    """The transfer on a piece as (sigma - 1)^(p-1), a chain of p - 2 dense
+    products, as the slices were built before the orbit sum."""
+    sig = np.ones((1, 1), dtype=np.int64)
+    for size, e in zip(blocks, multidegree):
+        sig = np.kron(sig, _block_sigma(p, size, e, 1)) % p
+    step = (sig - np.eye(sig.shape[0], dtype=np.int64)) % p
+    total = step
+    for _ in range(p - 2):
+        total = la.matmul_mod(total, step, p)
+    return total.astype(np.int64) % p
+
+
+# block sizes run up to min(p, 4)
+ORBIT_CASES = [(2, (2, 1, 2), 5), (3, (2, 3), 6), (5, (4,), 7), (5, (3, 4), 4),
+               (7, (2, 4), 4), (7, (4,), 6)]
+
+
+@pytest.mark.parametrize("p, blocks, bound", ORBIT_CASES)
+def test_orbit_sum_equals_the_sigma_minus_one_chain(p, blocks, bound):
+    rep = CpRep.make(p, blocks)
+    tra = transfer_slice(rep, bound)
+    for d in range(bound + 1):
+        pieces = []
+        for multidegree in monomials_of_degree(len(blocks), d):
+            want = chain_transfer_piece(p, blocks, multidegree)
+            got = _orbit_sum(p, blocks, multidegree, _piece_power(p, blocks, multidegree, 1))
+            assert got.shape == want.shape and np.array_equal(got, want), (d, multidegree)
+            pieces.append((_piece_columns(blocks, multidegree), la.rref(MatFp(p, want))))
+        want_slice = _merge_pieces(p, num_monomials(rep.nvars, d), pieces)
+        assert tra.mat(d).pivots == want_slice.pivots, d
+        assert tra.mat(d).a.tobytes() == want_slice.a.tobytes(), d
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_block_sigma_powers_are_matrix_powers(p):
+    for size in range(1, min(p, 4) + 1):
+        for degree in range(5):
+            one = _block_sigma(p, size, degree, 1).astype(np.int64)
+            power = np.eye(one.shape[0], dtype=np.int64)
+            for k in range(1, p):
+                power = la.matmul_mod(power, one, p).astype(np.int64)
+                got = _block_sigma(p, size, degree, k)
+                assert got.dtype == np.uint8 and not got.flags.writeable
+                assert np.array_equal(got, power), (size, degree, k)
+                # on a piece of one block, the piece power is the block power
+                assert np.array_equal(_piece_power(p, (size,), (degree,), k), power)
+        # sigma^p is the identity, so the powers below p are all distinct ones
+        assert np.array_equal(la.matmul_mod(power, one, p), np.eye(one.shape[0]))
 
 
 def test_invariant_slice_contains_known_invariants():
