@@ -19,6 +19,7 @@ import numpy as np
 
 from . import gradedla as la
 from .gradedla import GradedBasis, MatFp
+# ideal_slice is not called here: perfbench/selftest.py checks its binding
 from .invariants import ideal_slice, invariant_slice, transfer_slice
 from .poly import Poly, render
 from .rep import CpRep, is_invariant, norm, top_norms
@@ -273,10 +274,6 @@ def _through_first_failure(steps: Iterator[RegularStep]) -> Iterator[RegularStep
             return
 
 
-def _report_is_vacuous(report: CheckReport) -> bool:
-    return any(note.startswith("vacuous") or note.startswith("element degree") for note in report.notes)
-
-
 @dataclass
 class SocleWitness:
     """A nonzero class killed by every invariant of every checkable positive
@@ -290,56 +287,57 @@ class SocleWitness:
 
 @dataclass
 class RegSeqCert:
-    """Outcome of verifying one sequence: per-step reports, the surviving
-    quotient, and optional socle evidence that the sequence is maximal."""
+    """Outcome of verifying one sequence: per-step reports and the
+    surviving quotient."""
 
     elements: tuple[Poly, ...]
     rendered: list[str]
-    max_degree: int
     steps: list[CheckReport]
     passed: bool
     final_view: GradedModuleView
-    socle: SocleWitness | None = None
 
     @property
     def verified_length(self) -> int:
         return sum(1 for s in self.steps if s.passed)
 
 
+def _accept_step(current: GradedModuleView, f: Poly, e: int, rpt: CheckReport) -> GradedModuleView:
+    """Quotient by a validated f of degree e that passed every degree, and
+    record the dimensions before and after, re-checked as h(d) - h(d - e)."""
+    before = current.dims()
+    nxt = current._quotient_by(f)
+    after = nxt.dims()
+    expected = [before[d] - (before[d - e] if d >= e else 0) for d in range(len(before))]
+    if after != expected:
+        raise RuntimeError(
+            f"dimension bookkeeping broke quotienting by {render(f, current.rep.varnames)}: "
+            f"{after} != {expected}")
+    rpt.params["hilbert_before"] = before
+    rpt.params["hilbert_after"] = after
+    return nxt
+
+
 def verify_regular_sequence(view: GradedModuleView, elements: Sequence[Poly]) -> RegSeqCert:
     """Verify elements in order, quotienting after each verified step.
 
-    Each passing step records the module dimensions before and after; the
-    after-dimensions must equal h(d) - h(d - deg f), which is re-checked
-    here and available to consumers in the step parameters.
+    Each step records the module dimensions before it; a passing step also
+    records them after, re-checked against h(d) - h(d - deg f).
     """
     current = view
     steps: list[CheckReport] = []
     ok = True
     for f in elements:
         rpt = is_regular_element(current, f)
-        before = current.dims()
-        rpt.params["hilbert_before"] = before
+        steps.append(rpt)
         if not rpt.passed:
-            steps.append(rpt)
+            rpt.params["hilbert_before"] = current.dims()
             ok = False
             break
         # is_regular_element has validated f
-        nxt = current._quotient_by(f)
-        after = nxt.dims()
-        rpt.params["hilbert_after"] = after
-        e = f.homogeneous_degree()
-        expected = [before[d] - (before[d - e] if d >= e else 0) for d in range(len(before))]
-        if after != expected:
-            raise RuntimeError(
-                f"dimension bookkeeping broke quotienting by {render(f, view.rep.varnames)}: "
-                f"{after} != {expected}")
-        steps.append(rpt)
-        current = nxt
+        current = _accept_step(current, f, f.homogeneous_degree(), rpt)
     return RegSeqCert(
         elements=tuple(elements),
         rendered=[render(f, view.rep.varnames) for f in elements],
-        max_degree=view.max_degree,
         steps=steps,
         passed=ok,
         final_view=current,
@@ -472,13 +470,17 @@ def _greedy_regular(view: GradedModuleView,
     accepted element has passed every degree, so its step report is the one
     ``is_regular_element`` gives.  Only the final round, whose records reach
     the report, runs the remaining degrees, so every record still lists all
-    failing degrees."""
+    failing degrees.  A zero module is refused, and so is a sequence longer
+    than n = dim V: none is regular, so the bound is too small."""
+    if view.is_zero():
+        raise ZeroModuleError(f"module {view.label!r} is zero up to degree {view.max_degree}")
     varnames = view.rep.varnames
     current = view
     found: list[Poly] = []
     steps: list[CheckReport] = []
     last_failures: list[dict] = [{"note": "module is zero up to the bound; search stopped"}]
     while not current.is_zero():
+        dims = current.dims()
         rejected = []
         for f, e in candidates:
             if any(f == g for g in found):
@@ -486,13 +488,11 @@ def _greedy_regular(view: GradedModuleView,
             rest = _regular_steps(current, f, e)
             # complete if f passes; otherwise partial, with ``rest`` suspended
             rpt = _regular_report(current, f, e, _through_first_failure(rest))
-            if rpt.passed and not _report_is_vacuous(rpt):
-                rpt.params["hilbert_before"] = current.dims()
-                nxt = current._quotient_by(f)  # the pool is validated
-                rpt.params["hilbert_after"] = nxt.dims()
+            # a pass on degrees where the module is zero is vacuous
+            if rpt.passed and any(dims[d] for d in range(current.max_degree - e + 1)):
+                current = _accept_step(current, f, e, rpt)  # the pool is validated
                 steps.append(rpt)
                 found.append(f)
-                current = nxt
                 break
             rejected.append((f, rpt, rest))
         else:
@@ -508,27 +508,20 @@ def _greedy_regular(view: GradedModuleView,
                     record["witness"] = first["annihilated"]
                 last_failures.append(record)
             break
+    n = view.rep.dim
+    if len(found) > n:
+        raise BoundTooSmallError(
+            f"module {view.label!r}: a regular sequence of length {len(found)} was "
+            f"verified up to degree {view.max_degree}, but no sequence longer than n = {n} "
+            "is regular; the degree bound is too small")
     cert = RegSeqCert(
         elements=tuple(found),
         rendered=[render(f, varnames) for f in found],
-        max_degree=view.max_degree,
         steps=steps,
         passed=True,
         final_view=current,
     )
     return cert, last_failures
-
-
-def _require_within_dimension(view: GradedModuleView, cert: RegSeqCert) -> None:
-    """No sequence longer than n = dim V is regular on a module over the
-    invariant ring, so a longer one verified up to the bound proves the
-    bound too small."""
-    n = view.rep.dim
-    if len(cert.elements) > n:
-        raise BoundTooSmallError(
-            f"module {view.label!r}: a regular sequence of length {len(cert.elements)} was "
-            f"verified up to degree {view.max_degree}, but no sequence longer than n = {n} "
-            "is regular; the degree bound is too small")
 
 
 @dataclass
@@ -554,12 +547,9 @@ def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None,
     """Greedy depth evidence for a module: longest regular sequence the
     pool yields, then a socle search on the quotient for maximality."""
     rep = view.rep
-    if view.is_zero():
-        raise ZeroModuleError(f"module {view.label!r} is zero up to degree {view.max_degree}")
     cap = rep.p.value if search_degree_cap is None else search_degree_cap
     cap = min(cap, view.max_degree)
     cert, failures = _greedy_regular(view, _candidate_pool(rep, view.max_degree, cap))
-    _require_within_dimension(view, cert)
     final = cert.final_view
     reports = list(cert.steps)
     maximal = False
@@ -567,7 +557,6 @@ def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None,
         summary_notes = ["quotient vanished inside the bound; depth may continue above it"]
     else:
         witness, socle_report = socle_search(final, witness_degree_cap)
-        cert.socle = witness
         reports.append(socle_report)
         maximal = witness is not None
         summary_notes = []
@@ -603,11 +592,8 @@ class GradeResult:
 def bounded_grade(view: GradedModuleView, pool: Sequence[Poly], pool_label: str) -> GradeResult:
     """Longest regular sequence on the module found inside the pool; when
     the scan exhausts, the per-element failure certificates are kept."""
-    if view.is_zero():
-        raise ZeroModuleError(f"module {view.label!r} is zero up to degree {view.max_degree}")
     cert, failures = _greedy_regular(
         view, [(f, _regular_candidate_degree(view.rep, f)) for f in pool])
-    _require_within_dimension(view, cert)
     report = CheckReport(
         name="grade-search",
         params={
@@ -647,18 +633,35 @@ def expected_depth(rep: CpRep) -> int:
     return min(rep.num_blocks + 2, rep.dim)
 
 
+def _prefix_modules(rep: CpRep, gens: Sequence[Poly],
+                    max_degree: int) -> Iterator[tuple[GradedModuleView, GradedModuleView]]:
+    """``ideal_modules`` for every prefix g_1..g_k of the generators, from
+    one chain: the k-th quotient is the (k-1)-th one by g_k, and its
+    denominator is the ideal.  Each generator is validated once."""
+    zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
+    quotient = ring_module(rep, max_degree)
+    names = []
+    for g in gens:
+        rep.check_poly(g)
+        if not g.is_homogeneous():
+            raise ValueError("ideal generators must be homogeneous")
+        if not is_invariant(rep, g):
+            raise ValueError("ideal generators must be invariant")
+        names.append(render(g, rep.varnames))
+        label = ", ".join(names)
+        quotient = quotient._quotient_by(g, f"invariant ring mod ({label})")
+        yield GradedModuleView(rep, quotient.den, zero, f"ideal ({label})", check_inclusion=False), quotient
+
+
 def ideal_modules(rep: CpRep, gens: Sequence[Poly],
                   max_degree: int) -> tuple[GradedModuleView, GradedModuleView]:
     """The ideal generated by invariant elements inside the invariant ring,
     and the invariant ring modulo that ideal, as graded modules over the
     ring; both views share one ideal slice."""
-    inv = invariant_slice(rep, max_degree)
-    basis = ideal_slice(rep, max_degree, gens)
-    zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
-    names = ", ".join(render(g, rep.varnames) for g in gens)
-    return (GradedModuleView(rep, basis, zero, f"ideal ({names})", check_inclusion=False),
-            GradedModuleView(rep, inv, basis, f"invariant ring mod ({names})",
-                             check_inclusion=False))
+    pairs = list(_prefix_modules(rep, gens, max_degree))
+    if not pairs:
+        raise ValueError("an ideal needs at least one generator")
+    return pairs[-1]
 
 
 def transfer_quotient_module(rep: CpRep, max_degree: int) -> GradedModuleView:
@@ -747,8 +750,6 @@ def norm_reduction_check(view: GradedModuleView, search_degree_cap: int | None =
     evidence, and compare."""
     rep = view.rep
     rep.require_nontrivial()
-    if view.is_zero():
-        raise ZeroModuleError(f"module {view.label!r} is zero up to degree {view.max_degree}")
     norms = top_norms(rep)
     cert = verify_regular_sequence(view, norms)
     reports = list(cert.steps)
@@ -829,8 +830,7 @@ def depth_report(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
     ring_cm_domain = ring_ev.maximal and ring_ev.lower == rep.dim
 
     instances = []
-    for k in range(1, len(seq) + 1):
-        ideal, quotient = ideal_modules(rep, seq[:k], max_degree)
+    for k, (ideal, quotient) in enumerate(_prefix_modules(rep, seq, max_degree), 1):
         ideal_ev = bounded_depth(ideal, search_degree_cap=search_degree_cap)
         quot_ev = bounded_depth(quotient, search_degree_cap=search_degree_cap)
         reports.extend(ideal_ev.reports)

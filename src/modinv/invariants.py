@@ -52,22 +52,18 @@ def _mono_parents(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
 def _next_degree_matrix(rep: CpRep, degree: int, prev: np.ndarray, power: int) -> np.ndarray:
     """Matrix of the generator's ``power``-th power on the degree-d slice
     (rows act: image of monomial i is row i), built from its degree-(d-1)
-    matrix."""
+    matrix: the image of a monomial is the image of its parent times the
+    image of the variable divided out, a linear form."""
     p, n = rep.p.value, rep.nvars
     width = num_monomials(n, degree)
     var_of, parent = _mono_parents(n, degree)
-    images = _generator_power_images(rep, power)
-    acc = np.zeros((width, width), dtype=np.int64)
-    prev64 = prev.astype(np.int64)
-    for v in range(n):
+    out = np.zeros((width, width), dtype=np.uint8)
+    for v, terms in enumerate(_generator_power_images(rep, power)):
         rows_v = np.nonzero(var_of == v)[0]
-        if rows_v.size == 0:
-            continue
-        block = prev64[parent[rows_v]]
-        for target, coeff in images[v]:
-            colmap = la._mult_colmap(n, degree - 1, var_mono(n, target))
-            acc[np.ix_(rows_v, colmap)] += coeff * block
-    return (acc % p).astype(np.uint8)
+        if rows_v.size:
+            image = Poly(p, n, {var_mono(n, target): c for target, c in terms})
+            out[rows_v] = la.mult_map(MatFp(p, prev[parent[rows_v]]), image, degree - 1).a
+    return out
 
 
 @lru_cache(maxsize=1024)

@@ -68,6 +68,9 @@ PINNED_REPORTS = {
         "311939dff25ab1e8e2580f00199deb424a7a7274368cbff7e7f091cf70bd6824",
     "hilbert --p 7 --blocks 3,4 --max-degree 6":
         "8645c4935f92f418028113cb280c467515a12e032412254964a6b7e6a989f39f",
+    # odd p with several blocks: the prefix-ideal quotient chain at odd p
+    "depth-report --p 3 --blocks 2,2 --max-degree 8":
+        "a98b918ae25ad88e03de841df60f09e576fea46891dbf5e8927db014ee3857e5",
 }
 
 

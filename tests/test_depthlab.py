@@ -13,8 +13,8 @@ from modinv.depthlab import (BoundTooSmallError, DepthEvidence, DepthInstance,
                              ring_module, socle_search, transfer_ideal_module,
                              transfer_quotient_check, transfer_quotient_module,
                              verify_regular_sequence)
-from modinv.gradedla import MatFp
-from modinv.invariants import invariant_slice, transfer_slice
+from modinv.gradedla import GradedBasis, MatFp
+from modinv.invariants import ideal_slice, invariant_slice, transfer_slice
 from modinv.poly import Poly, parse, render
 from modinv.rep import CpRep, is_invariant, norm, top_norms
 from modinv.report import CheckReport
@@ -254,11 +254,12 @@ def full_width_regular_step(view, f, e, d):
 
 def coordinate_modules(rep, bound):
     seq = canonical_sequence(rep)
-    ideal, quotient = ideal_modules(rep, seq[:2], bound)
+    ideal = ideal_slice(rep, bound, seq[:2])
+    zero = GradedBasis.zero(rep.p.value, rep.nvars, bound)
     return {
         "ring": ring_module(rep, bound),
-        "ideal": ideal,
-        "quotient": quotient,
+        "ideal": GradedModuleView(rep, ideal, zero, "ideal", check_inclusion=False),
+        "quotient": GradedModuleView(rep, invariant_slice(rep, bound), ideal, "quotient"),
         "transfer-ideal": transfer_ideal_module(rep, bound),
         "transfer-quotient": transfer_quotient_module(rep, bound),
         "quotient-by chain": ring_module(rep, bound).quotient_by(seq[0]).quotient_by(seq[1]),
@@ -455,15 +456,14 @@ def reference_greedy(view, pool):
 
 def assert_same_search(view, pool, search):
     """Compare a search wrapper with the reference; a sequence longer than
-    n must make the wrapper refuse the bound, so the greedy search it wraps
-    is compared directly."""
+    n must make the greedy search refuse the bound, naming the length the
+    reference found."""
     found, steps, records = reference_greedy(view, pool)
     if len(found) > view.rep.dim:
-        with pytest.raises(BoundTooSmallError):
+        with pytest.raises(BoundTooSmallError, match=f"length {len(found)} was verified"):
             search()
-        cert, failures = _greedy_regular(view, [(f, f.homogeneous_degree()) for f in pool])
-    else:
-        cert, failures = search()
+        return records
+    cert, failures = search()
     assert cert.rendered == [render(f, view.rep.varnames) for f in found]
     # whole step reports, params included
     assert [s.to_json_dict() for s in cert.steps] == [s.to_json_dict() for s in steps]
@@ -535,6 +535,42 @@ def test_ideal_and_quotient_modules_split_the_ring():
     assert quotient.den is ideal.num
 
 
+@pytest.mark.parametrize("p, blocks, bound", [(2, (2, 2, 2), 6), (3, (2, 3), 8), (5, (2, 2), 8)])
+def test_ideal_modules_match_the_from_scratch_ideal_slice(p, blocks, bound):
+    # the quotient chain against ideal_slice, which multiplies every
+    # generator by the whole invariant basis and eliminates once
+    rep = CpRep.make(p, blocks)
+    seq = canonical_sequence(rep)
+    for k in range(1, len(seq) + 1):
+        want = ideal_slice(rep, bound, seq[:k])
+        ideal, quotient = ideal_modules(rep, seq[:k], bound)
+        for got in (ideal.num, quotient.den):
+            for d, (a, b) in enumerate(zip(got.mats, want.mats, strict=True)):
+                assert (a.a.shape, a.pivots, a.a.tobytes()) == (b.a.shape, b.pivots, b.a.tobytes()), (k, d)
+
+
+def test_ideal_modules_validate_and_skip_zero_generators():
+    rep = CpRep.make(2, (2, 2))
+    x11 = rep.variable(1, 1)
+    with pytest.raises(ValueError, match="must be invariant"):
+        ideal_modules(rep, [rep.variable(2, 1)], 6)
+    with pytest.raises(ValueError, match="must be homogeneous"):
+        ideal_modules(rep, [x11 + x11 * x11], 6)
+    with pytest.raises(ValueError, match="at least one generator"):
+        ideal_modules(rep, [], 6)
+    ideal, quotient = ideal_modules(rep, [x11, Poly.zero(2, 4)], 6)
+    assert ideal.num == ideal_modules(rep, [x11], 6)[0].num
+    assert quotient.label == "invariant ring mod (x[1,1], 0)"
+
+
+def test_greedy_search_rechecks_the_dimension_bookkeeping(monkeypatch):
+    # a quotient that forgets to divide is a defect of the accepted step,
+    # caught in the greedy search as in verify_regular_sequence
+    monkeypatch.setattr(GradedModuleView, "_quotient_by", lambda self, f, label=None: self)
+    with pytest.raises(RuntimeError, match="dimension bookkeeping broke"):
+        bounded_depth(ring_module(CpRep.make(2, (2, 2)), 6))
+
+
 def test_transfer_modules_split_the_ring():
     rep = CpRep.make(2, (2, 2))
     ring = ring_module(rep, 8)
@@ -581,8 +617,7 @@ def test_norm_reduction_on_regular_block():
 
 def _fake_evidence(rep, lower, maximal):
     view = ring_module(rep, 2)
-    cert = RegSeqCert(elements=(), rendered=[], max_degree=2, steps=[],
-                      passed=True, final_view=view)
+    cert = RegSeqCert(elements=(), rendered=[], steps=[], passed=True, final_view=view)
     return DepthEvidence(lower=lower, maximal=maximal, cert=cert)
 
 
