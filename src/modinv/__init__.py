@@ -11,7 +11,7 @@ from .depthlab import (DEFAULT_MAX_DEGREE, BoundTooSmallError, DepthEvidence,
                        transfer_quotient_check, transfer_quotient_module,
                        verify_regular_sequence)
 from .invariants import (dimension_growth_check, finite_difference, ideal_slice,
-                         invariant_slice, quotient_dims, transfer_slice)
+                         invariant_slice, transfer_slice)
 from .monoalg import (FreeDecomp, Lattice2, MonoAlgebra, MonoPreset, PRESETS,
                       hilbert_enumeration_check, non_factorial_witness, run_preset,
                       verify_free_decomp, verify_height_witness)
@@ -32,7 +32,7 @@ __all__ = [
     "dumps_report", "expected_depth", "finite_difference",
     "hilbert_enumeration_check", "ideal_modules", "ideal_slice", "invariant_slice",
     "is_invariant", "is_regular_element", "non_factorial_witness", "norm",
-    "norm_decompose", "norm_reduction_check", "parse", "quotient_dims", "render",
+    "norm_decompose", "norm_reduction_check", "parse", "render",
     "ring_module", "run_preset", "sigma", "socle_search", "top_norms",
     "transfer", "transfer_ideal_module",
     "transfer_quotient_check", "transfer_quotient_module", "transfer_slice",

@@ -19,8 +19,7 @@ from typing import Sequence, TextIO
 
 from . import depthlab, monoalg
 from .depthlab import DEFAULT_MAX_DEGREE
-from .invariants import (dimension_growth_check, invariant_slice, quotient_dims,
-                         transfer_slice)
+from .invariants import dimension_growth_check, invariant_slice, transfer_slice
 from .poly import Poly, PolyParseError, parse, render
 from .rep import CpRep, is_invariant, norm_decompose
 from .report import CheckReport, dumps_report, timed
@@ -122,7 +121,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> list[CheckReport]:
             window_start=rep.p.value * rep.dim)
         report.params["invariant_dims"] = inv.dims()
         report.params["transfer_ideal_dims"] = tra.dims()
-        report.params["quotient_dims"] = quotient_dims(inv, tra)
+        report.params["quotient_dims"] = depthlab.transfer_quotient_module(rep, bound).dims()
         report.passed = growth_ok
         report.witnesses.extend({"degree": d, "problem": "dimension growth difference not zero"}
                                 for d in offenders)

@@ -3,9 +3,13 @@ witnesses on degreewise-truncated graded modules.
 
 Nothing here proves statements about the full module: a passing check is
 evidence up to the stated degree bound, and the reports say so.  A failing
-check, by contrast, is exact: it always carries a concrete certificate
-(an element annihilated into the denominator, or a socle element killed by
-every checkable invariant).
+regularity check is exact: it carries an element annihilated into the
+denominator.  Two failures rest on bounded evidence.  A socle search fails
+when it finds no witness up to its cap, as nine do in
+``depth-report --p 2 --blocks 2,2 --max-degree 8 --search-cap 1``.
+``norm-reduction`` compares with a grade found up to the degree bound,
+which a higher bound can lower; it fails in
+``grade --p 5 --blocks 2,3 --max-degree 10``.
 """
 
 from __future__ import annotations
@@ -129,7 +133,9 @@ class GradedModuleView:
         return self._quotient_by(f, label)
 
     def _quotient_by(self, f: Poly, label: str | None = None) -> GradedModuleView:
-        """``quotient_by`` for an f its caller has already validated."""
+        """``quotient_by`` for an f its caller has already validated.  The
+        inclusion is not re-checked: the old denominator lies in the
+        numerator, and so do f times the quotient rows, by closure."""
         e = f.homogeneous_degree()
         mats = []
         for d in range(self.max_degree + 1):
@@ -144,7 +150,8 @@ class GradedModuleView:
 
 
 def ring_module(rep: CpRep, max_degree: int) -> GradedModuleView:
-    """The invariant ring as a module over itself, up to a degree bound."""
+    """The invariant ring as a module over itself, up to a degree bound.
+    The zero denominator needs no inclusion check."""
     zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
     return GradedModuleView(rep, invariant_slice(rep, max_degree), zero, "invariant ring",
                             check_inclusion=False)
@@ -203,7 +210,7 @@ def _regular_step(view: GradedModuleView, f: Poly, e: int, d: int) -> RegularSte
     left = la.kernel(MatFp(p, coords.T))
     if left.nrows == 0:
         return d, q.nrows, None
-    wit_row = la.matmul_mod(left.a[:1].astype(np.int64), q.a.astype(np.int64), p)
+    wit_row = la.matmul_mod(left.a[:1], q.a, p)
     return d, q.nrows, la.vec_to_poly(p, view.num.nvars, d, wit_row[0])
 
 
@@ -389,7 +396,7 @@ def socle_search(view: GradedModuleView,
             q = view.quotient_mat(d)
             if q.nrows == 0:
                 continue
-            candidates = q.a.astype(np.uint8)
+            candidates = q.a
             ann_degrees = [e for e in range(1, bound - d + 1) if inv.dim(e)]
             for e in ann_degrees:
                 for u in _generators(rep, bound, e):
@@ -402,8 +409,7 @@ def socle_search(view: GradedModuleView,
                     if left.nrows == 0:
                         candidates = candidates[:0]
                         break
-                    candidates = la.matmul_mod(left.a.astype(np.int64),
-                                               candidates.astype(np.int64), p)
+                    candidates = la.matmul_mod(left.a, candidates, p)
                 if candidates.shape[0] == 0:
                     break
             if candidates.shape[0] and ann_degrees:
@@ -637,7 +643,8 @@ def _prefix_modules(rep: CpRep, gens: Sequence[Poly],
                     max_degree: int) -> Iterator[tuple[GradedModuleView, GradedModuleView]]:
     """``ideal_modules`` for every prefix g_1..g_k of the generators, from
     one chain: the k-th quotient is the (k-1)-th one by g_k, and its
-    denominator is the ideal.  Each generator is validated once."""
+    denominator is the ideal.  Each generator is validated once.  The
+    ideal views have zero denominators, which need no inclusion check."""
     zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
     quotient = ring_module(rep, max_degree)
     names = []
@@ -665,13 +672,16 @@ def ideal_modules(rep: CpRep, gens: Sequence[Poly],
 
 
 def transfer_quotient_module(rep: CpRep, max_degree: int) -> GradedModuleView:
-    """Invariant ring modulo the transfer ideal, as a graded module."""
+    """Invariant ring modulo the transfer ideal, as a graded module.  The
+    inclusion is not re-checked at full width: the slices were built with
+    each transfer piece proved inside its invariant piece."""
     return GradedModuleView(rep, invariant_slice(rep, max_degree), transfer_slice(rep, max_degree),
-                            "invariants mod transfer ideal")
+                            "invariants mod transfer ideal", check_inclusion=False)
 
 
 def transfer_ideal_module(rep: CpRep, max_degree: int) -> GradedModuleView:
-    """The transfer ideal as a module over the invariant ring."""
+    """The transfer ideal as a module over the invariant ring.  The zero
+    denominator needs no inclusion check."""
     zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
     return GradedModuleView(rep, transfer_slice(rep, max_degree), zero, "transfer ideal",
                             check_inclusion=False)

@@ -190,8 +190,7 @@ def reduce_rows(vectors: np.ndarray, basis: MatFp) -> np.ndarray:
         bp = np.packbits(basis.a, axis=1)
         vp[rows[starts]] ^= np.bitwise_xor.reduceat(bp[piv], starts, axis=0)
         return np.unpackbits(vp, axis=1, count=basis.ncols)
-    coeffs = v[:, list(basis.pivots)].astype(np.int64)
-    combo = matmul_mod(coeffs, basis.a, basis.p)
+    combo = matmul_mod(v[:, list(basis.pivots)], basis.a, basis.p)
     return ((v.astype(np.int64) - combo) % basis.p).astype(np.uint8)
 
 

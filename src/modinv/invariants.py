@@ -127,7 +127,10 @@ def _merge_pieces(p: int, width: int, pieces: list[tuple[np.ndarray, MatFp]]) ->
 @lru_cache(maxsize=16)
 def _slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
     """One sweep computing invariant and transfer-image bases per degree,
-    piece by piece over the block multidegrees."""
+    piece by piece over the block multidegrees.  Each transfer piece is
+    proved inside its invariant piece, and RuntimeError names one that is
+    not; both are merged onto the same columns, so the slices' inclusion
+    holds with no full-width check."""
     p, n, blocks = rep.p.value, rep.nvars, rep.blocks
     inv_mats, tra_mats = [], []
     for d in range(max_degree + 1):
@@ -137,8 +140,13 @@ def _slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
             sig = _piece_power(p, blocks, multidegree, 1)
             step = (sig - np.eye(sig.shape[0], dtype=np.int64)) % p
             cols = _piece_columns(blocks, multidegree)
-            inv_pieces.append((cols, la.kernel(MatFp(p, step.T))))
-            tra_pieces.append((cols, la.rref(MatFp(p, _orbit_sum(p, blocks, multidegree, sig)))))
+            inv_piece = la.kernel(MatFp(p, step.T))
+            tra_piece = la.rref(MatFp(p, _orbit_sum(p, blocks, multidegree, sig)))
+            if not la.subspace_le(tra_piece, inv_piece):
+                raise RuntimeError(f"the degree-{d} transfer piece of block multidegree "
+                                   f"{multidegree} is not inside the invariants")
+            inv_pieces.append((cols, inv_piece))
+            tra_pieces.append((cols, tra_piece))
         width = num_monomials(n, d)
         inv_mats.append(_merge_pieces(p, width, inv_pieces))
         tra_mats.append(_merge_pieces(p, width, tra_pieces))
@@ -186,16 +194,6 @@ def ideal_slice(rep: CpRep, max_degree: int, gens: Sequence[Poly]) -> GradedBasi
         else:
             mats.append(MatFp(p, np.zeros((0, num_monomials(n, d)), dtype=np.uint8), ()))
     return GradedBasis(p, n, mats)
-
-
-def quotient_dims(ambient: GradedBasis, sub: GradedBasis) -> list[int]:
-    """Degreewise dimensions of ambient/sub, after verifying the inclusion
-    sub <= ambient in every stored degree."""
-    if not la.graded_le(sub, ambient):
-        bad = [d for d in range(sub.max_degree + 1)
-               if not la.subspace_le(sub.mats[d], ambient.mats[d])]
-        raise ValueError(f"subspace inclusion fails in degrees {bad}")
-    return [ambient.dim(d) - sub.dim(d) for d in range(ambient.max_degree + 1)]
 
 
 def finite_difference(values: Sequence[int], step: int, order: int) -> list[int]:

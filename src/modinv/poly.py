@@ -33,10 +33,6 @@ class PrimeP:
         return self.value
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def var_mono(nvars: int, index: int) -> Mono:
     """Exponent vector of the single variable at ``index`` (0-based)."""
     if not 0 <= index < nvars:
@@ -226,11 +222,6 @@ class Poly:
             base = base * base
             e >>= 1
         return result
-
-    def homogeneous_component(self, degree: int) -> Poly:
-        return Poly._raw(
-            self.p, self.nvars, {m: c for m, c in self._terms.items() if sum(m) == degree}
-        )
 
     def sorted_terms(self) -> Iterator[tuple[Mono, int]]:
         """Terms by descending total degree, then descending lexicographic

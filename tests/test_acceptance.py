@@ -15,8 +15,9 @@ from modinv.cli import run as cli_run
 from modinv.depthlab import (DepthInstance, bounded_depth, canonical_sequence,
                              depth_inequality_audit, expected_depth, ideal_modules,
                              norm_reduction_check, ring_module, socle_search,
-                             transfer_quotient_check, verify_regular_sequence)
-from modinv.invariants import ideal_slice, invariant_slice, quotient_dims, transfer_slice
+                             transfer_quotient_check, transfer_quotient_module,
+                             verify_regular_sequence)
+from modinv.invariants import ideal_slice, invariant_slice, transfer_slice
 from modinv.monoalg import run_preset
 from modinv.poly import Poly
 from modinv.rep import CpRep, is_invariant, norm, norm_decompose, top_norms, transfer
@@ -334,7 +335,7 @@ def test_criterion_09_sanity_oracles():
     assert inv.dims() == series_coefficients([1, 2], bound)
     tra = transfer_slice(rep, bound)
     assert tra == ideal_slice(rep, bound, [rep.variable(1, 1)])
-    assert quotient_dims(inv, tra) == [1, 0] * 6 + [1]
+    assert transfer_quotient_module(rep, bound).dims() == [1, 0] * 6 + [1]
 
 
 @criterion(10, "two identical depth-report invocations emit byte-identical JSON")

@@ -2,10 +2,11 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 import modinv
-from modinv import depthlab
+from modinv import depthlab, invariants
 from modinv.cli import build_parser, run
 
 DOCUMENT_KEYS = ["tool", "version", "config", "checks", "summary"]
@@ -172,6 +173,25 @@ def test_internal_error_exits_three(monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: dimension bookkeeping broke")
+
+
+@pytest.mark.parametrize("command", ["transfer-quotient", "hilbert"])
+def test_corrupted_transfer_piece_exits_three(monkeypatch, command):
+    # an orbit sum that is the identity spans every piece, so the degree-1
+    # transfer piece leaves the invariants: a defect, not a user error
+    def identity(p, blocks, multidegree, sig):
+        return np.eye(sig.shape[0], dtype=np.int64)
+
+    invariants._slices.cache_clear()
+    monkeypatch.setattr(invariants, "_orbit_sum", identity)
+    try:
+        code, out, err = invoke([command, "--p", "3", "--blocks", "2,3", "--max-degree", "6"])
+    finally:
+        invariants._slices.cache_clear()
+    assert code == 3
+    assert out == ""
+    assert err == ("internal error: the degree-1 transfer piece of block multidegree "
+                   "(1, 0) is not inside the invariants\n")
 
 
 def test_usage_errors_exit_two(capsys):

@@ -15,7 +15,7 @@ from modinv.depthlab import (BoundTooSmallError, DepthEvidence, DepthInstance,
                              verify_regular_sequence)
 from modinv.gradedla import GradedBasis, MatFp
 from modinv.invariants import ideal_slice, invariant_slice, transfer_slice
-from modinv.poly import Poly, parse, render
+from modinv.poly import Poly, num_monomials, parse, render
 from modinv.rep import CpRep, is_invariant, norm, top_norms
 from modinv.report import CheckReport
 
@@ -35,6 +35,18 @@ def test_ring_module_is_the_invariant_ring():
     assert ring.dims() == inv.dims()
     assert not ring.is_zero()
     assert ring.max_degree == 6
+
+
+def test_module_view_checks_inclusion_by_default():
+    # a caller's own bases are checked at full width unless it opts out
+    rep = CpRep.make(2, (2,))
+    inv = invariant_slice(rep, 4)
+    full = GradedBasis(2, 2, [MatFp(2, np.eye(num_monomials(2, d), dtype=np.uint8))
+                              for d in range(5)])
+    view = GradedModuleView(rep, full, inv, "polynomials mod invariants")
+    assert view.dims() == [full.dim(d) - inv.dim(d) for d in range(5)]
+    with pytest.raises(ValueError, match="denominator is not contained in numerator"):
+        GradedModuleView(rep, inv, full, "invariants mod polynomials")
 
 
 def test_quotient_by_requires_invariance():

@@ -5,7 +5,7 @@ import pytest
 
 from modinv import gradedla as la
 from modinv.gradedla import GradedBasis, MatFp
-from modinv.poly import Poly, mono_mul, monomial_index, monomials_of_degree, num_monomials, parse
+from modinv.poly import Poly, monomial_index, monomials_of_degree, num_monomials, parse
 
 VARS2 = ("x[1,1]", "x[2,1]")
 
@@ -383,7 +383,8 @@ def dict_colmap(nvars: int, degree: int, mono: tuple[int, ...]) -> np.ndarray:
     a time in the target degree's index dictionary."""
     target = monomial_index(nvars, degree + sum(mono))
     src = monomials_of_degree(nvars, degree)
-    return np.asarray([target[mono_mul(m, mono)] for m in src], dtype=np.intp)
+    return np.asarray([target[tuple(a + b for a, b in zip(m, mono))] for m in src],
+                      dtype=np.intp)
 
 
 def test_mult_colmap_matches_dictionary_lookup():

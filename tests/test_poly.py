@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from modinv.poly import (Poly, PolyParseError, PrimeP, mono_mul, monomial_index,
+from modinv.poly import (Poly, PolyParseError, PrimeP, monomial_index,
                          monomials_of_degree, num_monomials, parse, render)
 
 VARS2 = ("x[1,1]", "x[2,1]")
@@ -45,10 +45,6 @@ def test_prime_validation():
     for bad in (-3, 0, 1, 4, 9, 91):
         with pytest.raises(ValueError):
             PrimeP(bad)
-
-
-def test_mono_helpers():
-    assert mono_mul((1, 2), (3, 0)) == (4, 2)
 
 
 @pytest.mark.parametrize("nvars,degree", [(1, 5), (2, 4), (3, 6), (4, 3)])
@@ -109,13 +105,6 @@ def test_degree_bookkeeping():
     # zero polynomial: degree 0 by convention
     assert Poly.zero(p, 2).degree() == 0
     assert Poly.zero(p, 2).homogeneous_degree() == 0
-    comp = f.homogeneous_component(2)
-    assert as_dict(comp) == {(0, 2): 2}
-    # components sum back to the original
-    total = Poly.zero(p, 2)
-    for d in range(f.degree() + 1):
-        total = total + f.homogeneous_component(d)
-    assert total == f
 
 
 def test_render_parse_round_trip():
