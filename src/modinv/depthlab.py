@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import gradedla as la
 from .gradedla import GradedBasis, MatFp
 # ideal_slice is not called here: perfbench/selftest.py checks its binding
-from .invariants import ideal_slice, invariant_slice, transfer_slice
+from .invariants import finite_difference, ideal_slice, invariant_slice, transfer_slice
 from .poly import Poly, render
 from .rep import CpRep, is_invariant, norm, top_norms
 from .report import CheckReport, timed
@@ -175,27 +174,16 @@ def _regular_candidate_degree(rep: CpRep, f: Poly) -> int:
 
 def _quotient_coords(view: GradedModuleView, product: np.ndarray, degree: int) -> np.ndarray:
     """Coordinates of the classes of degree-``degree`` rows in the quotient
-    rows there: product[:, qp] - product[:, dp] @ den[:, qp] mod p, with qp
-    the quotient pivots and dp the denominator pivots.
+    rows there: the rows' residues modulo the denominator, on the quotient
+    pivots only.
 
     Precondition (closure): the rows lie in the numerator.  Their residues
     modulo the canonical denominator then lie in the numerator too and are
     zero on the denominator pivots, so they lie in the span of the quotient
     rows, and a residue's entries on the quotient pivots are its
     coordinates; the other columns of the residue follow from those, so
-    dropping them loses nothing.  On the quotient pivots the residue is the
-    row minus its denominator-pivot entries times the denominator rows.  At
-    p = 2 the bit-packed XOR reduction is read off on the quotient pivots,
-    which keeps p = 2 off float64 products."""
-    qp = list(view.quotient_mat(degree).pivots)
-    den = view.den.mat(degree)
-    if den.nrows == 0:
-        return product[:, qp]
-    p = view.num.p
-    if p == 2:
-        return la.reduce_rows(product, den)[:, qp]
-    combo = la.matmul_mod(product[:, list(den.pivots)], den.a[:, qp], p)
-    return ((product[:, qp].astype(np.int16) - combo) % p).astype(np.uint8)
+    dropping them loses nothing."""
+    return la.reduce_rows(product, view.den.mat(degree), view.quotient_mat(degree).pivots)
 
 
 def _regular_step(view: GradedModuleView, f: Poly, e: int, d: int) -> RegularStep:
@@ -548,8 +536,7 @@ class DepthEvidence:
         return self.lower, self.upper
 
 
-def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None,
-                  witness_degree_cap: int | None = None) -> DepthEvidence:
+def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None) -> DepthEvidence:
     """Greedy depth evidence for a module: longest regular sequence the
     pool yields, then a socle search on the quotient for maximality."""
     rep = view.rep
@@ -562,7 +549,7 @@ def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None,
     if final.is_zero():
         summary_notes = ["quotient vanished inside the bound; depth may continue above it"]
     else:
-        witness, socle_report = socle_search(final, witness_degree_cap)
+        witness, socle_report = socle_search(final)
         reports.append(socle_report)
         maximal = witness is not None
         summary_notes = []
@@ -720,11 +707,8 @@ def transfer_quotient_check(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE) ->
     reports.append(vanishing)
 
     dims = module.dims()
-    numerator = []
-    for d in range(max_degree + 1):
-        value = sum((-1) ** k * comb(blocks, k) * dims[d - k * p]
-                    for k in range(blocks + 1) if d - k * p >= 0)
-        numerator.append(value)
+    # (1 - t^p)^blocks times the series: zeros stand for negative degrees
+    numerator = finite_difference([0] * (blocks * p) + dims, p, blocks)
     negative = [d for d, v in enumerate(numerator) if v < 0]
     hilbert = CheckReport(
         name="transfer-quotient-hilbert-nonnegativity",

@@ -2,31 +2,32 @@
 
 Matrices follow the row convention: a row is a vector, and a linear map
 sends ``v`` to ``v @ A``.  Coordinates in degree ``d`` are indexed by
-``poly.monomials_of_degree``.  Mod-2 elimination keeps each row as one
-Python integer; mod-2 reduction modulo a canonical echelon basis reads the
-coefficients off the pivot columns and applies them all in one gathered XOR
-of packed basis rows.  Odd primes use one classic elimination on int32
-(exact for p <= 251: entries stay below p and each update term is at most
-(p-1)**2) that updates only the columns from the pivot on.  A mod-2
-multiplication map XORs the uint8 basis into its output through each
-term's column map; odd primes accumulate the terms in int64 and reduce
-once.  Column maps are ranked in one vectorised step from cached exponent
-arrays.  Inclusion of row spaces is read off canonical forms: the inner
-pivots must be outer pivots, and what is left of each inner row after its
-pivot's outer row is reduced modulo the other outer rows on the columns
-off the inner pivots only.
+``poly.monomials_of_degree``.  This is the only layer that branches on the
+characteristic.  Mod-2 elimination keeps each row as one Python integer;
+odd primes use one classic elimination on int32 (exact for p <= 251:
+entries stay below p and each update term is at most (p-1)**2) that
+updates only the columns from the pivot on.  The null space of every
+characteristic is read off the canonical RREF.  One residue routine,
+``reduce_rows``, reduces vectors modulo a canonical basis on the columns a
+caller asks for: mod 2 in one gathered XOR of packed basis rows, odd p in
+one float64 product over those columns only.  A mod-2 multiplication map
+XORs the uint8 basis into its output through each term's column map; odd
+primes accumulate the terms in int64 and reduce once.  Column maps are
+ranked in one vectorised step from cached exponent arrays.  Inclusion of
+row spaces is read off canonical forms: the inner pivots must be outer
+pivots, and what is left of each inner row after its pivot's outer row is
+reduced modulo the other outer rows on the columns off the inner pivots.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
-from .poly import Mono, Poly, monomial_index, monomials_of_degree, num_monomials
+from .poly import Mono, Poly, monomials_of_degree, num_monomials
 
 
 class MatFp:
@@ -168,44 +169,44 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (np.rint(prod).astype(np.int64) % p).astype(np.uint8)
 
 
-def reduce_rows(vectors: np.ndarray, basis: MatFp) -> np.ndarray:
-    """Residuals of the given row vectors modulo the row space of ``basis``
-    (which must be in echelon form).  A zero residual means membership."""
+def reduce_rows(vectors: np.ndarray, basis: MatFp, cols: Sequence[int] | None = None) -> np.ndarray:
+    """Residues of the given row vectors modulo the row space of ``basis``
+    (which must be canonical), on the columns ``cols`` only (default: all).
+    A zero residue means membership.  The pivot columns of ``basis`` are
+    unit vectors, so a vector's coefficients are its pivot entries and its
+    residue is v - v[:, pivots] @ basis; odd p multiplies only the requested
+    columns of the basis, and p = 2 XORs the packed basis rows each vector
+    needs in one gathered step."""
     if not basis.is_rref:
         raise ValueError("basis must be in reduced row echelon form")
     v = np.ascontiguousarray(vectors, dtype=np.uint8)
     if v.ndim != 2 or v.shape[1] != basis.ncols:
         raise ValueError(f"vector width {v.shape} does not match basis width {basis.ncols}")
+    cols = slice(None) if cols is None else list(cols)
     if v.shape[0] == 0 or basis.nrows == 0:
-        return v.copy()
+        return v[:, cols].copy()
     if basis.p == 2:
-        # pivot columns are unit vectors, so the coefficients are v[:, pivots]
         rows, piv = np.nonzero(v[:, list(basis.pivots)])
         if rows.size == 0:
-            return v.copy()
+            return v[:, cols].copy()
         first = np.ones(rows.size, dtype=bool)
         first[1:] = rows[1:] != rows[:-1]
         starts = np.flatnonzero(first)
         vp = np.packbits(v, axis=1)
         bp = np.packbits(basis.a, axis=1)
         vp[rows[starts]] ^= np.bitwise_xor.reduceat(bp[piv], starts, axis=0)
-        return np.unpackbits(vp, axis=1, count=basis.ncols)
-    combo = matmul_mod(v[:, list(basis.pivots)], basis.a, basis.p)
-    return ((v.astype(np.int64) - combo) % basis.p).astype(np.uint8)
+        return np.unpackbits(vp, axis=1, count=basis.ncols)[:, cols]
+    combo = matmul_mod(v[:, list(basis.pivots)], basis.a[:, cols], basis.p)
+    return ((v[:, cols].astype(np.int16) - combo) % basis.p).astype(np.uint8)
 
 
 def kernel(mat: MatFp) -> MatFp:
     """Canonical basis of the right null space {v : v @ mat.T = 0}, i.e. of
     row vectors v with mat @ v = 0, returned as rows in echelon form.
 
-    Over GF(2) this is one elimination of [mat.T | I]: the rows whose pivot
-    lies in the identity part are the canonical null-space basis."""
-    if mat.p == 2:
-        n = mat.nrows
-        aug = np.concatenate([mat.a.T, np.eye(mat.ncols, dtype=np.uint8)], axis=1)
-        reduced, pivots = _rref_p2(aug)
-        first = bisect_left(pivots, n)
-        return MatFp(2, reduced[first:, n:], tuple(c - n for c in pivots[first:]))
+    Read off the canonical RREF for every p: each free column f gives the
+    null vector with 1 at f, zero on the other free columns and minus
+    column f of the RREF on the pivot columns."""
     r = rref(mat)
     ncols = mat.ncols
     piv = list(r.pivots)
@@ -226,7 +227,8 @@ def subspace_le(inner: MatFp, outer: MatFp) -> bool:
     inner <= outer exactly when every inner pivot is an outer pivot and each
     inner row, minus the outer row of its pivot, reduces to zero modulo the
     outer rows on the other pivots.  That difference and those rows vanish
-    on every inner pivot column, so the reduction drops those columns."""
+    on every inner pivot column, so the residue is read on the other
+    columns only."""
     if inner.p != outer.p or inner.ncols != outer.ncols:
         raise ValueError("subspace test on mismatched spaces")
     inner = inner if inner.is_rref else rref(inner)
@@ -237,14 +239,11 @@ def subspace_le(inner: MatFp, outer: MatFp) -> bool:
     if any(c not in row_of for c in inner.pivots):
         return False
     taken = set(inner.pivots)
-    cols = [c for c in range(inner.ncols) if c not in taken]
     other = [i for i, c in enumerate(outer.pivots) if c not in taken]
-    slot = {c: k for k, c in enumerate(cols)}
-    narrow = MatFp(outer.p, outer.a[np.ix_(other, cols)],
-                   tuple(slot[outer.pivots[i]] for i in other))
-    own = outer.a[np.ix_([row_of[c] for c in inner.pivots], cols)]
-    diff = (inner.a[:, cols].astype(np.int16) - own) % outer.p
-    return not reduce_rows(diff, narrow).any()
+    rest = MatFp(outer.p, outer.a[other], tuple(outer.pivots[i] for i in other))
+    own = outer.a[[row_of[c] for c in inner.pivots]]
+    diff = (inner.a.astype(np.int16) - own) % outer.p
+    return not reduce_rows(diff, rest, [c for c in range(inner.ncols) if c not in taken]).any()
 
 
 @lru_cache(maxsize=None)
@@ -300,17 +299,6 @@ def mult_map(basis: MatFp, f: Poly, degree: int) -> MatFp:
         # the ufunc widens basis.a chunk by chunk: no int64 copy of the basis
         acc[:, _mult_colmap(nvars, degree, mono)] += np.multiply(basis.a, c, dtype=np.int64)
     return MatFp(f.p, (acc % f.p).astype(np.uint8))
-
-
-def poly_to_vec(f: Poly, degree: int) -> np.ndarray:
-    """Coordinate row of a homogeneous polynomial in its degree slice."""
-    if not f.is_zero() and f.homogeneous_degree() != degree:
-        raise ValueError(f"polynomial has degree {f.homogeneous_degree()}, expected {degree}")
-    idx = monomial_index(f.nvars, degree)
-    v = np.zeros(num_monomials(f.nvars, degree), dtype=np.uint8)
-    for mono, c in f.terms.items():
-        v[idx[mono]] = c
-    return v
 
 
 def vec_to_poly(p: int, nvars: int, degree: int, row: np.ndarray | Sequence[int]) -> Poly:

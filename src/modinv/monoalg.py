@@ -75,23 +75,6 @@ class MonoAlgebra:
             self._member[m] = got
         return got
 
-    def factorization(self, mono: Sequence[int]) -> dict[Mono2, int] | None:
-        """One expression of the monomial as a product of generators, as
-        generator multiplicities; None for non-members.  Deterministic:
-        greedy over the sorted generator list."""
-        m = _as_mono2(mono)
-        if not self.is_member(m):
-            return None
-        counts: dict[Mono2, int] = {}
-        while m != UNIT:
-            for g in self.generators:
-                rest = mono2_div(m, g)
-                if rest is not None and self.is_member(rest):
-                    counts[g] = counts.get(g, 0) + 1
-                    m = rest
-                    break
-        return counts
-
     def is_atom(self, mono: Sequence[int]) -> bool:
         """Whether the monomial is a non-unit member with no factorization
         into two non-unit members."""

@@ -29,9 +29,6 @@ class PrimeP:
         if any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
             raise ValueError(f"modulus {n} is not prime")
 
-    def __int__(self) -> int:
-        return self.value
-
 
 def var_mono(nvars: int, index: int) -> Mono:
     """Exponent vector of the single variable at ``index`` (0-based)."""
@@ -126,9 +123,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coeff(self, mono: Mono) -> int:
-        return self._terms.get(tuple(mono), 0)
 
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial by convention."""

@@ -22,6 +22,8 @@ from modinv.monoalg import run_preset
 from modinv.poly import Poly
 from modinv.rep import CpRep, is_invariant, norm, norm_decompose, top_norms, transfer
 
+from oracle import poly_to_vec
+
 BOUND = 10
 INSTANCES = [(2, (2,)), (2, (2, 2)), (2, (2, 2, 2)), (3, (3,)), (3, (2, 3))]
 
@@ -148,12 +150,12 @@ def test_criterion_04_socle_witness(canonical_results):
     # replay: every invariant of degree <= 8 annihilates the witness class
     view = cert.final_view
     inv = invariant_slice(rep, BOUND)
-    vec = la.poly_to_vec(witness.element, witness.degree).reshape(1, -1)
+    vec = poly_to_vec(witness.element, witness.degree).reshape(1, -1)
     assert la.reduce_rows(vec, view.den.mat(witness.degree)).any()
     for e in range(1, 9):
         for u in inv.row_polys(e):
             product = u * witness.element
-            pv = la.poly_to_vec(product, witness.degree + e).reshape(1, -1)
+            pv = poly_to_vec(product, witness.degree + e).reshape(1, -1)
             assert not la.reduce_rows(pv, view.den.mat(witness.degree + e)).any()
     # bounded evidence, reported as such
     assert any("not a proof" in n for n in report.notes)

@@ -19,12 +19,14 @@ from modinv.poly import Poly, num_monomials, parse, render
 from modinv.rep import CpRep, is_invariant, norm, top_norms
 from modinv.report import CheckReport
 
+from oracle import poly_to_vec
+
 
 def in_denominator(view, f):
     if f.is_zero():
         return True
     d = f.homogeneous_degree()
-    vec = la.poly_to_vec(f, d).reshape(1, -1)
+    vec = poly_to_vec(f, d).reshape(1, -1)
     return not la.reduce_rows(vec, view.den.mat(d)).any()
 
 

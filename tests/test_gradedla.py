@@ -7,6 +7,8 @@ from modinv import gradedla as la
 from modinv.gradedla import GradedBasis, MatFp
 from modinv.poly import Poly, monomial_index, monomials_of_degree, num_monomials, parse
 
+from oracle import poly_to_vec
+
 VARS2 = ("x[1,1]", "x[2,1]")
 
 
@@ -45,7 +47,7 @@ def in_span(basis: GradedBasis, f: Poly) -> bool:
     if f.is_zero():
         return True
     d = f.homogeneous_degree()
-    return not la.reduce_rows(la.poly_to_vec(f, d).reshape(1, -1), basis.mat(d)).any()
+    return not la.reduce_rows(poly_to_vec(f, d).reshape(1, -1), basis.mat(d)).any()
 
 
 def random_matrix(rng: random.Random, p: int, rows: int, cols: int) -> np.ndarray:
@@ -190,6 +192,38 @@ def test_reduce_rows_p2_matches_plain_residual(width):
     vecs = random_matrix(rng, 2, 4, width)
     assert la.reduce_rows(vecs, empty).tolist() == vecs.tolist()
     assert la.reduce_rows(vecs[:0], basis).shape == (0, width)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reduce_rows_on_columns_is_the_residue_there(p):
+    rng = random.Random(900 + p)
+
+    def residual(v: list[int], basis: list[list[int]]) -> list[int]:
+        # v - v[pivots] @ basis mod p, in plain integers
+        out = list(v)
+        for row, col in zip(basis, oracle_pivots(basis)):
+            out = [(a - v[col] * b) % p for a, b in zip(out, row)]
+        return out
+
+    for rows, width in [(3, 9), (7, 70), (40, 13)]:
+        basis = la.rref(MatFp(p, random_matrix(rng, p, rows, width)))
+        pivots = list(basis.pivots)
+        vecs = random_matrix(rng, p, 8, width)
+        vecs[:2, pivots] = 0  # no pivot coefficients: the residue is the row
+        vecs[2] = 0
+        free = [c for c in range(width) if c not in set(pivots)]
+        col_sets = [[], pivots, free, sorted(rng.sample(range(width), width // 2)), [width - 1, 0]]
+        empty = MatFp(p, np.zeros((0, width), dtype=np.uint8), ())
+        for b in (basis, empty):
+            full = la.reduce_rows(vecs, b)
+            assert full.tolist() == [residual(v, b.a.tolist()) for v in vecs.tolist()]
+            for cols in col_sets:
+                for v in (vecs, vecs[:3], vecs[:0]):
+                    got = la.reduce_rows(v, b, cols)
+                    assert got.dtype == np.uint8 and got.shape == (v.shape[0], len(cols))
+                    assert got.tolist() == la.reduce_rows(v, b)[:, cols].tolist(), (b.nrows, cols)
+        assert not la.reduce_rows(vecs, basis, pivots).any()
+        assert la.reduce_rows(vecs[:2], basis, free).tolist() == vecs[:2, free].tolist()
 
 
 KERNEL_SHAPES = {
@@ -353,7 +387,7 @@ def test_mult_map_matches_polynomial_multiplication():
         for _ in range(3):
             f = f + Poly.monomial(p, nvars, monos[rng.randrange(len(monos))], rng.randrange(p))
         polys.append(f)
-        basis_rows.append(la.poly_to_vec(f, degree))
+        basis_rows.append(poly_to_vec(f, degree))
     g = parse("x[1,1]^2 + 2*x[2,1]^2", VARS2, p)
     basis = MatFp(p, np.array(basis_rows, dtype=np.uint8))
     out = la.mult_map(basis, g, degree)
@@ -405,7 +439,7 @@ def test_mult_colmap_matches_dictionary_lookup():
 def mult_map_oracle(basis: MatFp, f: Poly, degree: int) -> list[list[int]]:
     """Rows of the multiplication map, one polynomial product at a time."""
     shift = f.homogeneous_degree()
-    return [la.poly_to_vec(la.vec_to_poly(basis.p, f.nvars, degree, row) * f,
+    return [poly_to_vec(la.vec_to_poly(basis.p, f.nvars, degree, row) * f,
                            degree + shift).tolist() for row in basis.a]
 
 
@@ -418,7 +452,7 @@ def test_mult_map_rows_match_polynomial_products(p):
     # same product x0*x1*x2, so over GF(2) the row x0*x2 + x1*x2 cancels there
     f = x[0] + x[1] + (p - 1) * x[2]
     crossing = x[0] * x[2] + x[1] * x[2]
-    rows = [la.poly_to_vec(crossing, degree)]
+    rows = [poly_to_vec(crossing, degree)]
     rows += [random_matrix(rng, p, 1, num_monomials(nvars, degree))[0] for _ in range(6)]
     basis = MatFp(p, np.array(rows, dtype=np.uint8))
     out = la.mult_map(basis, f, degree)
@@ -438,9 +472,9 @@ def test_poly_vec_round_trip():
         monos = monomials_of_degree(3, degree)
         row = np.array([rng.randrange(p) for _ in monos], dtype=np.int64)
         f = la.vec_to_poly(p, 3, degree, row)
-        assert la.poly_to_vec(f, degree).tolist() == row.tolist()
+        assert poly_to_vec(f, degree).tolist() == row.tolist()
     with pytest.raises(ValueError):
-        la.poly_to_vec(parse("x[1,1]^2", VARS2, p), 3)
+        poly_to_vec(parse("x[1,1]^2", VARS2, p), 3)
 
 
 def test_graded_basis_accessors():

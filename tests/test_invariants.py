@@ -12,6 +12,8 @@ from modinv.poly import Poly, monomials_of_degree, num_monomials, var_mono
 from modinv.rep import (CpRep, _generator_power_images, is_invariant, norm, sigma,
                         top_norms, transfer)
 
+from oracle import poly_to_vec
+
 
 def oracle_invariant_dim(rep: CpRep, degree: int) -> int:
     """dim ker(sigma - id) on the degree slice, built by applying the group
@@ -21,7 +23,7 @@ def oracle_invariant_dim(rep: CpRep, degree: int) -> int:
     rows = []
     for m in monos:
         f = sigma(rep, Poly.monomial(p, n, m, 1)) - Poly.monomial(p, n, m, 1)
-        rows.append(la.poly_to_vec(f, degree) if not f.is_zero()
+        rows.append(poly_to_vec(f, degree) if not f.is_zero()
                     else np.zeros(len(monos), dtype=np.uint8))
     mat = np.array(rows, dtype=np.uint8)
     return len(monos) - len(la.rref(MatFp(p, mat)).pivots)
@@ -34,7 +36,7 @@ def oracle_transfer_dim(rep: CpRep, degree: int) -> int:
     rows = []
     for m in monos:
         f = transfer(rep, Poly.monomial(p, n, m, 1))
-        rows.append(la.poly_to_vec(f, degree) if not f.is_zero()
+        rows.append(poly_to_vec(f, degree) if not f.is_zero()
                     else np.zeros(len(monos), dtype=np.uint8))
     return len(la.rref(MatFp(p, np.array(rows, dtype=np.uint8))).pivots)
 
@@ -86,7 +88,7 @@ def in_span(basis: GradedBasis, f: Poly) -> bool:
     if f.is_zero():
         return True
     d = f.homogeneous_degree()
-    return not la.reduce_rows(la.poly_to_vec(f, d).reshape(1, -1), basis.mat(d)).any()
+    return not la.reduce_rows(poly_to_vec(f, d).reshape(1, -1), basis.mat(d)).any()
 
 
 def series_coefficients(denominator_degrees: list[int], bound: int) -> list[int]:

@@ -84,16 +84,6 @@ def test_exponent_map_is_additive():
                     assert mono2_mul((i, j), (k, l)) == (i + k, j + l)
 
 
-def test_factorization_witnesses():
-    got = EX2.factorization((8, 4))
-    assert got is not None
-    total = (sum(g[0] * k for g, k in got.items()), sum(g[1] * k for g, k in got.items()))
-    assert total == (8, 4)
-    assert all(EX2.is_member(g) for g in got)
-    assert EX2.factorization((1, 1)) is None
-    assert EX2.factorization((0, 0)) == {}
-
-
 def test_atoms():
     assert EX1.is_atom((2, 0)) and EX1.is_atom((1, 1)) and EX1.is_atom((0, 2))
     assert not EX1.is_atom((2, 2))  # x^2 y^2 = x^2 * y^2
