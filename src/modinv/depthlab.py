@@ -4,11 +4,11 @@ witnesses on degreewise-truncated graded modules.
 Nothing here proves statements about the full module: a passing check is
 evidence up to the stated degree bound, and the reports say so.  A failing
 regularity check is exact: it carries an element annihilated into the
-denominator.  Two failures rest on bounded evidence.  A socle search fails
-when it finds no witness up to its cap, as nine do in
-``depth-report --p 2 --blocks 2,2 --max-degree 8 --search-cap 1``.
-``norm-reduction`` compares with a grade found up to the degree bound,
-which a higher bound can lower; it fails in
+denominator.  Every regularity check is one rank test per degree
+(``_shortfall``), with a left kernel only for a witness a report prints.
+A socle search with no witness passes as inconclusive.  ``norm-reduction``
+fails on bounded evidence: it compares with a grade found up to the degree
+bound, which a higher bound can lower, as in
 ``grade --p 5 --blocks 2,3 --max-degree 10``.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -156,11 +156,6 @@ def ring_module(rep: CpRep, max_degree: int) -> GradedModuleView:
                             check_inclusion=False)
 
 
-# one degree of a regularity check: (degree, module dimension there,
-# nonzero class whose product falls into the denominator or None)
-RegularStep = tuple[int, int, Poly | None]
-
-
 def _regular_candidate_degree(rep: CpRep, f: Poly) -> int:
     """Validate a regularity candidate and return its degree."""
     rep.check_poly(f)
@@ -186,32 +181,44 @@ def _quotient_coords(view: GradedModuleView, product: np.ndarray, degree: int) -
     return la.reduce_rows(product, view.den.mat(degree), view.quotient_mat(degree).pivots)
 
 
-def _regular_step(view: GradedModuleView, f: Poly, e: int, d: int) -> RegularStep:
-    """Injectivity of multiplication by f, of degree e, on degree d."""
+def _shortfall(view: GradedModuleView, f: Poly, e: int, d: int) -> tuple[MatFp, MatFp] | None:
+    """None if multiplication by f, of degree e, is injective on degree d;
+    else the quotient rows q and the RREF r of their products' transposed
+    coordinates, whose null space combines rows of q into annihilated classes."""
     q = view.quotient_mat(d)
     if q.nrows == 0:
-        return d, 0, None
-    p = view.num.p
+        return None
     coords = _quotient_coords(view, la.mult_map(q, f, d).a, d + e)
-    # a left-kernel row combines classes whose products fall into the
-    # denominator; an empty left kernel means f is injective here
-    left = la.kernel(MatFp(p, coords.T))
-    if left.nrows == 0:
-        return d, q.nrows, None
-    wit_row = la.matmul_mod(left.a[:1], q.a, p)
-    return d, q.nrows, la.vec_to_poly(p, view.num.nvars, d, wit_row[0])
+    r = la.rref(MatFp(view.num.p, coords.T))
+    return None if r.nrows == q.nrows else (q, r)
 
 
-def _regular_steps(view: GradedModuleView, f: Poly, e: int) -> Iterator[RegularStep]:
-    """The checks of degrees 0..D-e in order, each run when it is asked for."""
-    return (_regular_step(view, f, e, d) for d in range(view.max_degree - e + 1))
+def _witness(view: GradedModuleView, q: MatFp, r: MatFp, d: int) -> Poly:
+    """The first row of the left kernel, read off the canonical r, times q."""
+    left = la.kernel(r)
+    row = la.matmul_mod(left.a[:1], q.a, view.num.p)[0]
+    return la.vec_to_poly(view.num.p, view.num.nvars, d, row)
+
+
+def _failures(view: GradedModuleView, f: Poly, e: int, start: int = 0,
+              first_only: bool = False) -> list[tuple[int, MatFp, MatFp]]:
+    """The degrees from ``start`` up to D-e where f is not injective, each
+    with its shortfall; with ``first_only``, the first such degree alone."""
+    failures = []
+    for d in range(start, view.max_degree - e + 1):
+        short = _shortfall(view, f, e, d)
+        if short is not None:
+            failures.append((d, *short))
+            if first_only:
+                break
+    return failures
 
 
 def _regular_report(view: GradedModuleView, f: Poly, e: int,
-                    steps: Iterable[RegularStep]) -> CheckReport:
-    """The regular-element report over degrees 0..D-e, built from
-    ``steps`` inside the timing.  Given only the steps up to a first
-    failure, it is a partial report whose first witness is still exact."""
+                    first_only: bool = False) -> CheckReport:
+    """The regular-element report over degrees 0..D-e, checked inside the
+    timing, with one witness per failing degree; with ``first_only``, a
+    partial report up to the first failure, whose witness is still exact."""
     rep = view.rep
     bound = view.max_degree
     degrees = list(range(0, bound - e + 1))
@@ -227,20 +234,17 @@ def _regular_report(view: GradedModuleView, f: Poly, e: int,
         degrees_checked=degrees,
     )
     with timed(report):
-        nonzero_seen = False
-        for d, dim_d, witness in steps:
-            nonzero_seen = nonzero_seen or dim_d > 0
-            if witness is not None:
-                report.passed = False
-                report.witnesses.append({
-                    "degree": d,
-                    "annihilated": render(witness, rep.varnames),
-                    "product_in_denominator": True,
-                })
+        for d, q, r in _failures(view, f, e, first_only=first_only):
+            report.passed = False
+            report.witnesses.append({
+                "degree": d,
+                "annihilated": render(_witness(view, q, r, d), rep.varnames),
+                "product_in_denominator": True,
+            })
         if not degrees:
             report.notes.append(
                 f"element degree {e} exceeds the bound {bound}; nothing was checkable")
-        elif not nonzero_seen:
+        elif not any(view.dim(d) for d in degrees):
             report.notes.append("vacuous: the module is zero in every checked degree")
         if degrees and report.passed:
             report.notes.append(
@@ -250,23 +254,13 @@ def _regular_report(view: GradedModuleView, f: Poly, e: int,
 
 def is_regular_element(view: GradedModuleView, f: Poly) -> CheckReport:
     """Check that multiplication by f is injective on every checkable
-    degree slice of the module.  Failure carries an explicit nonzero
-    element whose product with f falls into the denominator.
+    degree slice of the module.  Each failing degree carries an explicit
+    nonzero element whose product with f falls into the denominator.
 
     All degrees 0..D-deg(f) are examined even after a failure, so the
     report does not depend on evaluation order.
     """
-    e = _regular_candidate_degree(view.rep, f)
-    return _regular_report(view, f, e, _regular_steps(view, f, e))
-
-
-def _through_first_failure(steps: Iterator[RegularStep]) -> Iterator[RegularStep]:
-    """Pass steps on up to and including the first one with a witness,
-    leaving the rest of ``steps`` unrun."""
-    for step in steps:
-        yield step
-        if step[2] is not None:
-            return
+    return _regular_report(view, f, _regular_candidate_degree(view.rep, f))
 
 
 @dataclass
@@ -356,11 +350,10 @@ def _generators(rep: CpRep, bound: int, degree: int) -> tuple[Poly, ...]:
     return tuple(la.vec_to_poly(p, rep.nvars, degree, row) for row in fresh.a)
 
 
-def socle_search(view: GradedModuleView,
-                 witness_degree_cap: int | None = None) -> tuple[SocleWitness | None, CheckReport]:
-    """Look for a nonzero class annihilated by every invariant of every
-    positive degree that still fits under the bound.  Returns the
-    lowest-degree witness, if any survives all checkable constraints.
+def socle_search(view: GradedModuleView) -> tuple[SocleWitness | None, CheckReport]:
+    """Look for a nonzero class of degree at most D-2 annihilated by every
+    invariant of every positive degree that still fits under the bound.
+    Returns the lowest-degree witness, if any; finding none is inconclusive.
 
     Candidates are multiplied only by the generators of the invariant ring
     in those degrees.  That kills the same classes as every invariant
@@ -369,12 +362,12 @@ def socle_search(view: GradedModuleView,
     products of generators with invariants span every positive degree."""
     rep = view.rep
     bound = view.max_degree
-    cap = bound - 2 if witness_degree_cap is None else min(witness_degree_cap, bound)
+    cap = bound - 2
     inv = invariant_slice(rep, bound)
     report = CheckReport(
         name="socle-search",
         params={"module": view.label, "witness_degree_cap": cap, "max_degree": bound},
-        passed=False,
+        passed=True,
     )
     witness: SocleWitness | None = None
     with timed(report):
@@ -409,7 +402,6 @@ def socle_search(view: GradedModuleView,
                     rendered=render(poly, rep.varnames),
                     annihilator_degrees=ann_degrees,
                 )
-                report.passed = True
                 report.witnesses.append({
                     "degree": d,
                     "element": witness.rendered,
@@ -421,7 +413,7 @@ def socle_search(view: GradedModuleView,
                 break
         if witness is None:
             report.notes.append(
-                f"no socle element found for witness degrees 0..{cap}; "
+                f"inconclusive: no socle element found for witness degrees 0..{cap}; "
                 "maximality evidence is missing")
     return witness, report
 
@@ -459,13 +451,13 @@ def _greedy_regular(view: GradedModuleView,
     the certificate of the sequence found and the failure records of the
     final, exhausted round.
 
-    Within a round a candidate is checked degree by degree and set aside at
-    its first failing degree, with its remaining degrees left unrun; an
-    accepted element has passed every degree, so its step report is the one
-    ``is_regular_element`` gives.  Only the final round, whose records reach
-    the report, runs the remaining degrees, so every record still lists all
-    failing degrees.  A zero module is refused, and so is a sequence longer
-    than n = dim V: none is regular, so the bound is too small."""
+    Within a round a candidate is checked up to its first failing degree;
+    an accepted element has passed every degree, so its step report is the
+    one ``is_regular_element`` gives.  Only the final round, whose records
+    reach the report, rank-tests the later degrees of its rejected
+    candidates, without witnesses.  A zero module is refused, and so is a
+    sequence longer than n = dim V: none is regular, so the bound is too
+    small."""
     if view.is_zero():
         raise ZeroModuleError(f"module {view.label!r} is zero up to degree {view.max_degree}")
     varnames = view.rep.varnames
@@ -474,31 +466,29 @@ def _greedy_regular(view: GradedModuleView,
     steps: list[CheckReport] = []
     last_failures: list[dict] = [{"note": "module is zero up to the bound; search stopped"}]
     while not current.is_zero():
-        dims = current.dims()
         rejected = []
         for f, e in candidates:
             if any(f == g for g in found):
                 continue
-            rest = _regular_steps(current, f, e)
-            # complete if f passes; otherwise partial, with ``rest`` suspended
-            rpt = _regular_report(current, f, e, _through_first_failure(rest))
+            # complete if f passes; otherwise partial, up to its first failure
+            rpt = _regular_report(current, f, e, first_only=True)
             # a pass on degrees where the module is zero is vacuous
-            if rpt.passed and any(dims[d] for d in range(current.max_degree - e + 1)):
+            if rpt.passed and any(current.dim(d) for d in range(current.max_degree - e + 1)):
                 current = _accept_step(current, f, e, rpt)  # the pool is validated
                 steps.append(rpt)
                 found.append(f)
                 break
-            rejected.append((f, rpt, rest))
+            rejected.append((f, e, rpt))
         else:
             last_failures = []
-            for f, rpt, rest in rejected:
+            for f, e, rpt in rejected:
                 record = {"element": render(f, varnames)}
                 if rpt.passed:
                     record["skipped"] = "no checkable degree"
                 else:
                     first = rpt.witnesses[0]
                     record["failing_degrees"] = [first["degree"]] + [
-                        d for d, _, witness in rest if witness is not None]
+                        d for d, _, _ in _failures(current, f, e, first["degree"] + 1)]
                     record["witness"] = first["annihilated"]
                 last_failures.append(record)
             break

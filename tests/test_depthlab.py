@@ -6,7 +6,7 @@ from modinv import gradedla as la
 from modinv.depthlab import (BoundTooSmallError, DepthEvidence, DepthInstance,
                              GradedModuleView, RegSeqCert, ZeroModuleError,
                              _candidate_pool, _generators, _greedy_regular,
-                             _regular_step, bounded_depth,
+                             _shortfall, _witness, bounded_depth,
                              bounded_grade, canonical_sequence,
                              depth_inequality_audit, depth_report, expected_depth,
                              ideal_modules, is_regular_element, norm_reduction_check,
@@ -150,26 +150,31 @@ def test_socle_search_on_finite_quotient():
             assert in_denominator(view, u * witness.element)
 
 
-def test_socle_search_respects_witness_cap():
+def test_socle_search_without_witness_is_inconclusive():
     rep = CpRep.make(2, (2, 2))
     ring = ring_module(rep, 8)
-    witness, report = socle_search(ring, witness_degree_cap=3)
-    # the invariant ring itself has no socle in low degrees
+    witness, report = socle_search(ring)
+    # the invariant ring itself has no socle below the bound: missing
+    # maximality evidence is no failure
     assert witness is None
-    assert not report.passed
-    assert report.degrees_checked == [0, 1, 2, 3]
+    assert report.passed
+    assert report.witnesses == []
+    assert report.params["witness_degree_cap"] == 6
+    assert report.degrees_checked == list(range(7))
+    assert report.notes == ["inconclusive: no socle element found for witness degrees 0..6; "
+                            "maximality evidence is missing"]
 
 
-def socle_search_all_rows(view, witness_degree_cap=None):
+def socle_search_all_rows(view):
     """Reference socle search: multiplies the candidates by every invariant
     basis row of every checkable degree, not only by the generators."""
     rep = view.rep
     bound = view.max_degree
-    cap = bound - 2 if witness_degree_cap is None else min(witness_degree_cap, bound)
+    cap = bound - 2
     inv = invariant_slice(rep, bound)
     report = CheckReport(name="socle-search",
                          params={"module": view.label, "witness_degree_cap": cap, "max_degree": bound},
-                         passed=False)
+                         passed=True)
     p = view.num.p
     for d in range(0, cap + 1):
         report.degrees_checked.append(d)
@@ -190,12 +195,11 @@ def socle_search_all_rows(view, witness_degree_cap=None):
         if candidates.shape[0] and ann_degrees:
             vec = la.rref(MatFp(p, candidates)).a[0]
             rendered = render(la.vec_to_poly(p, view.num.nvars, d, vec), rep.varnames)
-            report.passed = True
             report.witnesses.append({"degree": d, "element": rendered, "annihilator_degrees": ann_degrees})
             report.notes.append(f"witness killed by all invariants of degree 1..{ann_degrees[-1]}; "
                                 "evidence is bounded, not a proof")
             return report
-    report.notes.append(f"no socle element found for witness degrees 0..{cap}; "
+    report.notes.append(f"inconclusive: no socle element found for witness degrees 0..{cap}; "
                         "maximality evidence is missing")
     return report
 
@@ -226,7 +230,7 @@ def test_socle_search_over_generators_matches_all_rows(p, kind):
     witness, report = socle_search(view)
     want = socle_search_all_rows(view)
     assert report.to_json_dict() == want.to_json_dict()
-    assert (witness is not None) == want.passed
+    assert (witness is not None) == bool(want.witnesses)
     if witness is not None:
         assert want.witnesses[0]["element"] == witness.rendered
 
@@ -324,9 +328,11 @@ def test_quotient_coordinates_match_elimination(p, blocks, bound, monkeypatch):
                        for a, b in zip(dens, full_numerator_denominators(view, f)))
         for f, e in pool:
             for d in range(bound - e + 1):
-                got = _regular_step(view, f, e, d)
+                short = _shortfall(view, f, e, d)
+                witness = None if short is None else _witness(view, *short, d)
+                got = (d, view.dim(d), witness)
                 assert got == full_width_regular_step(view, f, e, d), (name, render(f, rep.varnames), d)
-                outcomes.add(got[2] is None)
+                outcomes.add(short is None)
     # both injective and annihilating steps were compared
     assert outcomes == {True, False}
     # and the denominator term was needed in some of the coordinates
@@ -404,6 +410,38 @@ def test_validated_elements_are_not_checked_again(monkeypatch):
     # the public quotient step keeps its check
     ring.quotient_by(seq[0])
     assert calls == [seq[0]]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_left_kernels_are_taken_only_for_reported_witnesses(p, monkeypatch):
+    rep = CpRep.make(p, (2, 2))
+    bound = 8
+    views = [ring_module(rep, bound), *ideal_modules(rep, canonical_sequence(rep)[:2], bound),
+             transfer_quotient_module(rep, bound)]
+    pool = _candidate_pool(rep, bound, p)
+    real = la.kernel
+    kernels = []
+
+    def counting(mat):
+        left = real(mat)
+        kernels.append(left.nrows)
+        return left
+
+    monkeypatch.setattr(la, "kernel", counting)
+    failing = 0
+    for view in views:
+        # an injective degree is a rank test alone: no kernel, so none is zero
+        _greedy_regular(view, pool)
+        assert kernels and all(kernels), view.label
+        for f, _ in pool:
+            kernels.clear()
+            report = is_regular_element(view, f)
+            assert all(kernels), (view.label, render(f, rep.varnames))
+            assert len(kernels) == len(report.witnesses), (view.label, render(f, rep.varnames))
+            failing += len(report.witnesses) > 1
+        kernels.clear()
+    # some full checks reported several witnesses
+    assert failing
 
 
 def test_bounded_depth_of_invariant_rings():
