@@ -12,11 +12,12 @@ characteristic is read off the canonical RREF.  One residue routine,
 caller asks for: mod 2 in one gathered XOR of packed basis rows, odd p in
 one float64 product over those columns only.  A mod-2 multiplication map
 XORs the uint8 basis into its output through each term's column map; odd
-primes accumulate the terms in int64 and reduce once.  Column maps are
-ranked in one vectorised step from cached exponent arrays.  Inclusion of
-row spaces is read off canonical forms: the inner pivots must be outer
-pivots, and what is left of each inner row after its pivot's outer row is
-reduced modulo the other outer rows on the columns off the inner pivots.
+primes accumulate the terms in int64 and reduce once.  Every monomial
+position is a binomial rank of exponent rows (``monomial_positions``), and
+``rows_off_pivots`` is the one echelon row selection.  Inclusion of row
+spaces is read off canonical forms: the inner pivots must be outer pivots,
+and what is left of each inner row after its pivot's outer row is reduced
+modulo the other outer rows on the columns off the inner pivots.
 """
 
 from __future__ import annotations
@@ -221,6 +222,19 @@ def kernel(mat: MatFp) -> MatFp:
     return rref(MatFp(mat.p, out.astype(np.uint8)))
 
 
+def rows_off_pivots(num: MatFp, sub: MatFp) -> MatFp | None:
+    """The rows of canonical ``num`` off the pivots of canonical ``sub``;
+    None when a pivot of ``sub`` is no pivot of ``num``, so ``sub`` is not
+    inside ``num``.  Otherwise each such row is zero on every pivot of
+    ``sub``, so the rows are their own residues modulo ``sub`` and equal the
+    RREF of the reduced ``num``, with no elimination."""
+    sub_pivots = set(sub.pivots)
+    if not sub_pivots.issubset(num.pivots):
+        return None
+    keep = [i for i, c in enumerate(num.pivots) if c not in sub_pivots]
+    return MatFp(num.p, num.a[keep], tuple(num.pivots[i] for i in keep))
+
+
 def subspace_le(inner: MatFp, outer: MatFp) -> bool:
     """Row space inclusion test on canonical forms.
 
@@ -235,21 +249,22 @@ def subspace_le(inner: MatFp, outer: MatFp) -> bool:
     if inner.nrows == 0:
         return True
     outer = outer if outer.is_rref else rref(outer)
-    row_of = {c: i for i, c in enumerate(outer.pivots)}
-    if any(c not in row_of for c in inner.pivots):
+    rest = rows_off_pivots(outer, inner)
+    if rest is None:
         return False
-    taken = set(inner.pivots)
-    other = [i for i, c in enumerate(outer.pivots) if c not in taken]
-    rest = MatFp(outer.p, outer.a[other], tuple(outer.pivots[i] for i in other))
-    own = outer.a[[row_of[c] for c in inner.pivots]]
+    own = outer.a[np.searchsorted(outer.pivots, inner.pivots)]  # pivots ascend
     diff = (inner.a.astype(np.int16) - own) % outer.p
+    taken = set(inner.pivots)
     return not reduce_rows(diff, rest, [c for c in range(inner.ncols) if c not in taken]).any()
 
 
 @lru_cache(maxsize=None)
-def _exponents(nvars: int, degree: int) -> np.ndarray:
-    """The degree slice's exponent vectors as rows, in coordinate order."""
-    return np.array(monomials_of_degree(nvars, degree), dtype=np.int64).reshape(-1, nvars)
+def exponents(nvars: int, degree: int) -> np.ndarray:
+    """The degree slice's exponent vectors as rows, in coordinate order;
+    cached, so read-only."""
+    exps = np.array(monomials_of_degree(nvars, degree), dtype=np.int64).reshape(-1, nvars)
+    exps.setflags(write=False)
+    return exps
 
 
 @lru_cache(maxsize=None)
@@ -260,21 +275,28 @@ def _rank_table(nvars: int, degree: int) -> np.ndarray:
                      for m in range(nvars)], dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
-def _mult_colmap(nvars: int, degree: int, mono: Mono) -> np.ndarray:
-    """Index map of multiplication by one monomial: position i in degree
-    ``degree`` goes to position map[i] in degree ``degree + sum(mono)``.
+def monomial_positions(exps: np.ndarray) -> np.ndarray:
+    """Positions of exponent rows of one common degree in that degree's
+    slice, the only place a position is computed.
 
     In descending lexicographic order, the monomials before one whose
     exponents leave s_i of the degree after position i are, summed over i,
     those agreeing before i with a larger exponent at i: C(s_i - 1 + m, m)
     of them, m = nvars - 1 - i.  Every partial sum is below the slice
     width, so the int64 rank is exact."""
-    target = degree + sum(mono)
-    exps = _exponents(nvars, degree) + np.asarray(mono, dtype=np.int64)
-    rest = target - np.cumsum(exps, axis=1)
-    m = np.arange(nvars - 1, 0, -1)
-    return _rank_table(nvars, target)[m, rest[:, :-1]].sum(axis=1, dtype=np.intp)
+    totals = np.cumsum(exps, axis=1)
+    degree = int(totals[0, -1]) if len(totals) else 0
+    if (totals[:, -1] != degree).any():
+        raise ValueError("exponent rows of differing degrees have no common slice")
+    m = np.arange(exps.shape[1] - 1, 0, -1)
+    return _rank_table(exps.shape[1], degree)[m, degree - totals[:, :-1]].sum(axis=1, dtype=np.intp)
+
+
+@lru_cache(maxsize=None)
+def _mult_colmap(nvars: int, degree: int, mono: Mono) -> np.ndarray:
+    """Index map of multiplication by one monomial: position i in degree
+    ``degree`` goes to position map[i] in degree ``degree + sum(mono)``."""
+    return monomial_positions(exponents(nvars, degree) + np.asarray(mono, dtype=np.int64))
 
 
 def mult_map(basis: MatFp, f: Poly, degree: int) -> MatFp:

@@ -13,40 +13,32 @@ the variables under that power); in characteristic p this is
 (sigma - 1)^(p-1), since (x - 1)^(p-1) = sum x^k in F_p[x].  The canonical
 echelon form of a direct sum on disjoint columns is the union of the pieces'
 echelon forms ordered by pivot, so the pieces are eliminated separately and
-merged without a further elimination.
+merged without a further elimination.  Monomial positions (a piece's
+columns, a monomial's parent) are ranks in ``gradedla``, with no loop.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from . import gradedla as la
 from .gradedla import GradedBasis, MatFp
-from .poly import Poly, monomial_index, monomials_of_degree, num_monomials, var_mono
+from .poly import Poly, monomials_of_degree, num_monomials, var_mono
 from .rep import CpRep, _generator_power_images, is_invariant
 
 
 @lru_cache(maxsize=None)
 def _mono_parents(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """For each degree-d monomial: the first variable with a positive
-    exponent, and the index of the monomial divided by it in degree d-1."""
+    exponent, and the position of the monomial divided by it in degree d-1."""
     if degree < 1:
         raise ValueError("parents exist only from degree 1 up")
-    monos = monomials_of_degree(nvars, degree)
-    below = monomial_index(nvars, degree - 1)
-    var_of = np.empty(len(monos), dtype=np.intp)
-    parent = np.empty(len(monos), dtype=np.intp)
-    for i, m in enumerate(monos):
-        v = next(idx for idx, e in enumerate(m) if e)
-        var_of[i] = v
-        reduced = list(m)
-        reduced[v] -= 1
-        parent[i] = below[tuple(reduced)]
-    return var_of, parent
+    exps = la.exponents(nvars, degree)
+    var_of = np.argmax(exps > 0, axis=1)
+    return var_of, la.monomial_positions(exps - np.eye(nvars, dtype=np.int64)[var_of])
 
 
 def _next_degree_matrix(rep: CpRep, degree: int, prev: np.ndarray, power: int) -> np.ndarray:
@@ -105,9 +97,10 @@ def _piece_columns(blocks: tuple[int, ...], multidegree: tuple[int, ...]) -> np.
     """Positions in the degree slice of the piece's monomials, listed in
     Kronecker order (first block outermost).  Each block lists its
     monomials in descending lex order, so the positions increase."""
-    index = monomial_index(sum(blocks), sum(multidegree))
-    parts = [monomials_of_degree(n, d) for n, d in zip(blocks, multidegree)]
-    return np.fromiter((index[sum(combo, ())] for combo in product(*parts)), dtype=np.intp)
+    parts = [la.exponents(n, e) for n, e in zip(blocks, multidegree)]
+    # row-major indices over the blocks' slices run in Kronecker order
+    grid = np.indices([len(exps) for exps in parts]).reshape(len(parts), -1)
+    return la.monomial_positions(np.hstack([exps[i] for exps, i in zip(parts, grid)]))
 
 
 def _merge_pieces(p: int, width: int, pieces: list[tuple[np.ndarray, MatFp]]) -> MatFp:

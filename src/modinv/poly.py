@@ -52,12 +52,6 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple[Mono, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def monomial_index(nvars: int, degree: int) -> Mapping[Mono, int]:
-    """Position of each degree-``degree`` monomial in the fixed order."""
-    return {m: i for i, m in enumerate(monomials_of_degree(nvars, degree))}
-
-
 def num_monomials(nvars: int, degree: int) -> int:
     return math.comb(degree + nvars - 1, nvars - 1)
 

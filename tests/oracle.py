@@ -1,8 +1,17 @@
 """Helpers the tests share and the package does not need."""
 
+from functools import lru_cache
+
 import numpy as np
 
-from modinv.poly import Poly, monomial_index, num_monomials
+from modinv.poly import Poly, monomials_of_degree, num_monomials
+
+
+@lru_cache(maxsize=None)
+def monomial_index(nvars: int, degree: int) -> dict:
+    """Position of each degree-``degree`` monomial in the enumeration order:
+    the dictionary the package's rank is checked against."""
+    return {m: i for i, m in enumerate(monomials_of_degree(nvars, degree))}
 
 
 def poly_to_vec(f: Poly, degree: int) -> np.ndarray:

@@ -72,6 +72,9 @@ PINNED_REPORTS = {
     # odd p with several blocks: the prefix-ideal quotient chain at odd p
     "depth-report --p 3 --blocks 2,2 --max-degree 8":
         "a98b918ae25ad88e03de841df60f09e576fea46891dbf5e8927db014ee3857e5",
+    # a size-1 block, whose positions are ranked over one variable
+    "hilbert --p 3 --blocks 1,2 --max-degree 8":
+        "c4c31834f504236063feda7766106acbaebd424b9c9b6281eede6207a35fae1f",
 }
 
 
@@ -249,6 +252,18 @@ def test_grade_command():
     doc = json.loads(out)
     assert doc["checks"][-1]["name"] == "norm-reduction"
     assert doc["checks"][-1]["pass"]
+
+
+def test_grade_disagreement_on_bounded_evidence_is_inconclusive():
+    # the grade lower bound 3 holds only up to degree 10; at --max-degree 12
+    # it is 2 and the sides agree, so the disagreement is no failure
+    code, out, _ = invoke(["grade", "--p", "5", "--blocks", "2,3", "--max-degree", "10"])
+    assert code == 0
+    summary = json.loads(out)["checks"][-1]
+    assert summary["name"] == "norm-reduction" and summary["pass"]
+    assert (summary["params"]["depth_lower"], summary["params"]["grade_lower"]) == (4, 3)
+    assert summary["notes"] == ["inconclusive: depth evidence 4 vs grade evidence 3 + 2 blocks "
+                                "disagree; both sides are verified only up to degree 10"]
 
 
 def test_depth_report_command():

@@ -5,9 +5,9 @@ import pytest
 
 from modinv import gradedla as la
 from modinv.gradedla import GradedBasis, MatFp
-from modinv.poly import Poly, monomial_index, monomials_of_degree, num_monomials, parse
+from modinv.poly import Poly, monomials_of_degree, num_monomials, parse
 
-from oracle import poly_to_vec
+from oracle import monomial_index, poly_to_vec
 
 VARS2 = ("x[1,1]", "x[2,1]")
 
@@ -363,6 +363,20 @@ def test_subspace_le_matches_rank_inclusion(p, monkeypatch):
     assert la.subspace_le(la.MatFp(p, outer.a[:1], outer.pivots[:1]), outer)
 
 
+def test_rows_off_pivots_selects_or_refuses():
+    p = 5
+    num = la.rref(MatFp(p, np.array([[1, 2, 0, 0], [0, 0, 1, 3], [0, 0, 0, 1]], dtype=np.uint8)))
+    sub = la.rref(MatFp(p, num.a[1:2]))
+    got = la.rows_off_pivots(num, sub)
+    assert got.pivots == (0, 3) and got.a.tolist() == num.a[[0, 2]].tolist()
+    # the quotient rows equal the RREF of num reduced modulo sub
+    reduced = la.reduce_rows(num.a, sub)
+    assert got == la.rref(MatFp(p, reduced))
+    assert la.rows_off_pivots(num, la.rref(MatFp(p, num.a[:0]))) == num
+    # a pivot of sub (column 1) that is no pivot of num
+    assert la.rows_off_pivots(num, la.rref(MatFp(p, np.array([[0, 1, 0, 0]], dtype=np.uint8)))) is None
+
+
 def test_kernel_canonical_form():
     p = 3
     a = MatFp(p, np.array([[1, 2, 0], [0, 0, 1]], dtype=np.uint8))
@@ -434,6 +448,23 @@ def test_mult_colmap_matches_dictionary_lookup():
         got = la._mult_colmap(nvars, degree, mono)
         want = dict_colmap(nvars, degree, mono)
         assert got.dtype == want.dtype and got.tolist() == want.tolist(), (nvars, degree, mono)
+
+
+@pytest.mark.parametrize("nvars", range(1, 8))
+def test_monomial_positions_are_enumeration_indices(nvars):
+    for degree in range(9):
+        exps = la.exponents(nvars, degree)
+        assert exps.tolist() == [list(m) for m in monomials_of_degree(nvars, degree)]
+        got = la.monomial_positions(exps)
+        assert got.dtype == np.intp and got.tolist() == list(range(len(exps))), degree
+        # rows in any order: each row gets its own position
+        assert la.monomial_positions(exps[::-1]).tolist() == list(range(len(exps)))[::-1]
+    assert la.monomial_positions(np.zeros((0, nvars), dtype=np.int64)).tolist() == []
+
+
+def test_monomial_positions_refuse_mixed_degrees():
+    with pytest.raises(ValueError, match="differing degrees"):
+        la.monomial_positions(np.array([[2, 0], [0, 1]], dtype=np.int64))
 
 
 def mult_map_oracle(basis: MatFp, f: Poly, degree: int) -> list[list[int]]:

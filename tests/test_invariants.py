@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from modinv.poly import Poly, monomials_of_degree, num_monomials, var_mono
 from modinv.rep import (CpRep, _generator_power_images, is_invariant, norm, sigma,
                         top_norms, transfer)
 
-from oracle import poly_to_vec
+from oracle import monomial_index, poly_to_vec
 
 
 def oracle_invariant_dim(rep: CpRep, degree: int) -> int:
@@ -59,6 +60,43 @@ def dense_power_matrix(rep: CpRep, k: int, degree: int, prev: np.ndarray) -> np.
             colmap = la._mult_colmap(n, degree - 1, var_mono(n, target))
             acc[np.ix_(rows_v, colmap)] += coeff * block
     return (acc % p).astype(np.uint8)
+
+
+def dict_mono_parents(nvars: int, degree: int) -> tuple[list[int], list[int]]:
+    """First positive variable and parent position of each monomial, by
+    walking the monomials and looking the parent up in a dictionary."""
+    below = monomial_index(nvars, degree - 1)
+    var_of, parent = [], []
+    for m in monomials_of_degree(nvars, degree):
+        v = next(idx for idx, e in enumerate(m) if e)
+        reduced = list(m)
+        reduced[v] -= 1
+        var_of.append(v)
+        parent.append(below[tuple(reduced)])
+    return var_of, parent
+
+
+def dict_piece_columns(blocks: tuple[int, ...], multidegree: tuple[int, ...]) -> list[int]:
+    """Piece positions by joining the blocks' monomials in Kronecker order
+    and looking each one up in a dictionary."""
+    index = monomial_index(sum(blocks), sum(multidegree))
+    parts = [monomials_of_degree(n, d) for n, d in zip(blocks, multidegree)]
+    return [index[sum(combo, ())] for combo in product(*parts)]
+
+
+@pytest.mark.parametrize("blocks", [(1, 2), (5,), (2, 2, 2, 2), (3, 4), (2, 3, 2)])
+def test_positions_match_dictionary_references(blocks):
+    n = sum(blocks)
+    with pytest.raises(ValueError):
+        _mono_parents(n, 0)
+    for degree in range(1, 9):
+        var_of, parent = _mono_parents(n, degree)
+        assert (var_of.tolist(), parent.tolist()) == dict_mono_parents(n, degree), degree
+    for degree in range(9):
+        for multidegree in monomials_of_degree(len(blocks), degree):
+            got = _piece_columns(blocks, multidegree)
+            assert got.dtype == np.intp
+            assert got.tolist() == dict_piece_columns(blocks, multidegree), multidegree
 
 
 def dense_slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
