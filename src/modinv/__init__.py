@@ -6,10 +6,9 @@ from .depthlab import (DEFAULT_MAX_DEGREE, BoundTooSmallError, DepthEvidence,
                        DepthInstance, GradedModuleView, RegSeqCert, ZeroModuleError,
                        bounded_depth, bounded_grade, canonical_sequence,
                        depth_inequality_audit, depth_report, expected_depth,
-                       ideal_modules, is_regular_element, norm_reduction_check,
-                       ring_module, socle_search, transfer_ideal_module,
-                       transfer_quotient_check, transfer_quotient_module,
-                       verify_regular_sequence)
+                       is_regular_element, norm_reduction_check, ring_module,
+                       socle_search, transfer_ideal_module, transfer_quotient_check,
+                       transfer_quotient_module, verify_regular_sequence)
 from .invariants import (dimension_growth_check, finite_difference, ideal_slice,
                          invariant_slice, transfer_slice)
 from .monoalg import (FreeDecomp, Lattice2, MonoAlgebra, MonoPreset, PRESETS,
@@ -17,7 +16,7 @@ from .monoalg import (FreeDecomp, Lattice2, MonoAlgebra, MonoPreset, PRESETS,
                       verify_free_decomp, verify_height_witness)
 from .poly import Poly, PolyParseError, PrimeP, parse, render
 from .rep import (CpRep, DecompResult, TrivialSummandError, is_invariant, norm,
-                  norm_decompose, sigma, top_norms, transfer)
+                  norm_decompose, sigma, top_norms)
 from .report import CheckReport, dumps_report
 
 __version__ = "0.1.0"
@@ -30,11 +29,11 @@ __all__ = [
     "ZeroModuleError", "bounded_depth", "bounded_grade", "canonical_sequence",
     "depth_inequality_audit", "depth_report", "dimension_growth_check",
     "dumps_report", "expected_depth", "finite_difference",
-    "hilbert_enumeration_check", "ideal_modules", "ideal_slice", "invariant_slice",
+    "hilbert_enumeration_check", "ideal_slice", "invariant_slice",
     "is_invariant", "is_regular_element", "non_factorial_witness", "norm",
     "norm_decompose", "norm_reduction_check", "parse", "render",
     "ring_module", "run_preset", "sigma", "socle_search", "top_norms",
-    "transfer", "transfer_ideal_module",
-    "transfer_quotient_check", "transfer_quotient_module", "transfer_slice",
-    "verify_free_decomp", "verify_height_witness", "verify_regular_sequence",
+    "transfer_ideal_module", "transfer_quotient_check", "transfer_quotient_module",
+    "transfer_slice", "verify_free_decomp", "verify_height_witness",
+    "verify_regular_sequence",
 ]

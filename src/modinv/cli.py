@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from os import environ
 from typing import Sequence, TextIO
 
-from . import depthlab, monoalg
+from . import __version__, depthlab, monoalg
 from .depthlab import DEFAULT_MAX_DEGREE
 from .invariants import dimension_growth_check, invariant_slice, transfer_slice
 from .poly import Poly, PolyParseError, parse, render
@@ -25,7 +25,7 @@ from .rep import CpRep, is_invariant, norm_decompose
 from .report import CheckReport, dumps_report, timed
 
 TOOL_NAME = "modinv"
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 
 class ConfigError(ValueError):
@@ -228,7 +228,9 @@ def _cmd_monomial_example(args: argparse.Namespace) -> list[CheckReport]:
 def _add_rep_arguments(sub: argparse.ArgumentParser, max_degree_default: int = DEFAULT_MAX_DEGREE) -> None:
     sub.add_argument("--p", type=int, required=True, help="prime characteristic / group order")
     sub.add_argument("--blocks", required=True,
-                     help="comma-separated block sizes, e.g. 2,2 (each between 2 and p)")
+                     help="comma-separated block sizes, e.g. 2,2, each between 1 and p; "
+                          "depth-report, grade, transfer-quotient and canonical regseq "
+                          "need sizes of at least 2")
     sub.add_argument("--max-degree", type=int, default=max_degree_default,
                      help=f"degree bound for all slices (default {max_degree_default})")
 

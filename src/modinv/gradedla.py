@@ -1,8 +1,9 @@
 """Exact linear algebra over prime fields on degreewise coordinate spaces.
 
 Matrices follow the row convention: a row is a vector, and a linear map
-sends ``v`` to ``v @ A``.  Coordinates in degree ``d`` are indexed by
-``poly.monomials_of_degree``.  This is the only layer that branches on the
+sends ``v`` to ``v @ A``.  Coordinates in degree ``d`` are indexed by the
+rows of ``exponents``, the one monomial enumeration (descending
+lexicographic order).  This is the only layer that branches on the
 characteristic.  Mod-2 elimination keeps each row as one Python integer;
 odd primes use one classic elimination on int32 (exact for p <= 251:
 entries stay below p and each update term is at most (p-1)**2) that
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import Mono, Poly, monomials_of_degree, num_monomials
+from .poly import Mono, Poly, num_monomials
 
 
 class MatFp:
@@ -260,9 +261,18 @@ def subspace_le(inner: MatFp, outer: MatFp) -> bool:
 
 @lru_cache(maxsize=None)
 def exponents(nvars: int, degree: int) -> np.ndarray:
-    """The degree slice's exponent vectors as rows, in coordinate order;
-    cached, so read-only."""
-    exps = np.array(monomials_of_degree(nvars, degree), dtype=np.int64).reshape(-1, nvars)
+    """The degree slice's exponent vectors as rows, in descending
+    lexicographic order: the coordinate order of every slice.  The rows
+    with first exponent e are e beside the (nvars - 1)-variable slice of
+    degree - e, for e = degree..0.  Cached, so read-only."""
+    if nvars < 1 or degree < 0:
+        raise ValueError(f"bad monomial enumeration request ({nvars=}, {degree=})")
+    if nvars == 1:
+        exps = np.array([[degree]], dtype=np.int64)
+    else:
+        tails = [exponents(nvars - 1, degree - e) for e in range(degree, -1, -1)]
+        heads = np.repeat(np.arange(degree, -1, -1, dtype=np.int64), [len(t) for t in tails])
+        exps = np.column_stack((heads, np.vstack(tails)))
     exps.setflags(write=False)
     return exps
 
@@ -324,11 +334,13 @@ def mult_map(basis: MatFp, f: Poly, degree: int) -> MatFp:
 
 
 def vec_to_poly(p: int, nvars: int, degree: int, row: np.ndarray | Sequence[int]) -> Poly:
-    monos = monomials_of_degree(nvars, degree)
+    exps = exponents(nvars, degree)
     data = np.asarray(row, dtype=np.int64) % p
-    if data.shape != (len(monos),):
+    if data.shape != (len(exps),):
         raise ValueError(f"row length {data.shape} does not match degree-{degree} slice")
-    return Poly(p, nvars, {monos[i]: int(c) for i, c in enumerate(data) if c})
+    nonzero = np.flatnonzero(data)
+    # tolist: exponents and coefficients are Python ints, as in every Poly
+    return Poly(p, nvars, dict(zip(map(tuple, exps[nonzero].tolist()), data[nonzero].tolist())))
 
 
 class GradedBasis:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import gradedla as la
 from .gradedla import GradedBasis, MatFp
-from .poly import Poly, monomials_of_degree, num_monomials, var_mono
+from .poly import Poly, num_monomials, var_mono
 from .rep import CpRep, _generator_power_images, is_invariant
 
 
@@ -129,7 +129,7 @@ def _slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
     for d in range(max_degree + 1):
         inv_pieces, tra_pieces = [], []
         # a block multidegree splits d into one part per block
-        for multidegree in monomials_of_degree(len(blocks), d):
+        for multidegree in map(tuple, la.exponents(len(blocks), d).tolist()):
             sig = _piece_power(p, blocks, multidegree, 1)
             step = (sig - np.eye(sig.shape[0], dtype=np.int64)) % p
             cols = _piece_columns(blocks, multidegree)

@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 Mono = tuple[int, ...]
 
@@ -35,21 +34,6 @@ def var_mono(nvars: int, index: int) -> Mono:
     if not 0 <= index < nvars:
         raise ValueError(f"variable index {index} out of range for {nvars} variables")
     return tuple(1 if i == index else 0 for i in range(nvars))
-
-
-@lru_cache(maxsize=None)
-def monomials_of_degree(nvars: int, degree: int) -> tuple[Mono, ...]:
-    """All exponent vectors of the given total degree, in descending
-    lexicographic order.  This fixed order indexes the coordinate vectors
-    used by the linear-algebra layer."""
-    if nvars < 1 or degree < 0:
-        raise ValueError(f"bad monomial enumeration request ({nvars=}, {degree=})")
-    if nvars == 1:
-        return ((degree,),)
-    out: list[Mono] = []
-    for e in range(degree, -1, -1):
-        out.extend((e,) + rest for rest in monomials_of_degree(nvars - 1, degree - e))
-    return tuple(out)
 
 
 def num_monomials(nvars: int, degree: int) -> int:
@@ -111,16 +95,8 @@ class Poly:
     def variable(cls, p: int, nvars: int, index: int) -> Poly:
         return cls(p, nvars, {var_mono(nvars, index): 1})
 
-    @classmethod
-    def monomial(cls, p: int, nvars: int, mono: Mono, coeff: int = 1) -> Poly:
-        return cls(p, nvars, {tuple(mono): coeff})
-
     def is_zero(self) -> bool:
         return not self._terms
-
-    def degree(self) -> int:
-        """Total degree; 0 for the zero polynomial by convention."""
-        return max((sum(m) for m in self._terms), default=0)
 
     def degree_in(self, index: int) -> int:
         """Largest exponent of one variable; 0 for the zero polynomial."""

@@ -1,5 +1,5 @@
 """The cyclic group of order p acting on a direct sum of Jordan blocks in
-characteristic p, with transfer, norm, and norm decomposition.
+characteristic p, with norms and norm decomposition.
 
 Variables are labeled ``x[i,j]``: row ``i`` inside block ``j``, both
 1-based.  The generator adds each variable's predecessor in its block and
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly import Mono, Poly, PrimeP, var_mono
+from .poly import Poly, PrimeP, var_mono
 
 
 class TrivialSummandError(ValueError):
@@ -146,15 +146,6 @@ def sigma(rep: CpRep, f: Poly, k: int = 1) -> Poly:
 
 def is_invariant(rep: CpRep, f: Poly) -> bool:
     return sigma(rep, f, 1) == f
-
-
-def transfer(rep: CpRep, f: Poly) -> Poly:
-    """Sum of f over the whole group orbit of generator powers."""
-    rep.check_poly(f)
-    out = f
-    for k in range(1, rep.p.value):
-        out = out + sigma(rep, f, k)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ from modinv.depthlab import (BoundTooSmallError, DepthEvidence, DepthInstance,
                              _shortfall, _witness, bounded_depth,
                              bounded_grade, canonical_sequence,
                              depth_inequality_audit, depth_report, expected_depth,
-                             ideal_modules, is_regular_element, norm_reduction_check,
+                             is_regular_element, norm_reduction_check,
                              ring_module, socle_search, transfer_ideal_module,
                              transfer_quotient_check, transfer_quotient_module,
                              verify_regular_sequence)
@@ -19,7 +19,7 @@ from modinv.poly import Poly, num_monomials, parse, render
 from modinv.rep import CpRep, is_invariant, norm, top_norms
 from modinv.report import CheckReport
 
-from oracle import poly_to_vec
+from oracle import ideal_modules, poly_to_vec
 
 
 def in_denominator(view, f):
@@ -700,8 +700,20 @@ def test_depth_audit_flags_violations():
         quotient=_fake_evidence(rep, 3, True),
     )
     report = depth_inequality_audit([inst])
-    assert not report.passed
-    assert any(w["status"] == "violated" for w in report.witnesses)
+    # every endpoint holds only up to the degree bound: a violation is a note
+    assert report.passed and not report.witnesses
+    assert ("broken: depth(I) >= min(depth(R), depth(R/I) + 1): violated on bounded "
+            "evidence; inconclusive") in report.notes
+
+
+def test_depth_audit_of_the_transfer_ideal_is_inconclusive_at_low_bound():
+    # up to degree 4 a socle witness caps the transfer ideal's depth at 1,
+    # though the ideal (x^2) of the polynomial ring k[x, N(y)] has depth 2
+    reports = depth_report(CpRep.make(3, (2,)), 4)
+    assert all(r.passed for r in reports)
+    assert reports[-1].notes == [
+        f"transfer ideal: {statement}: violated on bounded evidence; inconclusive"
+        for statement in ("depth(I) >= min(depth(R), depth(R/I) + 1)", "depth(I) = depth(R/I) + 1")]
 
 
 def test_depth_audit_marks_one_sided_evidence_inconclusive():

@@ -5,9 +5,9 @@ import pytest
 
 from modinv import gradedla as la
 from modinv.gradedla import GradedBasis, MatFp
-from modinv.poly import Poly, monomials_of_degree, num_monomials, parse
+from modinv.poly import Poly, num_monomials, parse
 
-from oracle import monomial_index, poly_to_vec
+from oracle import monomial_index, monomials_of_degree, poly_to_vec
 
 VARS2 = ("x[1,1]", "x[2,1]")
 
@@ -399,7 +399,7 @@ def test_mult_map_matches_polynomial_multiplication():
     for _ in range(4):
         f = Poly.zero(p, nvars)
         for _ in range(3):
-            f = f + Poly.monomial(p, nvars, monos[rng.randrange(len(monos))], rng.randrange(p))
+            f = f + Poly(p, nvars, {monos[rng.randrange(len(monos))]: rng.randrange(p)})
         polys.append(f)
         basis_rows.append(poly_to_vec(f, degree))
     g = parse("x[1,1]^2 + 2*x[2,1]^2", VARS2, p)
@@ -450,9 +450,9 @@ def test_mult_colmap_matches_dictionary_lookup():
         assert got.dtype == want.dtype and got.tolist() == want.tolist(), (nvars, degree, mono)
 
 
-@pytest.mark.parametrize("nvars", range(1, 8))
+@pytest.mark.parametrize("nvars", range(1, 9))
 def test_monomial_positions_are_enumeration_indices(nvars):
-    for degree in range(9):
+    for degree in range(13):
         exps = la.exponents(nvars, degree)
         assert exps.tolist() == [list(m) for m in monomials_of_degree(nvars, degree)]
         got = la.monomial_positions(exps)
@@ -460,6 +460,10 @@ def test_monomial_positions_are_enumeration_indices(nvars):
         # rows in any order: each row gets its own position
         assert la.monomial_positions(exps[::-1]).tolist() == list(range(len(exps)))[::-1]
     assert la.monomial_positions(np.zeros((0, nvars), dtype=np.int64)).tolist() == []
+    # no variables, or a negative degree: no slice to enumerate
+    for bad_nvars, bad_degree in ((0, nvars), (nvars, -1)):
+        with pytest.raises(ValueError, match="bad monomial enumeration request"):
+            la.exponents(bad_nvars, bad_degree)
 
 
 def test_monomial_positions_refuse_mixed_degrees():

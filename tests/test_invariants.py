@@ -9,11 +9,10 @@ from modinv.gradedla import GradedBasis, MatFp
 from modinv.invariants import (_block_sigma, _merge_pieces, _mono_parents, _orbit_sum,
                                _piece_columns, _piece_power, dimension_growth_check,
                                finite_difference, ideal_slice, invariant_slice, transfer_slice)
-from modinv.poly import Poly, monomials_of_degree, num_monomials, var_mono
-from modinv.rep import (CpRep, _generator_power_images, is_invariant, norm, sigma,
-                        top_norms, transfer)
+from modinv.poly import Poly, num_monomials, var_mono
+from modinv.rep import CpRep, _generator_power_images, is_invariant, sigma, top_norms
 
-from oracle import monomial_index, poly_to_vec
+from oracle import monomial_index, monomials_of_degree, poly_to_vec, transfer
 
 
 def oracle_invariant_dim(rep: CpRep, degree: int) -> int:
@@ -23,7 +22,7 @@ def oracle_invariant_dim(rep: CpRep, degree: int) -> int:
     monos = monomials_of_degree(n, degree)
     rows = []
     for m in monos:
-        f = sigma(rep, Poly.monomial(p, n, m, 1)) - Poly.monomial(p, n, m, 1)
+        f = sigma(rep, Poly(p, n, {m: 1})) - Poly(p, n, {m: 1})
         rows.append(poly_to_vec(f, degree) if not f.is_zero()
                     else np.zeros(len(monos), dtype=np.uint8))
     mat = np.array(rows, dtype=np.uint8)
@@ -36,7 +35,7 @@ def oracle_transfer_dim(rep: CpRep, degree: int) -> int:
     monos = monomials_of_degree(n, degree)
     rows = []
     for m in monos:
-        f = transfer(rep, Poly.monomial(p, n, m, 1))
+        f = transfer(rep, Poly(p, n, {m: 1}))
         rows.append(poly_to_vec(f, degree) if not f.is_zero()
                     else np.zeros(len(monos), dtype=np.uint8))
     return len(la.rref(MatFp(p, np.array(rows, dtype=np.uint8))).pivots)
@@ -235,7 +234,7 @@ def test_invariant_slice_contains_known_invariants():
         mono = [0] * rep.nvars
         for _ in range(rng.randrange(1, 5)):
             mono[rng.randrange(rep.nvars)] += 1
-        tr = transfer(rep, Poly.monomial(3, rep.nvars, tuple(mono), 1))
+        tr = transfer(rep, Poly(3, rep.nvars, {tuple(mono): 1}))
         if not tr.is_zero() and tr.homogeneous_degree() <= bound:
             assert in_span(inv, tr)
     # every basis row is genuinely invariant

