@@ -7,16 +7,25 @@ regularity check is exact: it carries an element annihilated into the
 denominator.  Every regularity check is one rank test per degree
 (``_shortfall``), with a left kernel only for a witness a report prints.
 A socle search with no witness passes as inconclusive, and so does a
-``norm-reduction`` whose depth and grade sides disagree: both are found up
-to the degree bound, and a higher bound can lower the grade, as from
-``grade --p 5 --blocks 2,3 --max-degree 10`` to ``--max-degree 12``.
+``norm-reduction`` whose depth and grade sides disagree, or a
+``transfer-ideal-depth`` whose evidence disagrees with blocks + 1: both are
+found up to the degree bound, and a higher bound can lower the grade, as
+from ``grade --p 5 --blocks 2,3 --max-degree 10`` to ``--max-degree 12``,
+or raise the transfer ideal's depth evidence, as from
+``transfer-quotient --p 3 --blocks 2 --max-degree 4`` to ``--max-degree 5``.
+
+A module's denominator is held in numerator coordinates
+(``GradedModuleView``), so a quotient step eliminates only the coordinates
+of the classes it adds, never the whole denominator again, and the
+coordinates a passing regularity check computed are the ones it adds.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +49,40 @@ class ZeroModuleError(ValueError):
     test is vacuous; callers must be told rather than handed a pass."""
 
 
+class _Slice(NamedTuple):
+    """One degree of a view in numerator coordinates: ``cols``, the
+    numerator's pivot columns; ``local``, the canonical denominator on those
+    columns (den_d[:, cols], so den_d = local @ num_d), of width dim num_d;
+    and ``keep``, the quotient positions, the numerator pivots that are not
+    denominator pivots, as indices into ``cols``."""
+
+    cols: np.ndarray
+    local: MatFp
+    keep: np.ndarray
+
+    def extended(self, r: MatFp) -> _Slice:
+        """The slice with the new classes added, r being the canonical RREF
+        of their coordinates on ``keep``: r's rows placed in numerator
+        coordinates are zero on the old pivots, the old rows are
+        back-reduced on the quotient positions that remain, and the two are
+        merged by pivot."""
+        if r.nrows == 0:
+            return self
+        p = r.p
+        left = np.ones(len(self.keep), dtype=bool)
+        left[list(r.pivots)] = False
+        new, rest = self.keep[~left], self.keep[left]
+        placed = np.zeros((r.nrows, len(self.cols)), dtype=np.uint8)
+        placed[:, self.keep] = r.a
+        old = self.local.a.copy()
+        old[:, rest] = la.reduce_rows(old, MatFp(p, placed, tuple(new.tolist())), rest)
+        old[:, new] = 0
+        pivots = np.concatenate([np.asarray(self.local.pivots, dtype=np.intp), new])
+        order = np.argsort(pivots)
+        local = MatFp(p, np.vstack([old, placed])[order], tuple(pivots[order].tolist()))
+        return _Slice(self.cols, local, rest)
+
+
 class GradedModuleView:
     """A graded module presented as numerator/denominator subspace bases.
 
@@ -50,14 +93,21 @@ class GradedModuleView:
     are the canonical basis of the quotient (``quotient_mat``), found
     without elimination.
 
+    The denominator is held in numerator coordinates: per degree, its
+    canonical echelon matrix on the numerator's pivot columns, of width
+    dim num_d, and the quotient positions, the numerator pivots it leaves
+    (``_Slice``).  A view built from a full-width denominator derives them
+    on first use; the full-width ``den`` of a quotient step is built only
+    when something reads it.
+
     The numerator must be closed under multiplication by the invariants
     that get applied to it, and the denominator under multiplication by
     every invariant, within the bound.  Products of quotient rows then lie
     in the numerator, so regularity and socle checks compute only the
     coordinates of their classes in the quotient rows of the target degree
     (``_quotient_coords``); ``quotient_by`` multiplies only the quotient
-    rows; and ``socle_search`` tests only the generators of the invariant
-    ring.
+    rows and eliminates only those coordinates; and ``socle_search`` tests
+    only the generators of the invariant ring.
     """
 
     def __init__(self, rep: CpRep, num: GradedBasis, den: GradedBasis,
@@ -70,16 +120,58 @@ class GradedModuleView:
             raise ValueError(f"denominator is not contained in numerator for module {label!r}")
         self.rep = rep
         self.num = num
-        self.den = den
         self.label = label
+        self._den: GradedBasis | None = den
+        self._slices: list[_Slice | None] = [None] * (num.max_degree + 1)
         self._quotients: dict[int, MatFp] = {}
 
     @property
     def max_degree(self) -> int:
         return self.num.max_degree
 
+    def _slice(self, degree: int) -> _Slice:
+        """The degree's denominator in numerator coordinates, derived from
+        the full-width one on first use.  A denominator pivot that is no
+        numerator pivot means the denominator left the numerator: a
+        RuntimeError."""
+        got = self._slices[degree]
+        if got is None:
+            num, den = self.num.mat(degree), self._den.mat(degree)
+            where = {c: i for i, c in enumerate(num.pivots)}
+            if not where.keys() >= set(den.pivots):
+                raise RuntimeError(f"module {self.label!r}: the degree-{degree} denominator "
+                                   "is not inside the numerator")
+            cols = np.asarray(num.pivots, dtype=np.intp)
+            piv = tuple(where[c] for c in den.pivots)
+            left = np.ones(len(cols), dtype=bool)
+            left[list(piv)] = False
+            got = self._slices[degree] = _Slice(cols, MatFp(num.p, den.a[:, cols], piv),
+                                                np.flatnonzero(left))
+        return got
+
+    @property
+    def den(self) -> GradedBasis:
+        """The full-width canonical denominator, built on first access from
+        the numerator coordinates: each row is the numerator row at its
+        pivot plus its quotient-position entries times the quotient rows.
+        That sum is the residue, modulo those rows (``la.reduce_rows``), of
+        the numerator row with the negated entries on their pivots, which
+        are then set back to the entries themselves."""
+        if self._den is None:
+            p, mats = self.num.p, []
+            for d in range(self.max_degree + 1):
+                s, num = self._slice(d), self.num.mat(d)
+                entries, at = s.local.a[:, s.keep], s.cols[s.keep]
+                rows = num.a[list(s.local.pivots)]
+                rows[:, at] = (p - entries) % p
+                rows = la.reduce_rows(rows, self.quotient_mat(d))
+                rows[:, at] = entries
+                mats.append(MatFp(p, rows, tuple(num.pivots[i] for i in s.local.pivots)))
+            self._den = GradedBasis(p, self.num.nvars, mats)
+        return self._den
+
     def dim(self, degree: int) -> int:
-        return self.num.dim(degree) - self.den.dim(degree)
+        return len(self._slice(degree).keep)
 
     def dims(self) -> list[int]:
         return [self.dim(d) for d in range(self.max_degree + 1)]
@@ -89,19 +181,17 @@ class GradedModuleView:
 
     def quotient_mat(self, degree: int) -> MatFp:
         """Canonical echelon basis of the degree slice's classes modulo the
-        denominator: the numerator rows off the denominator pivots
-        (``la.rows_off_pivots``), with no elimination.  With nothing to
-        divide by, this is the numerator's own basis.  A denominator that
-        left the numerator raises RuntimeError."""
-        if self.den.dim(degree) == 0:
-            return self.num.mat(degree)
+        denominator: the numerator rows at the quotient positions, with no
+        elimination.  With nothing to divide by, this is the numerator's own
+        basis.  A denominator that left the numerator raises RuntimeError."""
+        s = self._slice(degree)
+        num = self.num.mat(degree)
+        if s.local.nrows == 0:
+            return num
         got = self._quotients.get(degree)
         if got is None:
-            got = la.rows_off_pivots(self.num.mat(degree), self.den.mat(degree))
-            if got is None:
-                raise RuntimeError(f"module {self.label!r}: the degree-{degree} denominator "
-                                   "is not inside the numerator")
-            self._quotients[degree] = got
+            got = self._quotients[degree] = MatFp(num.p, num.a[s.keep],
+                                                  tuple(num.pivots[i] for i in s.keep))
         return got
 
     def quotient_by(self, f: Poly, label: str | None = None) -> GradedModuleView:
@@ -116,21 +206,30 @@ class GradedModuleView:
             raise ValueError("can only quotient by an invariant element")
         return self._quotient_by(f, label)
 
-    def _quotient_by(self, f: Poly, label: str | None = None) -> GradedModuleView:
+    def _quotient_by(self, f: Poly, label: str | None = None,
+                     images: Sequence[np.ndarray | None] | None = None) -> GradedModuleView:
         """``quotient_by`` for an f its caller has already validated.  The
         inclusion is not re-checked: the old denominator lies in the
-        numerator, and so do f times the quotient rows, by closure."""
+        numerator, and so do f times the quotient rows, by closure.
+
+        Each degree eliminates only the quotient coordinates of the new
+        classes, a dim(d - e) x dim(d) matrix.  ``images[k]``, when given,
+        holds those coordinates of f times the degree-k quotient rows, as a
+        passing regularity check of f computed them (``_failures``)."""
         e = f.homogeneous_degree()
-        mats = []
+        p = self.num.p
+        slices = []
         for d in range(self.max_degree + 1):
-            if e <= d and not f.is_zero() and self.dim(d) and self.dim(d - e):
-                extra = la.mult_map(self.quotient_mat(d - e), f, d - e).a
-                mats.append(la.rref(MatFp(self.num.p, np.vstack([self.den.mat(d).a, extra]))))
-            else:
-                mats.append(self.den.mat(d))
-        new_label = label if label is not None else f"{self.label} / ({render(f, self.rep.varnames)})"
-        return GradedModuleView(self.rep, self.num, GradedBasis(self.num.p, self.num.nvars, mats),
-                                new_label, check_inclusion=False)
+            s = self._slice(d)
+            if e <= d and not f.is_zero() and len(s.keep) and self.dim(d - e):
+                coords = images[d - e] if images is not None else _quotient_coords(
+                    self, la.mult_map(self.quotient_mat(d - e), f, d - e).a, d)
+                s = s.extended(la.rref(MatFp(p, coords)))
+            slices.append(s)
+        view = copy.copy(self)
+        view.label = label if label is not None else f"{self.label} / ({render(f, self.rep.varnames)})"
+        view._den, view._slices, view._quotients = None, slices, {}
+        return view
 
 
 def ring_module(rep: CpRep, max_degree: int) -> GradedModuleView:
@@ -155,27 +254,30 @@ def _regular_candidate_degree(rep: CpRep, f: Poly) -> int:
 def _quotient_coords(view: GradedModuleView, product: np.ndarray, degree: int) -> np.ndarray:
     """Coordinates of the classes of degree-``degree`` rows in the quotient
     rows there: the rows' residues modulo the denominator, on the quotient
-    pivots only.
+    positions only, computed in numerator coordinates.
 
-    Precondition (closure): the rows lie in the numerator.  Their residues
-    modulo the canonical denominator then lie in the numerator too and are
-    zero on the denominator pivots, so they lie in the span of the quotient
-    rows, and a residue's entries on the quotient pivots are its
-    coordinates; the other columns of the residue follow from those, so
-    dropping them loses nothing."""
-    return la.reduce_rows(product, view.den.mat(degree), view.quotient_mat(degree).pivots)
+    Precondition (closure): the rows lie in the numerator, so their entries
+    on its pivots are their numerator coordinates.  Their residues modulo
+    the denominator then lie in the numerator too and are zero on the
+    denominator pivots, so they lie in the span of the quotient rows, and a
+    residue's entries on the quotient positions are its coordinates; the
+    other entries follow from those, so dropping them loses nothing."""
+    s = view._slice(degree)
+    return la.reduce_rows(product[:, s.cols], s.local, s.keep)
 
 
-def _shortfall(view: GradedModuleView, f: Poly, e: int, d: int) -> tuple[MatFp, MatFp] | None:
-    """None if multiplication by f, of degree e, is injective on degree d;
-    else the quotient rows q and the RREF r of their products' transposed
-    coordinates, whose null space combines rows of q into annihilated classes."""
+def _shortfall(view: GradedModuleView, f: Poly, e: int,
+               d: int) -> tuple[np.ndarray | None, tuple[MatFp, MatFp] | None]:
+    """The quotient coordinates c of f times the degree-d quotient rows q,
+    in degree d + e (None when q is empty), and None if multiplication by
+    f, of degree e, is injective on degree d; else q and the RREF r of c^T,
+    whose null space combines rows of q into annihilated classes."""
     q = view.quotient_mat(d)
     if q.nrows == 0:
-        return None
+        return None, None
     coords = _quotient_coords(view, la.mult_map(q, f, d).a, d + e)
     r = la.rref(MatFp(view.num.p, coords.T))
-    return None if r.nrows == q.nrows else (q, r)
+    return coords, (None if r.nrows == q.nrows else (q, r))
 
 
 def _witness(view: GradedModuleView, q: MatFp, r: MatFp, d: int) -> Poly:
@@ -185,25 +287,31 @@ def _witness(view: GradedModuleView, q: MatFp, r: MatFp, d: int) -> Poly:
     return la.vec_to_poly(view.num.p, view.num.nvars, d, row)
 
 
-def _failures(view: GradedModuleView, f: Poly, e: int, start: int = 0,
-              first_only: bool = False) -> list[tuple[int, MatFp, MatFp]]:
+def _failures(view: GradedModuleView, f: Poly, e: int, start: int = 0, first_only: bool = False
+              ) -> tuple[list[tuple[int, MatFp, MatFp]], list[np.ndarray | None]]:
     """The degrees from ``start`` up to D-e where f is not injective, each
-    with its shortfall; with ``first_only``, the first such degree alone."""
+    with its shortfall; with ``first_only``, the first such degree alone.
+    Also the quotient coordinates of f times the quotient rows of each
+    degree checked, from ``start`` on, which a quotient by f reuses."""
     failures = []
+    images = []
     for d in range(start, view.max_degree - e + 1):
-        short = _shortfall(view, f, e, d)
+        coords, short = _shortfall(view, f, e, d)
+        images.append(coords)
         if short is not None:
             failures.append((d, *short))
             if first_only:
                 break
-    return failures
+    return failures, images
 
 
-def _regular_report(view: GradedModuleView, f: Poly, e: int,
-                    first_only: bool = False) -> CheckReport:
+def _regular_report(view: GradedModuleView, f: Poly, e: int, first_only: bool = False
+                    ) -> tuple[CheckReport, list[np.ndarray | None]]:
     """The regular-element report over degrees 0..D-e, checked inside the
     timing, with one witness per failing degree; with ``first_only``, a
-    partial report up to the first failure, whose witness is still exact."""
+    partial report up to the first failure, whose witness is still exact.
+    Also the quotient coordinates the check computed (``_failures``): for a
+    passing f, those of every degree, which ``_accept_step`` takes."""
     rep = view.rep
     bound = view.max_degree
     degrees = list(range(0, bound - e + 1))
@@ -219,7 +327,8 @@ def _regular_report(view: GradedModuleView, f: Poly, e: int,
         degrees_checked=degrees,
     )
     with timed(report):
-        for d, q, r in _failures(view, f, e, first_only=first_only):
+        failures, images = _failures(view, f, e, first_only=first_only)
+        for d, q, r in failures:
             report.passed = False
             report.witnesses.append({
                 "degree": d,
@@ -234,7 +343,7 @@ def _regular_report(view: GradedModuleView, f: Poly, e: int,
         if degrees and report.passed:
             report.notes.append(
                 f"regular on degrees 0..{degrees[-1]}; higher degrees are outside the bound")
-    return report
+    return report, images
 
 
 def is_regular_element(view: GradedModuleView, f: Poly) -> CheckReport:
@@ -245,7 +354,7 @@ def is_regular_element(view: GradedModuleView, f: Poly) -> CheckReport:
     All degrees 0..D-deg(f) are examined even after a failure, so the
     report does not depend on evaluation order.
     """
-    return _regular_report(view, f, _regular_candidate_degree(view.rep, f))
+    return _regular_report(view, f, _regular_candidate_degree(view.rep, f))[0]
 
 
 @dataclass
@@ -275,11 +384,13 @@ class RegSeqCert:
         return sum(1 for s in self.steps if s.passed)
 
 
-def _accept_step(current: GradedModuleView, f: Poly, e: int, rpt: CheckReport) -> GradedModuleView:
-    """Quotient by a validated f of degree e that passed every degree, and
-    record the dimensions before and after, re-checked as h(d) - h(d - e)."""
+def _accept_step(current: GradedModuleView, f: Poly, e: int, rpt: CheckReport,
+                 images: Sequence[np.ndarray | None]) -> GradedModuleView:
+    """Quotient by a validated f of degree e that passed every degree, with
+    the quotient coordinates its check computed, and record the dimensions
+    before and after, re-checked as h(d) - h(d - e)."""
     before = current.dims()
-    nxt = current._quotient_by(f)
+    nxt = current._quotient_by(f, images=images)
     after = nxt.dims()
     expected = [before[d] - (before[d - e] if d >= e else 0) for d in range(len(before))]
     if after != expected:
@@ -301,14 +412,14 @@ def verify_regular_sequence(view: GradedModuleView, elements: Sequence[Poly]) ->
     steps: list[CheckReport] = []
     ok = True
     for f in elements:
-        rpt = is_regular_element(current, f)
+        e = _regular_candidate_degree(current.rep, f)
+        rpt, images = _regular_report(current, f, e)
         steps.append(rpt)
         if not rpt.passed:
             rpt.params["hilbert_before"] = current.dims()
             ok = False
             break
-        # is_regular_element has validated f
-        current = _accept_step(current, f, f.homogeneous_degree(), rpt)
+        current = _accept_step(current, f, e, rpt, images)
     return RegSeqCert(
         elements=tuple(elements),
         rendered=[render(f, view.rep.varnames) for f in elements],
@@ -457,10 +568,10 @@ def _greedy_regular(view: GradedModuleView,
             if any(f == g for g in found):
                 continue
             # complete if f passes; otherwise partial, up to its first failure
-            rpt = _regular_report(current, f, e, first_only=True)
+            rpt, images = _regular_report(current, f, e, first_only=True)
             # a pass on degrees where the module is zero is vacuous
             if rpt.passed and any(current.dim(d) for d in range(current.max_degree - e + 1)):
-                current = _accept_step(current, f, e, rpt)  # the pool is validated
+                current = _accept_step(current, f, e, rpt, images)  # the pool is validated
                 steps.append(rpt)
                 found.append(f)
                 break
@@ -474,7 +585,7 @@ def _greedy_regular(view: GradedModuleView,
                 else:
                     first = rpt.witnesses[0]
                     record["failing_degrees"] = [first["degree"]] + [
-                        d for d, _, _ in _failures(current, f, e, first["degree"] + 1)]
+                        d for d, _, _ in _failures(current, f, e, first["degree"] + 1)[0]]
                     record["witness"] = first["annihilated"]
                 last_failures.append(record)
             break
@@ -697,9 +808,15 @@ def transfer_quotient_check(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE) ->
             "expected": expected,
             "sequence": list(ideal_depth.cert.rendered),
         },
-        passed=ideal_depth.lower == expected and ideal_depth.maximal,
+        passed=True,
         notes=["expected depth is blocks + 1"],
     )
+    # both the sequence and the socle witness hold only up to the bound, so
+    # evidence that disagrees with blocks + 1 is inconclusive, not failed
+    if not (ideal_depth.lower == expected and ideal_depth.maximal):
+        summary.notes.append(
+            f"inconclusive: depth evidence {ideal_depth.lower}{'' if ideal_depth.maximal else '+'} "
+            f"disagrees with blocks + 1 = {expected}; it is verified only up to degree {max_degree}")
     reports.extend(ideal_depth.reports)
     reports.append(summary)
     return reports

@@ -184,7 +184,7 @@ def reduce_rows(vectors: np.ndarray, basis: MatFp, cols: Sequence[int] | None = 
     v = np.ascontiguousarray(vectors, dtype=np.uint8)
     if v.ndim != 2 or v.shape[1] != basis.ncols:
         raise ValueError(f"vector width {v.shape} does not match basis width {basis.ncols}")
-    cols = slice(None) if cols is None else list(cols)
+    cols = slice(None) if cols is None else np.asarray(cols, dtype=np.intp)
     if v.shape[0] == 0 or basis.nrows == 0:
         return v[:, cols].copy()
     if basis.p == 2:

@@ -171,7 +171,7 @@ def test_internal_error_exits_three(monkeypatch):
     # a quotient that forgets to divide breaks the dimension bookkeeping
     # inside verify_regular_sequence, which is a defect, not a failed check;
     # the sequence is validated already, so it takes the unchecked step
-    monkeypatch.setattr(depthlab.GradedModuleView, "_quotient_by", lambda self, f: self)
+    monkeypatch.setattr(depthlab.GradedModuleView, "_quotient_by", lambda self, f, label=None, images=None: self)
     code, out, err = invoke(["regseq", "--p", "2", "--blocks", "2", "--max-degree", "6"])
     assert code == 3
     assert out == ""

@@ -328,7 +328,7 @@ def test_quotient_coordinates_match_elimination(p, blocks, bound, monkeypatch):
                        for a, b in zip(dens, full_numerator_denominators(view, f)))
         for f, e in pool:
             for d in range(bound - e + 1):
-                short = _shortfall(view, f, e, d)
+                _, short = _shortfall(view, f, e, d)
                 witness = None if short is None else _witness(view, *short, d)
                 got = (d, view.dim(d), witness)
                 assert got == full_width_regular_step(view, f, e, d), (name, render(f, rep.varnames), d)
@@ -337,6 +337,109 @@ def test_quotient_coordinates_match_elimination(p, blocks, bound, monkeypatch):
     assert outcomes == {True, False}
     # and the denominator term was needed in some of the coordinates
     assert any(calls)
+
+
+def stacked_rref_quotient(num, den, f):
+    """The quotient step that re-eliminates the whole denominator: the old
+    degree-d denominator stacked with f times the degree-(d - e) quotient
+    rows, brought to canonical RREF at full slice width."""
+    e = f.homogeneous_degree()
+    mats = []
+    for d in range(num.max_degree + 1):
+        if e <= d and num.dim(d) - den.dim(d) and num.dim(d - e) - den.dim(d - e):
+            q = la.rows_off_pivots(num.mat(d - e), den.mat(d - e))
+            extra = la.mult_map(q, f, d - e).a
+            mats.append(la.rref(MatFp(num.p, np.vstack([den.mat(d).a, extra]))))
+        else:
+            mats.append(den.mat(d))
+    return GradedBasis(num.p, num.nvars, mats)
+
+
+def same_echelon(a, b):
+    return (a.a.shape, a.pivots, a.a.tobytes()) == (b.a.shape, b.pivots, b.a.tobytes())
+
+
+CHAIN_CASES = [(2, (2, 2)), (3, (2, 3)), (5, (2, 2))]
+CHAIN_MODULES = {
+    "ring": ring_module,
+    "transfer-quotient": transfer_quotient_module,
+    "prefix ideal": lambda rep, bound: ideal_modules(rep, canonical_sequence(rep)[:2], bound)[0],
+}
+
+
+@pytest.mark.parametrize("p, blocks", CHAIN_CASES)
+@pytest.mark.parametrize("kind", sorted(CHAIN_MODULES))
+def test_quotient_chain_matches_stacked_rref(p, blocks, kind, monkeypatch):
+    # a chain of quotient steps in numerator coordinates against the
+    # full-width stacked RREF: denominators, quotient rows, dimensions and
+    # every quotient-coordinate call, with and without a passing check's
+    # coordinates handed to the step
+    rep = CpRep.make(p, blocks)
+    bound = 8
+    view = CHAIN_MODULES[kind](rep, bound)
+    dens = {view: view.den}
+    real = depthlab._quotient_coords
+    calls = []
+
+    def check(v, product, degree):
+        got = real(v, product, degree)
+        den = dens[v].mat(degree)
+        want = la.reduce_rows(product, den, la.rows_off_pivots(v.num.mat(degree), den).pivots)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        calls.append(degree)
+        return got
+
+    monkeypatch.setattr(depthlab, "_quotient_coords", check)
+    seq = canonical_sequence(rep)
+    assert len(seq) >= 3
+    changed = 0
+    for f in seq:
+        e = f.homogeneous_degree()
+        want = stacked_rref_quotient(view.num, dens[view], f)
+        report, images = depthlab._regular_report(view, f, e)
+        steps = [view._quotient_by(f)]
+        if report.passed:
+            steps.append(view._quotient_by(f, images=images))
+        for nxt in steps:
+            dens[nxt] = want
+            assert nxt.dims() == [view.num.dim(d) - want.dim(d) for d in range(bound + 1)]
+            for d in range(bound + 1):
+                # the stored denominator is canonical in numerator coordinates
+                local = want.mat(d).a[:, list(view.num.mat(d).pivots)]
+                assert nxt._slice(d).local.a.tobytes() == local.tobytes(), (render(f, rep.varnames), d)
+                assert same_echelon(nxt.den.mat(d), want.mat(d)), (render(f, rep.varnames), d)
+                quotient = la.rows_off_pivots(view.num.mat(d), want.mat(d))
+                assert same_echelon(nxt.quotient_mat(d), quotient), (render(f, rep.varnames), d)
+        changed += want != dens[view]
+        view = steps[0]
+    assert changed >= 2 and calls
+
+
+@pytest.mark.parametrize("p, blocks", CHAIN_CASES)
+@pytest.mark.parametrize("kind", ["ring", "transfer-quotient"])
+def test_quotient_step_eliminates_only_the_new_classes(p, blocks, kind, monkeypatch):
+    # each elimination of a quotient step is the k x dim(d) matrix of the
+    # new classes' quotient coordinates, never wider than dim M_d
+    rep = CpRep.make(p, blocks)
+    bound = 8
+    view = CHAIN_MODULES[kind](rep, bound)
+    real = la.rref
+    shapes = []
+
+    def record(mat):
+        shapes.append(mat.a.shape)
+        return real(mat)
+
+    for f in canonical_sequence(rep):
+        e = f.homogeneous_degree()
+        degrees = [d for d in range(e, bound + 1) if view.dim(d) and view.dim(d - e)]
+        shapes.clear()
+        monkeypatch.setattr(la, "rref", record)
+        nxt = view._quotient_by(f)
+        monkeypatch.setattr(la, "rref", real)
+        assert shapes == [(view.dim(d - e), view.dim(d)) for d in degrees]
+        assert all(width <= view.num.dim(d) for (_, width), d in zip(shapes, degrees))
+        view = nxt
 
 
 def test_quotient_mat_refuses_a_denominator_outside_the_numerator():
@@ -618,7 +721,7 @@ def test_ideal_modules_validate_and_skip_zero_generators():
 def test_greedy_search_rechecks_the_dimension_bookkeeping(monkeypatch):
     # a quotient that forgets to divide is a defect of the accepted step,
     # caught in the greedy search as in verify_regular_sequence
-    monkeypatch.setattr(GradedModuleView, "_quotient_by", lambda self, f, label=None: self)
+    monkeypatch.setattr(GradedModuleView, "_quotient_by", lambda self, f, label=None, images=None: self)
     with pytest.raises(RuntimeError, match="dimension bookkeeping broke"):
         bounded_depth(ring_module(CpRep.make(2, (2, 2)), 6))
 
@@ -636,6 +739,37 @@ def test_transfer_quotient_check_bound_guard():
     rep = CpRep.make(2, (2, 2))
     with pytest.raises(BoundTooSmallError):
         transfer_quotient_check(rep, 3)
+
+
+# transfer-quotient configs whose transfer-ideal depth evidence disagrees
+# with blocks + 1 inside the bound (the socle witness's products with the
+# degree-p norms leave it), and configs where it agrees: (p, blocks, bound)
+TRANSFER_IDEAL_DEPTH_INCONCLUSIVE = [
+    (3, (2,), 3), (3, (2,), 4), (5, (2,), 5), (5, (2,), 6), (7, (2,), 7), (7, (2,), 8),
+    (3, (3,), 3), (5, (3,), 5), (5, (3,), 6), (7, (3,), 7),
+]
+TRANSFER_IDEAL_DEPTH_AGREES = [
+    (3, (2,), 5), (3, (2,), 6), (3, (2,), 8), (3, (2,), 10), (3, (2,), 12),
+    (5, (2,), 10), (5, (2,), 14), (5, (2,), 20), (5, (3,), 8),
+    (3, (2, 3), 6), (3, (2, 3), 7), (5, (2, 2), 10), (5, (2, 3), 10),
+    (2, (2, 2, 2), 6), (3, (2, 2), 6),
+]
+
+
+@pytest.mark.parametrize("p, blocks, bound",
+                         TRANSFER_IDEAL_DEPTH_INCONCLUSIVE + TRANSFER_IDEAL_DEPTH_AGREES)
+def test_transfer_ideal_depth_disagreement_is_inconclusive(p, blocks, bound):
+    reports = transfer_quotient_check(CpRep.make(p, blocks), bound)
+    summary = reports[-1]
+    assert summary.name == "transfer-ideal-depth"
+    assert all(r.passed for r in reports)
+    if (p, blocks, bound) in TRANSFER_IDEAL_DEPTH_AGREES:
+        assert (summary.params["lower_bound"], summary.params["maximal"]) == (len(blocks) + 1, True)
+        assert summary.notes == ["expected depth is blocks + 1"]
+    else:
+        assert summary.params["lower_bound"] == 1
+        assert summary.notes[1].startswith("inconclusive: depth evidence 1")
+        assert summary.notes[1].endswith(f"verified only up to degree {bound}")
 
 
 def test_transfer_quotient_check_passes_on_regular_block():
