@@ -62,25 +62,10 @@ class _Slice(NamedTuple):
 
     def extended(self, r: MatFp) -> _Slice:
         """The slice with the new classes added, r being the canonical RREF
-        of their coordinates on ``keep``: r's rows placed in numerator
-        coordinates are zero on the old pivots, the old rows are
-        back-reduced on the quotient positions that remain, and the two are
-        merged by pivot."""
-        if r.nrows == 0:
-            return self
-        p = r.p
-        left = np.ones(len(self.keep), dtype=bool)
-        left[list(r.pivots)] = False
-        new, rest = self.keep[~left], self.keep[left]
-        placed = np.zeros((r.nrows, len(self.cols)), dtype=np.uint8)
-        placed[:, self.keep] = r.a
-        old = self.local.a.copy()
-        old[:, rest] = la.reduce_rows(old, MatFp(p, placed, tuple(new.tolist())), rest)
-        old[:, new] = 0
-        pivots = np.concatenate([np.asarray(self.local.pivots, dtype=np.intp), new])
-        order = np.argsort(pivots)
-        local = MatFp(p, np.vstack([old, placed])[order], tuple(pivots[order].tolist()))
-        return _Slice(self.cols, local, rest)
+        of their coordinates on ``keep`` (``la.merge_residues``); the
+        quotient positions r's pivots take leave ``keep``."""
+        return _Slice(self.cols, la.merge_residues(self.local, self.keep, r),
+                      np.delete(self.keep, list(r.pivots)))
 
 
 class GradedModuleView:

@@ -11,12 +11,16 @@ updates only the columns from the pivot on.  The null space of every
 characteristic is read off the canonical RREF.  One residue routine,
 ``reduce_rows``, reduces vectors modulo a canonical basis on the columns a
 caller asks for: mod 2 in one gathered XOR of packed basis rows, odd p in
-one float64 product over those columns only.  A mod-2 multiplication map
-XORs the uint8 basis into its output through each term's column map; odd
-primes accumulate the terms in int64 and reduce once.  Every monomial
-position is a binomial rank of exponent rows (``monomial_positions``), and
-``rows_off_pivots`` is the one echelon row selection.  Inclusion of row
-spaces is read off canonical forms: the inner pivots must be outer pivots,
+one float64 product of the basis rows the vectors need, on those columns
+where the rows are nonzero.  ``extend`` adds rows to a canonical basis and
+eliminates only their residues off its pivots, merging them in with
+``merge_residues`` (mod 2, the canonical rows enter the one elimination
+with no XOR).  A mod-2 multiplication map XORs the uint8 basis into its
+output through each term's column map; odd primes accumulate the terms in
+int64 and reduce once.  Every monomial position is a binomial rank of
+exponent rows (``monomial_positions``), and ``rows_off_pivots`` is the one
+echelon row selection.  Inclusion of row spaces is read off canonical
+forms: the inner pivots must be outer pivots,
 and what is left of each inner row after its pivot's outer row is reduced
 modulo the other outer rows on the columns off the inner pivots.
 """
@@ -38,9 +42,12 @@ class MatFp:
 
     ``pivots`` is set (a tuple of pivot column indices) exactly when the
     matrix is a canonical reduced row echelon form with zero rows dropped.
+    The first mod-2 reduction against the matrix replaces ``a`` by a
+    read-only copy and packs it once, so the packed rows cannot go stale and
+    the array the matrix was built from stays the caller's, writable.
     """
 
-    __slots__ = ("p", "a", "pivots")
+    __slots__ = ("p", "a", "pivots", "_packed")
 
     def __init__(self, p: int, a: np.ndarray, pivots: tuple[int, ...] | None = None):
         if a.ndim != 2:
@@ -51,6 +58,7 @@ class MatFp:
         self.p = p
         self.a = np.ascontiguousarray(a, dtype=np.uint8)
         self.pivots = pivots
+        self._packed: np.ndarray | None = None
 
     @property
     def nrows(self) -> int:
@@ -63,6 +71,14 @@ class MatFp:
     @property
     def is_rref(self) -> bool:
         return self.pivots is not None
+
+    def _packed_rows(self) -> np.ndarray:
+        """The rows packed eight entries to a byte, column 0 the top bit."""
+        if self._packed is None:
+            self.a = self.a.copy()
+            self.a.setflags(write=False)
+            self._packed = np.packbits(self.a, axis=1)
+        return self._packed
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatFp):
@@ -176,9 +192,10 @@ def reduce_rows(vectors: np.ndarray, basis: MatFp, cols: Sequence[int] | None = 
     (which must be canonical), on the columns ``cols`` only (default: all).
     A zero residue means membership.  The pivot columns of ``basis`` are
     unit vectors, so a vector's coefficients are its pivot entries and its
-    residue is v - v[:, pivots] @ basis; odd p multiplies only the requested
-    columns of the basis, and p = 2 XORs the packed basis rows each vector
-    needs in one gathered step."""
+    residue is v - v[:, pivots] @ basis; odd p multiplies only the basis
+    rows some vector needs, on the requested columns where they are
+    nonzero, and p = 2 XORs the packed basis rows each vector needs in one
+    gathered step."""
     if not basis.is_rref:
         raise ValueError("basis must be in reduced row echelon form")
     v = np.ascontiguousarray(vectors, dtype=np.uint8)
@@ -195,11 +212,63 @@ def reduce_rows(vectors: np.ndarray, basis: MatFp, cols: Sequence[int] | None = 
         first[1:] = rows[1:] != rows[:-1]
         starts = np.flatnonzero(first)
         vp = np.packbits(v, axis=1)
-        bp = np.packbits(basis.a, axis=1)
+        bp = basis._packed_rows()
         vp[rows[starts]] ^= np.bitwise_xor.reduceat(bp[piv], starts, axis=0)
         return np.unpackbits(vp, axis=1, count=basis.ncols)[:, cols]
-    combo = matmul_mod(v[:, list(basis.pivots)], basis.a[:, cols], basis.p)
-    return ((v[:, cols].astype(np.int16) - combo) % basis.p).astype(np.uint8)
+    coeffs = v[:, list(basis.pivots)]
+    used = np.flatnonzero(coeffs.any(axis=0))
+    rows = basis.a[used][:, cols]
+    hit = np.flatnonzero(rows.any(axis=0))
+    out = v[:, cols].copy()
+    out[:, hit] = (out[:, hit].astype(np.int16) - matmul_mod(coeffs[:, used], rows[:, hit], basis.p)) % basis.p
+    return out
+
+
+def extend(basis: MatFp, rows: np.ndarray) -> MatFp:
+    """Canonical RREF of canonical ``basis`` stacked with ``rows``.
+
+    Mod 2 eliminates the stack once; the canonical rows come first and
+    insert with no XOR.  Odd p reduces the rows modulo ``basis`` on the
+    columns off its pivots only, eliminates those residues, back-reduces
+    the old rows on the columns off both pivot sets and merges the two by
+    pivot."""
+    if not basis.is_rref:
+        raise ValueError("basis must be in reduced row echelon form")
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    if rows.ndim != 2 or rows.shape[1] != basis.ncols:
+        raise ValueError(f"row width {rows.shape} does not match basis width {basis.ncols}")
+    p = basis.p
+    if rows.shape[0] == 0:
+        return basis
+    if p == 2:
+        return rref(MatFp(2, np.vstack([basis.a, rows])))
+    off = np.ones(basis.ncols, dtype=bool)
+    off[list(basis.pivots)] = False
+    free = np.flatnonzero(off)
+    return merge_residues(basis, free, rref(MatFp(p, reduce_rows(rows, basis, free))))
+
+
+def merge_residues(basis: MatFp, free: np.ndarray, r: MatFp) -> MatFp:
+    """Canonical RREF of canonical ``basis`` stacked with rows whose
+    residues on ``free``, the ascending columns off its pivots, have the
+    canonical RREF ``r`` (of width len(free)).  r's rows placed on ``free``
+    are zero on the old pivots; the old rows are back-reduced on the free
+    columns r leaves, cleared at r's pivots, and the two are merged by
+    pivot."""
+    if r.nrows == 0:
+        return basis
+    p = basis.p
+    left = np.ones(len(free), dtype=bool)
+    left[list(r.pivots)] = False
+    new, rest = free[~left], free[left]
+    placed = np.zeros((r.nrows, basis.ncols), dtype=np.uint8)
+    placed[:, free] = r.a
+    old = basis.a.copy()
+    old[:, rest] = reduce_rows(old, MatFp(p, placed, tuple(new.tolist())), rest)
+    old[:, new] = 0
+    pivots = np.concatenate([np.asarray(basis.pivots, dtype=np.intp), new])
+    order = np.argsort(pivots)
+    return MatFp(p, np.vstack([old, placed])[order], tuple(pivots[order].tolist()))
 
 
 def kernel(mat: MatFp) -> MatFp:

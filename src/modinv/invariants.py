@@ -10,15 +10,23 @@ vectors of the generator.  The transfer image is the row space of the orbit
 sum of its powers, sum over k < p of the Kronecker products of the blocks'
 k-th generator powers (each built by the same recursion from the images of
 the variables under that power); in characteristic p this is
-(sigma - 1)^(p-1), since (x - 1)^(p-1) = sum x^k in F_p[x].  The canonical
-echelon form of a direct sum on disjoint columns is the union of the pieces'
-echelon forms ordered by pivot, so the pieces are eliminated separately and
-merged without a further elimination.  Monomial positions (a piece's
-columns, a monomial's parent) are ranks in ``gradedla``, with no loop.
+(sigma - 1)^(p-1), since (x - 1)^(p-1) = sum x^k in F_p[x].
+
+Each piece is built from one piece of the previous degree.  x[1,j] spans
+the fixed line of block j, so it is invariant, and the monomials of piece a
+divisible by it are x[1,j] times those of piece a - e_j, in the same order:
+both echelon forms of piece a - e_j carry up to those positions with no
+elimination, and only the x[1,j]-free rows, the slab, are eliminated.  Of
+the blocks with a positive degree, j is the one with the smallest slab.
+The canonical echelon form of a direct sum on disjoint columns is the union
+of the pieces' echelon forms ordered by pivot, so the pieces are merged
+without a further elimination.  Monomial positions (a piece's columns, a
+monomial's parent) are ranks in ``gradedla``, with no loop.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Sequence
 
@@ -73,24 +81,47 @@ def _block_sigma(p: int, size: int, degree: int, power: int) -> np.ndarray:
     return mat
 
 
-def _piece_power(p: int, blocks: tuple[int, ...], multidegree: tuple[int, ...], power: int) -> np.ndarray:
-    """The generator's ``power``-th power on one piece, in int64: the
-    Kronecker product of its powers on the blocks' symmetric powers."""
+def _slab_power(p: int, blocks: tuple[int, ...], multidegree: tuple[int, ...],
+                peel: tuple[int, int], power: int) -> np.ndarray:
+    """The generator's ``power``-th power on one piece at its slab rows, in
+    int64: the Kronecker product of its powers on the blocks' symmetric
+    powers, with block j's restricted to its rows from ``keep`` on, for
+    ``peel`` = (j, keep)."""
+    j, keep = peel
     mats = [_block_sigma(p, size, e, power) for size, e in zip(blocks, multidegree)]
+    mats[j] = mats[j][keep:]
     out = mats[0].astype(np.int64)
     for mat in mats[1:]:
-        out = np.kron(out, mat) % p
+        # the Kronecker product, without np.kron's general-case overhead
+        out = (out[:, None, :, None] * mat[None, :, None, :]).reshape(
+            out.shape[0] * mat.shape[0], out.shape[1] * mat.shape[1]) % p
     return out
 
 
-def _orbit_sum(p: int, blocks: tuple[int, ...], multidegree: tuple[int, ...],
-               sig: np.ndarray) -> np.ndarray:
-    """The transfer on one piece: the sum of the generator's powers 0..p-1
-    there, given its first power ``sig``; power 0 is the identity."""
-    total = np.eye(sig.shape[0], dtype=np.int64) + sig
+def _slab_transfer(p: int, blocks: tuple[int, ...], multidegree: tuple[int, ...],
+                   peel: tuple[int, int], slab: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """The transfer on one piece at its slab rows: the sum of the
+    generator's powers 0..p-1 there, given its first power ``sig``; power 0
+    is the identity, whose slab rows are unit vectors at ``slab``."""
+    total = sig.copy()
+    total[np.arange(slab.size), slab] += 1
     for k in range(2, p):
-        total += _piece_power(p, blocks, multidegree, k)
+        total += _slab_power(p, blocks, multidegree, peel, k)
     return total % p
+
+
+def _peel(blocks: tuple[int, ...], multidegree: tuple[int, ...]) -> tuple[int, int]:
+    """The block j a piece is built along and the count ``keep`` of its
+    degree-a_j monomials divisible by x[1,j]: of the blocks with a_j >= 1,
+    the first whose x[1,j]-free share C(n_j + a_j - 2, a_j) / C(n_j + a_j - 1,
+    a_j) = (n_j - 1) / (n_j + a_j - 1) is smallest, so the slab is smallest.
+    The degree-0 piece has no such block and keeps nothing."""
+    grown = [i for i, e in enumerate(multidegree) if e]
+    if not grown:
+        return 0, 0
+    # equal shares are equal floats and distinct ones of such small terms differ
+    j = min(grown, key=lambda i: (blocks[i] - 1) / (blocks[i] + multidegree[i] - 1))
+    return j, num_monomials(blocks[j], multidegree[j] - 1)
 
 
 def _piece_columns(blocks: tuple[int, ...], multidegree: tuple[int, ...]) -> np.ndarray:
@@ -101,6 +132,14 @@ def _piece_columns(blocks: tuple[int, ...], multidegree: tuple[int, ...]) -> np.
     # row-major indices over the blocks' slices run in Kronecker order
     grid = np.indices([len(exps) for exps in parts]).reshape(len(parts), -1)
     return la.monomial_positions(np.hstack([exps[i] for exps, i in zip(parts, grid)]))
+
+
+def _carry(m: MatFp, cols: np.ndarray, width: int) -> MatFp:
+    """Canonical ``m`` placed on the increasing columns ``cols`` of a zero
+    matrix ``width`` wide, which keeps it canonical."""
+    out = np.zeros((m.nrows, width), dtype=np.uint8)
+    out[:, cols] = m.a
+    return MatFp(m.p, out, tuple(cols[list(m.pivots)].tolist()))
 
 
 def _merge_pieces(p: int, width: int, pieces: list[tuple[np.ndarray, MatFp]]) -> MatFp:
@@ -120,26 +159,62 @@ def _merge_pieces(p: int, width: int, pieces: list[tuple[np.ndarray, MatFp]]) ->
 @lru_cache(maxsize=16)
 def _slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
     """One sweep computing invariant and transfer-image bases per degree,
-    piece by piece over the block multidegrees.  Each transfer piece is
-    proved inside its invariant piece, and RuntimeError names one that is
-    not; both are merged onto the same columns, so the slices' inclusion
-    holds with no full-width check."""
+    piece by piece over the block multidegrees, each piece from one piece
+    of the previous degree.
+
+    A piece keeps G, the canonical RREF of [sigma - 1 | I] (N x 2N, full
+    rank), whose rows with a pivot at N or beyond are zero on the left and
+    hold the canonical invariant basis on the right, and T, the canonical
+    transfer basis.  x[1,j] is invariant, so on the monomials of piece a
+    divisible by it, x[1,j] times piece a - e_j's in the same order, both
+    are piece a - e_j's placed there: multiplying by a monomial keeps the
+    order of positions.  Only the slab, the x[1,j]-free rows, is eliminated
+    (``gradedla.extend``), with j from ``_peel``.  The transfer rows at new
+    pivots are proved inside the piece's invariants; with the carried rows,
+    proved one degree down, they span the piece.  RuntimeError names a
+    piece that fails.  Both bases are merged onto the same columns, so the
+    slices' inclusion holds with no full-width check."""
     p, n, blocks = rep.p.value, rep.nvars, rep.blocks
     inv_mats, tra_mats = [], []
+    prev: dict[tuple[int, ...], tuple[MatFp, MatFp]] = {}
     for d in range(max_degree + 1):
-        inv_pieces, tra_pieces = [], []
+        inv_pieces, tra_pieces, cur = [], [], {}
         # a block multidegree splits d into one part per block
         for multidegree in map(tuple, la.exponents(len(blocks), d).tolist()):
-            sig = _piece_power(p, blocks, multidegree, 1)
-            step = (sig - np.eye(sig.shape[0], dtype=np.int64)) % p
-            cols = _piece_columns(blocks, multidegree)
-            inv_piece = la.kernel(MatFp(p, step.T))
-            tra_piece = la.rref(MatFp(p, _orbit_sum(p, blocks, multidegree, sig)))
-            if not la.subspace_le(tra_piece, inv_piece):
+            sizes = [num_monomials(size, e) for size, e in zip(blocks, multidegree)]
+            width = int(np.prod(sizes))
+            peel = j, keep = _peel(blocks, multidegree)
+            # row-major positions with block j's index below keep, and the rest
+            grid = np.arange(width).reshape(-1, sizes[j], int(np.prod(sizes[j + 1:])))
+            carried, slab = grid[:, :keep].ravel(), grid[:, keep:].ravel()
+            if keep:
+                below = list(multidegree)
+                below[j] -= 1
+                g, t = prev[tuple(below)]
+            else:
+                g = t = MatFp(p, np.zeros((0, 0), dtype=np.uint8), ())
+            g = _carry(g, np.concatenate([carried, width + carried]), 2 * width)
+            t = _carry(t, carried, width)
+            sig = _slab_power(p, blocks, multidegree, peel, 1)
+            step = np.zeros((slab.size, 2 * width), dtype=np.int64)
+            step[:, :width] = sig
+            step[np.arange(slab.size), slab] -= 1
+            step[np.arange(slab.size), width + slab] = 1
+            g = la.extend(g, step % p)
+            top = bisect_left(g.pivots, width)
+            inv_piece = MatFp(p, g.a[top:, width:], tuple(c - width for c in g.pivots[top:]))
+            carried_pivots = set(t.pivots)
+            t = la.extend(t, _slab_transfer(p, blocks, multidegree, peel, slab, sig))
+            # the rows at new pivots and the carried rows span the piece
+            fresh = [i for i, c in enumerate(t.pivots) if c not in carried_pivots]
+            if la.reduce_rows(t.a[fresh], inv_piece).any():
                 raise RuntimeError(f"the degree-{d} transfer piece of block multidegree "
                                    f"{multidegree} is not inside the invariants")
+            cur[multidegree] = g, t
+            cols = _piece_columns(blocks, multidegree)
             inv_pieces.append((cols, inv_piece))
-            tra_pieces.append((cols, tra_piece))
+            tra_pieces.append((cols, t))
+        prev = cur
         width = num_monomials(n, d)
         inv_mats.append(_merge_pieces(p, width, inv_pieces))
         tra_mats.append(_merge_pieces(p, width, tra_pieces))

@@ -75,6 +75,9 @@ PINNED_REPORTS = {
     # a size-1 block, whose positions are ranked over one variable
     "hilbert --p 3 --blocks 1,2 --max-degree 8":
         "c4c31834f504236063feda7766106acbaebd424b9c9b6281eede6207a35fae1f",
+    # slice pieces built along a block of size 1 and along one of size 3
+    "hilbert --p 5 --blocks 1,3,2 --max-degree 7":
+        "8a7c0f2a31a68b704f5505dcac7e07a2575880cbffcfa862cd7c53e215182e37",
 }
 
 
@@ -180,13 +183,13 @@ def test_internal_error_exits_three(monkeypatch):
 
 @pytest.mark.parametrize("command", ["transfer-quotient", "hilbert"])
 def test_corrupted_transfer_piece_exits_three(monkeypatch, command):
-    # an orbit sum that is the identity spans every piece, so the degree-1
+    # an orbit sum that is the identity spans every slab, so the degree-1
     # transfer piece leaves the invariants: a defect, not a user error
-    def identity(p, blocks, multidegree, sig):
-        return np.eye(sig.shape[0], dtype=np.int64)
+    def identity(p, blocks, multidegree, peel, slab, sig):
+        return np.eye(sig.shape[1], dtype=np.int64)[slab]
 
     invariants._slices.cache_clear()
-    monkeypatch.setattr(invariants, "_orbit_sum", identity)
+    monkeypatch.setattr(invariants, "_slab_transfer", identity)
     try:
         code, out, err = invoke([command, "--p", "3", "--blocks", "2,3", "--max-degree", "6"])
     finally:

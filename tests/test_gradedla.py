@@ -377,6 +377,65 @@ def test_rows_off_pivots_selects_or_refuses():
     assert la.rows_off_pivots(num, la.rref(MatFp(p, np.array([[0, 1, 0, 0]], dtype=np.uint8)))) is None
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_extend_matches_rref_of_the_stack(p):
+    rng = np.random.default_rng(40 + p)
+    ncols = 23
+    empty = np.zeros((0, ncols), dtype=np.uint8)
+
+    def sparse(nrows):
+        return (rng.integers(0, p, (nrows, ncols)) * (rng.random((nrows, ncols)) < 0.3)).astype(np.uint8)
+
+    def check(basis, rows):
+        got = la.extend(basis, rows)
+        want = la.rref(MatFp(p, np.vstack([basis.a, rows])))
+        assert got.is_rref and got.pivots == want.pivots
+        assert got.a.shape == want.a.shape and got.a.tobytes() == want.a.tobytes()
+        # the merge of the residues off the basis pivots, the step depthlab shares
+        free = np.setdiff1d(np.arange(ncols), basis.pivots)
+        r = la.rref(MatFp(p, la.reduce_rows(rows, basis, free)))
+        merged = la.merge_residues(basis, free, r)
+        assert merged.pivots == want.pivots and merged.a.tobytes() == want.a.tobytes()
+        return got
+
+    for _ in range(6):
+        basis = la.rref(MatFp(p, sparse(rng.integers(1, 12))))
+        rows = sparse(rng.integers(1, 9))
+        check(basis, rows)
+        # an empty basis is the rref of the rows, empty rows leave the basis
+        assert check(la.rref(MatFp(p, empty)), rows) == la.rref(MatFp(p, rows))
+        assert check(basis, empty) is basis
+        # rows inside the span change nothing
+        inside = la.matmul_mod(rng.integers(0, p, (4, basis.nrows)), basis.a, p)
+        assert check(basis, inside) == basis
+    # a stack of full rank is the identity
+    full = la.rref(MatFp(p, np.eye(ncols, dtype=np.uint8)[::2]))
+    rows = np.eye(ncols, dtype=np.uint8)[1::2] + np.eye(ncols, k=-1, dtype=np.uint8)[1::2]
+    assert check(full, rows).a.tobytes() == np.eye(ncols, dtype=np.uint8).tobytes()
+    with pytest.raises(ValueError):
+        la.extend(MatFp(p, np.eye(3, dtype=np.uint8)), empty[:, :3])
+    with pytest.raises(ValueError):
+        la.extend(full, empty[:, :3])
+
+
+def test_packed_rows_come_from_a_read_only_copy():
+    rng = random.Random(77)
+    canon = la.rref(MatFp(2, random_matrix(rng, 2, 6, 19)))
+    arr = canon.a.copy()
+    basis = MatFp(2, arr, canon.pivots)
+    assert basis.a is arr
+    vecs = random_matrix(rng, 2, 5, 19)
+    want = la.reduce_rows(vecs, MatFp(2, arr.copy(), canon.pivots))
+    assert la.reduce_rows(vecs, basis).tolist() == want.tolist()
+    # the caller's array stays writable, and writing it cannot stale the packed rows
+    assert arr.flags.writeable and basis.a is not arr and not basis.a.flags.writeable
+    arr[:] = 0
+    assert basis.a.tobytes() == canon.a.tobytes()
+    assert la.reduce_rows(vecs, basis).tolist() == want.tolist()
+    with pytest.raises(ValueError):
+        basis.a[0, 0] = 1
+
+
 def test_kernel_canonical_form():
     p = 3
     a = MatFp(p, np.array([[1, 2, 0], [0, 0, 1]], dtype=np.uint8))

@@ -6,8 +6,9 @@ import pytest
 
 from modinv import gradedla as la
 from modinv.gradedla import GradedBasis, MatFp
-from modinv.invariants import (_block_sigma, _merge_pieces, _mono_parents, _orbit_sum,
-                               _piece_columns, _piece_power, dimension_growth_check,
+from modinv import invariants
+from modinv.invariants import (_block_sigma, _merge_pieces, _mono_parents, _peel, _piece_columns,
+                               _slab_power, _slab_transfer, dimension_growth_check,
                                finite_difference, ideal_slice, invariant_slice, transfer_slice)
 from modinv.poly import Poly, num_monomials, var_mono
 from modinv.rep import CpRep, _generator_power_images, is_invariant, sigma, top_norms
@@ -157,6 +158,7 @@ def test_transfer_dims_match_direct_image(p, blocks, bound):
 @pytest.mark.parametrize("p,blocks,bound", [
     (2, (2, 2, 2), 8), (3, (2, 3), 9), (3, (2, 3, 2), 6), (5, (2, 2), 10),
     (5, (3, 4), 6), (3, (3,), 9), (3, (1, 2), 8), (2, (1, 1, 2), 7),
+    (7, (3, 4), 6), (5, (1, 3, 2), 6),
 ])
 def test_slices_match_dense_construction_bytes(p, blocks, bound):
     rep = CpRep.make(p, blocks)
@@ -188,6 +190,16 @@ ORBIT_CASES = [(2, (2, 1, 2), 5), (3, (2, 3), 6), (5, (4,), 7), (5, (3, 4), 4),
                (7, (2, 4), 4), (7, (4,), 6)]
 
 
+def slab_positions(blocks, multidegree):
+    """The peeled block j, ``keep``, and the piece positions whose block-j
+    monomial is x[1,j]-free, by walking the piece's monomials in Kronecker
+    order."""
+    j, keep = _peel(blocks, multidegree)
+    parts = [monomials_of_degree(n, e) for n, e in zip(blocks, multidegree)]
+    slab = [i for i, combo in enumerate(product(*parts)) if not multidegree[j] or combo[j][0] == 0]
+    return (j, keep), np.array(slab, dtype=np.intp)
+
+
 @pytest.mark.parametrize("p, blocks, bound", ORBIT_CASES)
 def test_orbit_sum_equals_the_sigma_minus_one_chain(p, blocks, bound):
     rep = CpRep.make(p, blocks)
@@ -196,8 +208,10 @@ def test_orbit_sum_equals_the_sigma_minus_one_chain(p, blocks, bound):
         pieces = []
         for multidegree in monomials_of_degree(len(blocks), d):
             want = chain_transfer_piece(p, blocks, multidegree)
-            got = _orbit_sum(p, blocks, multidegree, _piece_power(p, blocks, multidegree, 1))
-            assert got.shape == want.shape and np.array_equal(got, want), (d, multidegree)
+            peel, slab = slab_positions(blocks, multidegree)
+            got = _slab_transfer(p, blocks, multidegree, peel, slab,
+                                 _slab_power(p, blocks, multidegree, peel, 1))
+            assert got.shape == want[slab].shape and np.array_equal(got, want[slab]), (d, multidegree)
             pieces.append((_piece_columns(blocks, multidegree), la.rref(MatFp(p, want))))
         want_slice = _merge_pieces(p, num_monomials(rep.nvars, d), pieces)
         assert tra.mat(d).pivots == want_slice.pivots, d
@@ -210,15 +224,69 @@ def test_block_sigma_powers_are_matrix_powers(p):
         for degree in range(5):
             one = _block_sigma(p, size, degree, 1).astype(np.int64)
             power = np.eye(one.shape[0], dtype=np.int64)
+            keep = _peel((size,), (degree,))[1]
             for k in range(1, p):
                 power = la.matmul_mod(power, one, p).astype(np.int64)
                 got = _block_sigma(p, size, degree, k)
                 assert got.dtype == np.uint8 and not got.flags.writeable
                 assert np.array_equal(got, power), (size, degree, k)
-                # on a piece of one block, the piece power is the block power
-                assert np.array_equal(_piece_power(p, (size,), (degree,), k), power)
+                # on a piece of one block, the slab power is the block power
+                # from row keep on
+                assert np.array_equal(_slab_power(p, (size,), (degree,), (0, 0), k), power)
+                assert np.array_equal(_slab_power(p, (size,), (degree,), (0, keep), k), power[keep:])
         # sigma^p is the identity, so the powers below p are all distinct ones
         assert np.array_equal(la.matmul_mod(power, one, p), np.eye(one.shape[0]))
+
+
+def test_peel_takes_the_smallest_slab():
+    # x[1,j]-free shares: (n - 1) / (n + a - 1), a block of size 1 has none
+    assert _peel((2, 3), (0, 0)) == (0, 0)
+    assert _peel((2, 3), (1, 0)) == (0, 1)
+    assert _peel((2, 3), (1, 1)) == (0, 1)      # 1/2 against 2/3
+    assert _peel((2, 3), (1, 4)) == (1, 10)     # 1/2 against 2/6
+    assert _peel((3, 3), (2, 2)) == (0, 3)      # a tie goes to the first block
+    assert _peel((3, 1, 2), (2, 1, 1)) == (1, 1)
+    for blocks, multidegree in [((2, 3), (3, 2)), ((3, 4), (2, 5)), ((1, 3, 2), (2, 3, 1))]:
+        _, slab = slab_positions(blocks, multidegree)
+        sizes = [num_monomials(n, e) for n, e in zip(blocks, multidegree)]
+        free = [int(np.prod(sizes)) * num_monomials(n - 1, e) // num_monomials(n, e) if n > 1 else 0
+                for n, e in zip(blocks, multidegree) if e]
+        assert slab.size == min(free)
+
+
+@pytest.mark.parametrize("p, blocks, bound", [(3, (2, 3), 8), (5, (3, 4), 6)])
+def test_slices_eliminate_only_each_slab(monkeypatch, p, blocks, bound):
+    """Every elimination while a piece is built has at most as many rows as
+    that piece's slab, and no null space is taken."""
+    calls = []
+    slab_rows = [None]
+    real_power, real_rref, real_kernel = invariants._slab_power, la.rref, la.kernel
+
+    def power(p, blocks, multidegree, peel, k):
+        out = real_power(p, blocks, multidegree, peel, k)
+        if k == 1:
+            slab_rows[0] = out.shape[0]
+        return out
+
+    def rref(mat):
+        calls.append(("rref", mat.nrows, slab_rows[0]))
+        return real_rref(mat)
+
+    def kernel(mat):
+        calls.append(("kernel", mat.nrows, slab_rows[0]))
+        return real_kernel(mat)
+
+    monkeypatch.setattr(invariants, "_slab_power", power)
+    monkeypatch.setattr(la, "rref", rref)
+    monkeypatch.setattr(la, "kernel", kernel)
+    invariants._slices.cache_clear()
+    try:
+        invariants._slices(CpRep.make(p, blocks), bound)
+    finally:
+        invariants._slices.cache_clear()
+    assert calls and all(name == "rref" for name, _, _ in calls)
+    # every elimination runs while a piece is built, on at most its slab's rows
+    assert all(slab is not None and rows <= slab for _, rows, slab in calls)
 
 
 def test_invariant_slice_contains_known_invariants():
