@@ -225,14 +225,14 @@ def _cmd_monomial_example(args: argparse.Namespace) -> list[CheckReport]:
     return monoalg.run_preset(args.name, degree_cap=args.degree_cap)
 
 
-def _add_rep_arguments(sub: argparse.ArgumentParser, max_degree_default: int = DEFAULT_MAX_DEGREE) -> None:
+def _add_rep_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=int, required=True, help="prime characteristic / group order")
     sub.add_argument("--blocks", required=True,
                      help="comma-separated block sizes, e.g. 2,2, each between 1 and p; "
                           "depth-report, grade, transfer-quotient and canonical regseq "
                           "need sizes of at least 2")
-    sub.add_argument("--max-degree", type=int, default=max_degree_default,
-                     help=f"degree bound for all slices (default {max_degree_default})")
+    sub.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE,
+                     help=f"degree bound for all slices (default {DEFAULT_MAX_DEGREE})")
 
 
 def build_parser() -> argparse.ArgumentParser:

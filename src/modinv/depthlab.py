@@ -50,22 +50,27 @@ class ZeroModuleError(ValueError):
 
 
 class _Slice(NamedTuple):
-    """One degree of a view in numerator coordinates: ``cols``, the
-    numerator's pivot columns; ``local``, the canonical denominator on those
-    columns (den_d[:, cols], so den_d = local @ num_d), of width dim num_d;
-    and ``keep``, the quotient positions, the numerator pivots that are not
-    denominator pivots, as indices into ``cols``."""
+    """One degree of a view in numerator coordinates, built once: ``cols``,
+    the numerator's pivot columns; ``local``, the canonical denominator on
+    those columns (den_d[:, cols], so den_d = local @ num_d), of width
+    dim num_d; ``keep``, the quotient positions, the numerator pivots that
+    are not denominator pivots, as indices into ``cols``; and ``quotient``,
+    the numerator rows at ``keep``, the canonical basis of the quotient."""
 
     cols: np.ndarray
     local: MatFp
     keep: np.ndarray
+    quotient: MatFp
 
     def extended(self, r: MatFp) -> _Slice:
         """The slice with the new classes added, r being the canonical RREF
-        of their coordinates on ``keep`` (``la.merge_residues``); the
-        quotient positions r's pivots take leave ``keep``."""
-        return _Slice(self.cols, la.merge_residues(self.local, self.keep, r),
-                      np.delete(self.keep, list(r.pivots)))
+        of their coordinates on ``keep`` (``la.merge_residues``).  The new
+        quotient positions are the old ones but r's pivots, so the new
+        quotient basis is the old one without the rows at r's pivots."""
+        drop = list(r.pivots)
+        keep = np.delete(self.keep, drop)
+        quotient = MatFp(r.p, np.delete(self.quotient.a, drop, axis=0), tuple(self.cols[keep].tolist()))
+        return _Slice(self.cols, la.merge_residues(self.local, self.keep, r), keep, quotient)
 
 
 class GradedModuleView:
@@ -78,11 +83,15 @@ class GradedModuleView:
     are the canonical basis of the quotient (``quotient_mat``), found
     without elimination.
 
-    The denominator is held in numerator coordinates: per degree, its
-    canonical echelon matrix on the numerator's pivot columns, of width
-    dim num_d, and the quotient positions, the numerator pivots it leaves
-    (``_Slice``).  A view built from a full-width denominator derives them
-    on first use; the full-width ``den`` of a quotient step is built only
+    The view holds one record per degree (``_Slice``), all built by the
+    constructor: the denominator in numerator coordinates, its canonical
+    echelon matrix on the numerator's pivot columns, of width dim num_d;
+    the quotient positions, the numerator pivots it leaves; and the
+    quotient basis, the numerator rows there, which is the numerator's own
+    matrix where the denominator is zero.  A denominator pivot that is no
+    numerator pivot means the denominator left the numerator, and the
+    constructor raises RuntimeError.  A quotient step derives its records
+    from these; the full-width ``den`` of a quotient step is built only
     when something reads it.
 
     The numerator must be closed under multiplication by the invariants
@@ -107,32 +116,21 @@ class GradedModuleView:
         self.num = num
         self.label = label
         self._den: GradedBasis | None = den
-        self._slices: list[_Slice | None] = [None] * (num.max_degree + 1)
-        self._quotients: dict[int, MatFp] = {}
+        self._slices: list[_Slice] = []
+        for d, (n, m) in enumerate(zip(num.mats, den.mats)):
+            where = {c: i for i, c in enumerate(n.pivots)}
+            if not where.keys() >= set(m.pivots):
+                raise RuntimeError(f"module {label!r}: the degree-{d} denominator "
+                                   "is not inside the numerator")
+            cols = np.asarray(n.pivots, dtype=np.intp)
+            piv = tuple(where[c] for c in m.pivots)
+            keep = np.delete(np.arange(len(cols)), piv)
+            quotient = MatFp(n.p, n.a[keep], tuple(cols[keep].tolist())) if piv else n
+            self._slices.append(_Slice(cols, MatFp(n.p, m.a[:, cols], piv), keep, quotient))
 
     @property
     def max_degree(self) -> int:
         return self.num.max_degree
-
-    def _slice(self, degree: int) -> _Slice:
-        """The degree's denominator in numerator coordinates, derived from
-        the full-width one on first use.  A denominator pivot that is no
-        numerator pivot means the denominator left the numerator: a
-        RuntimeError."""
-        got = self._slices[degree]
-        if got is None:
-            num, den = self.num.mat(degree), self._den.mat(degree)
-            where = {c: i for i, c in enumerate(num.pivots)}
-            if not where.keys() >= set(den.pivots):
-                raise RuntimeError(f"module {self.label!r}: the degree-{degree} denominator "
-                                   "is not inside the numerator")
-            cols = np.asarray(num.pivots, dtype=np.intp)
-            piv = tuple(where[c] for c in den.pivots)
-            left = np.ones(len(cols), dtype=bool)
-            left[list(piv)] = False
-            got = self._slices[degree] = _Slice(cols, MatFp(num.p, den.a[:, cols], piv),
-                                                np.flatnonzero(left))
-        return got
 
     @property
     def den(self) -> GradedBasis:
@@ -145,18 +143,18 @@ class GradedModuleView:
         if self._den is None:
             p, mats = self.num.p, []
             for d in range(self.max_degree + 1):
-                s, num = self._slice(d), self.num.mat(d)
+                s, num = self._slices[d], self.num.mat(d)
                 entries, at = s.local.a[:, s.keep], s.cols[s.keep]
                 rows = num.a[list(s.local.pivots)]
                 rows[:, at] = (p - entries) % p
-                rows = la.reduce_rows(rows, self.quotient_mat(d))
+                rows = la.reduce_rows(rows, s.quotient)
                 rows[:, at] = entries
                 mats.append(MatFp(p, rows, tuple(num.pivots[i] for i in s.local.pivots)))
             self._den = GradedBasis(p, self.num.nvars, mats)
         return self._den
 
     def dim(self, degree: int) -> int:
-        return len(self._slice(degree).keep)
+        return len(self._slices[degree].keep)
 
     def dims(self) -> list[int]:
         return [self.dim(d) for d in range(self.max_degree + 1)]
@@ -168,16 +166,8 @@ class GradedModuleView:
         """Canonical echelon basis of the degree slice's classes modulo the
         denominator: the numerator rows at the quotient positions, with no
         elimination.  With nothing to divide by, this is the numerator's own
-        basis.  A denominator that left the numerator raises RuntimeError."""
-        s = self._slice(degree)
-        num = self.num.mat(degree)
-        if s.local.nrows == 0:
-            return num
-        got = self._quotients.get(degree)
-        if got is None:
-            got = self._quotients[degree] = MatFp(num.p, num.a[s.keep],
-                                                  tuple(num.pivots[i] for i in s.keep))
-        return got
+        basis."""
+        return self._slices[degree].quotient
 
     def quotient_by(self, f: Poly, label: str | None = None) -> GradedModuleView:
         """The module modulo f times it; f must be invariant homogeneous.
@@ -205,7 +195,7 @@ class GradedModuleView:
         p = self.num.p
         slices = []
         for d in range(self.max_degree + 1):
-            s = self._slice(d)
+            s = self._slices[d]
             if e <= d and not f.is_zero() and len(s.keep) and self.dim(d - e):
                 coords = images[d - e] if images is not None else _quotient_coords(
                     self, la.mult_map(self.quotient_mat(d - e), f, d - e).a, d)
@@ -213,7 +203,7 @@ class GradedModuleView:
             slices.append(s)
         view = copy.copy(self)
         view.label = label if label is not None else f"{self.label} / ({render(f, self.rep.varnames)})"
-        view._den, view._slices, view._quotients = None, slices, {}
+        view._den, view._slices = None, slices
         return view
 
 
@@ -247,7 +237,7 @@ def _quotient_coords(view: GradedModuleView, product: np.ndarray, degree: int) -
     denominator pivots, so they lie in the span of the quotient rows, and a
     residue's entries on the quotient positions are its coordinates; the
     other entries follow from those, so dropping them loses nothing."""
-    s = view._slice(degree)
+    s = view._slices[degree]
     return la.reduce_rows(product[:, s.cols], s.local, s.keep)
 
 

@@ -18,11 +18,11 @@ eliminates only their residues off its pivots, merging them in with
 with no XOR).  A mod-2 multiplication map XORs the uint8 basis into its
 output through each term's column map; odd primes accumulate the terms in
 int64 and reduce once.  Every monomial position is a binomial rank of
-exponent rows (``monomial_positions``), and ``rows_off_pivots`` is the one
-echelon row selection.  Inclusion of row spaces is read off canonical
-forms: the inner pivots must be outer pivots,
-and what is left of each inner row after its pivot's outer row is reduced
-modulo the other outer rows on the columns off the inner pivots.
+exponent rows (``monomial_positions``).  ``rows_off_pivots`` selects the
+rows of a canonical basis off the pivots of a canonical subspace, as the
+invariant-ring generators are read off.  Inclusion of row spaces
+(``subspace_le``) is a residue test: every inner row must reduce to zero
+modulo the canonical outer basis.
 """
 
 from __future__ import annotations
@@ -297,7 +297,9 @@ def rows_off_pivots(num: MatFp, sub: MatFp) -> MatFp | None:
     None when a pivot of ``sub`` is no pivot of ``num``, so ``sub`` is not
     inside ``num``.  Otherwise each such row is zero on every pivot of
     ``sub``, so the rows are their own residues modulo ``sub`` and equal the
-    RREF of the reduced ``num``, with no elimination."""
+    RREF of the reduced ``num``, with no elimination.  The invariant-ring
+    generators are read off this way; a module view keeps its quotient
+    positions itself (``depthlab._Slice``)."""
     sub_pivots = set(sub.pivots)
     if not sub_pivots.issubset(num.pivots):
         return None
@@ -306,26 +308,13 @@ def rows_off_pivots(num: MatFp, sub: MatFp) -> MatFp | None:
 
 
 def subspace_le(inner: MatFp, outer: MatFp) -> bool:
-    """Row space inclusion test on canonical forms.
-
-    inner <= outer exactly when every inner pivot is an outer pivot and each
-    inner row, minus the outer row of its pivot, reduces to zero modulo the
-    outer rows on the other pivots.  That difference and those rows vanish
-    on every inner pivot column, so the residue is read on the other
-    columns only."""
+    """Row space inclusion: inner <= outer exactly when every inner row
+    reduces to zero modulo the canonical form of ``outer``, which is
+    eliminated only if it is not canonical already."""
     if inner.p != outer.p or inner.ncols != outer.ncols:
         raise ValueError("subspace test on mismatched spaces")
-    inner = inner if inner.is_rref else rref(inner)
-    if inner.nrows == 0:
-        return True
     outer = outer if outer.is_rref else rref(outer)
-    rest = rows_off_pivots(outer, inner)
-    if rest is None:
-        return False
-    own = outer.a[np.searchsorted(outer.pivots, inner.pivots)]  # pivots ascend
-    diff = (inner.a.astype(np.int16) - own) % outer.p
-    taken = set(inner.pivots)
-    return not reduce_rows(diff, rest, [c for c in range(inner.ncols) if c not in taken]).any()
+    return not reduce_rows(inner.a, outer).any()
 
 
 @lru_cache(maxsize=None)

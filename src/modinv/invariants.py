@@ -20,8 +20,10 @@ elimination, and only the x[1,j]-free rows, the slab, are eliminated.  Of
 the blocks with a positive degree, j is the one with the smallest slab.
 The canonical echelon form of a direct sum on disjoint columns is the union
 of the pieces' echelon forms ordered by pivot, so the pieces are merged
-without a further elimination.  Monomial positions (a piece's columns, a
-monomial's parent) are ranks in ``gradedla``, with no loop.
+without a further elimination.  A monomial's parent is a rank in
+``gradedla``, and the pieces' positions come from one index per degree
+(``_pieces``): the block multidegrees of the slice's exponent rows, ranked
+once and grouped by a stable sort, so no piece is ranked on its own.
 """
 
 from __future__ import annotations
@@ -124,36 +126,33 @@ def _peel(blocks: tuple[int, ...], multidegree: tuple[int, ...]) -> tuple[int, i
     return j, num_monomials(blocks[j], multidegree[j] - 1)
 
 
-def _piece_columns(blocks: tuple[int, ...], multidegree: tuple[int, ...]) -> np.ndarray:
-    """Positions in the degree slice of the piece's monomials, listed in
-    Kronecker order (first block outermost).  Each block lists its
-    monomials in descending lex order, so the positions increase."""
-    parts = [la.exponents(n, e) for n, e in zip(blocks, multidegree)]
-    # row-major indices over the blocks' slices run in Kronecker order
-    grid = np.indices([len(exps) for exps in parts]).reshape(len(parts), -1)
-    return la.monomial_positions(np.hstack([exps[i] for exps, i in zip(parts, grid)]))
-
-
-def _carry(m: MatFp, cols: np.ndarray, width: int) -> MatFp:
-    """Canonical ``m`` placed on the increasing columns ``cols`` of a zero
-    matrix ``width`` wide, which keeps it canonical."""
-    out = np.zeros((m.nrows, width), dtype=np.uint8)
-    out[:, cols] = m.a
-    return MatFp(m.p, out, tuple(cols[list(m.pivots)].tolist()))
+def _pieces(blocks: tuple[int, ...], degree: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The pieces of the degree slice: each block multidegree, in
+    ``la.exponents`` order, with the ascending positions of its monomials.
+    A monomial's block multidegree sums its exponent row block by block;
+    ranking those sums and sorting the positions stably by rank groups them
+    by piece in slice order.  That is the piece's Kronecker order (first
+    block outermost): descending lex order compares block 1's exponents
+    first, and each block's total is fixed inside a piece."""
+    multidegrees = la.exponents(len(blocks), degree)
+    starts = np.cumsum((0,) + blocks[:-1])
+    rank = la.monomial_positions(np.add.reduceat(la.exponents(sum(blocks), degree), starts, axis=1))
+    bounds = np.cumsum(np.bincount(rank, minlength=len(multidegrees)))[:-1]
+    return list(zip(map(tuple, multidegrees.tolist()), np.split(np.argsort(rank, kind="stable"), bounds)))
 
 
 def _merge_pieces(p: int, width: int, pieces: list[tuple[np.ndarray, MatFp]]) -> MatFp:
-    """Scatter echelon bases of pieces on disjoint increasing column sets
-    into one canonical echelon basis of the degree slice."""
+    """Scatter canonical echelon bases on disjoint increasing column sets
+    of a space ``width`` wide into one canonical echelon basis; one basis
+    placed on increasing columns stays canonical."""
     pivots = np.concatenate([cols[list(m.pivots)] for cols, m in pieces])
-    slot = np.empty(pivots.size, dtype=np.intp)
-    slot[np.argsort(pivots)] = np.arange(pivots.size)
     out = np.zeros((pivots.size, width), dtype=np.uint8)
     start = 0
     for cols, m in pieces:
-        out[np.ix_(slot[start:start + m.nrows], cols)] = m.a
+        out[start:start + m.nrows, cols] = m.a
         start += m.nrows
-    return MatFp(p, out, tuple(int(c) for c in np.sort(pivots)))
+    order = np.argsort(pivots)
+    return MatFp(p, out[order], tuple(pivots[order].tolist()))
 
 
 @lru_cache(maxsize=16)
@@ -169,7 +168,9 @@ def _slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
     divisible by it, x[1,j] times piece a - e_j's in the same order, both
     are piece a - e_j's placed there: multiplying by a monomial keeps the
     order of positions.  Only the slab, the x[1,j]-free rows, is eliminated
-    (``gradedla.extend``), with j from ``_peel``.  The transfer rows at new
+    (``gradedla.extend``), with j from ``_peel``.  The pieces and their
+    positions in the slice come from ``_pieces``; a piece's carried rows
+    are those whose monomial x[1,j] divides.  The transfer rows at new
     pivots are proved inside the piece's invariants; with the carried rows,
     proved one degree down, they span the piece.  RuntimeError names a
     piece that fails.  Both bases are merged onto the same columns, so the
@@ -179,22 +180,21 @@ def _slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
     prev: dict[tuple[int, ...], tuple[MatFp, MatFp]] = {}
     for d in range(max_degree + 1):
         inv_pieces, tra_pieces, cur = [], [], {}
-        # a block multidegree splits d into one part per block
-        for multidegree in map(tuple, la.exponents(len(blocks), d).tolist()):
-            sizes = [num_monomials(size, e) for size, e in zip(blocks, multidegree)]
-            width = int(np.prod(sizes))
+        exps = la.exponents(n, d)
+        for multidegree, cols in _pieces(blocks, d):
+            width = cols.size
             peel = j, keep = _peel(blocks, multidegree)
-            # row-major positions with block j's index below keep, and the rest
-            grid = np.arange(width).reshape(-1, sizes[j], int(np.prod(sizes[j + 1:])))
-            carried, slab = grid[:, :keep].ravel(), grid[:, keep:].ravel()
+            # a monomial is carried when x[1,j] divides it
+            divisible = exps[cols, sum(blocks[:j])] > 0
+            carried, slab = np.flatnonzero(divisible), np.flatnonzero(~divisible)
             if keep:
                 below = list(multidegree)
                 below[j] -= 1
                 g, t = prev[tuple(below)]
             else:
                 g = t = MatFp(p, np.zeros((0, 0), dtype=np.uint8), ())
-            g = _carry(g, np.concatenate([carried, width + carried]), 2 * width)
-            t = _carry(t, carried, width)
+            g = _merge_pieces(p, 2 * width, [(np.concatenate([carried, width + carried]), g)])
+            t = _merge_pieces(p, width, [(carried, t)])
             sig = _slab_power(p, blocks, multidegree, peel, 1)
             step = np.zeros((slab.size, 2 * width), dtype=np.int64)
             step[:, :width] = sig
@@ -211,7 +211,6 @@ def _slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
                 raise RuntimeError(f"the degree-{d} transfer piece of block multidegree "
                                    f"{multidegree} is not inside the invariants")
             cur[multidegree] = g, t
-            cols = _piece_columns(blocks, multidegree)
             inv_pieces.append((cols, inv_piece))
             tra_pieces.append((cols, t))
         prev = cur

@@ -7,7 +7,7 @@ import pytest
 from modinv import gradedla as la
 from modinv.gradedla import GradedBasis, MatFp
 from modinv import invariants
-from modinv.invariants import (_block_sigma, _merge_pieces, _mono_parents, _peel, _piece_columns,
+from modinv.invariants import (_block_sigma, _merge_pieces, _mono_parents, _peel, _pieces,
                                _slab_power, _slab_transfer, dimension_growth_check,
                                finite_difference, ideal_slice, invariant_slice, transfer_slice)
 from modinv.poly import Poly, num_monomials, var_mono
@@ -93,10 +93,39 @@ def test_positions_match_dictionary_references(blocks):
         var_of, parent = _mono_parents(n, degree)
         assert (var_of.tolist(), parent.tolist()) == dict_mono_parents(n, degree), degree
     for degree in range(9):
-        for multidegree in monomials_of_degree(len(blocks), degree):
-            got = _piece_columns(blocks, multidegree)
+        pieces = _pieces(blocks, degree)
+        assert tuple(m for m, _ in pieces) == monomials_of_degree(len(blocks), degree)
+        for multidegree, got in pieces:
             assert got.dtype == np.intp
             assert got.tolist() == dict_piece_columns(blocks, multidegree), multidegree
+        # the pieces partition the slice
+        every = np.sort(np.concatenate([cols for _, cols in pieces]))
+        assert np.array_equal(every, np.arange(num_monomials(n, degree))), degree
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_merge_pieces_is_the_rref_of_the_placed_stack(p):
+    # canonical bases placed on disjoint increasing column sets, some
+    # columns in no part: one part (a carry), several, and an empty part
+    rng = np.random.default_rng(70 + p)
+    width = 30
+    for nparts in (1, 2, 4):
+        for trial in range(8):
+            owner = rng.integers(0, nparts + 1, width)
+            pieces = []
+            for k in range(nparts):
+                cols = np.flatnonzero(owner == k)
+                nrows = 0 if (k, trial) in ((1, 0), (0, 1)) else int(rng.integers(1, cols.size + 2))
+                pieces.append((cols, la.rref(MatFp(p, rng.integers(0, p, (nrows, cols.size)).astype(np.uint8)))))
+            placed = np.zeros((sum(m.nrows for _, m in pieces), width), dtype=np.uint8)
+            start = 0
+            for cols, m in pieces:
+                placed[start:start + m.nrows, cols] = m.a
+                start += m.nrows
+            got = _merge_pieces(p, width, pieces)
+            want = la.rref(MatFp(p, placed))
+            assert got.pivots == want.pivots, (nparts, trial)
+            assert got.a.shape == want.a.shape and got.a.tobytes() == want.a.tobytes(), (nparts, trial)
 
 
 def dense_slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
@@ -206,13 +235,13 @@ def test_orbit_sum_equals_the_sigma_minus_one_chain(p, blocks, bound):
     tra = transfer_slice(rep, bound)
     for d in range(bound + 1):
         pieces = []
-        for multidegree in monomials_of_degree(len(blocks), d):
+        for multidegree, cols in _pieces(blocks, d):
             want = chain_transfer_piece(p, blocks, multidegree)
             peel, slab = slab_positions(blocks, multidegree)
             got = _slab_transfer(p, blocks, multidegree, peel, slab,
                                  _slab_power(p, blocks, multidegree, peel, 1))
             assert got.shape == want[slab].shape and np.array_equal(got, want[slab]), (d, multidegree)
-            pieces.append((_piece_columns(blocks, multidegree), la.rref(MatFp(p, want))))
+            pieces.append((cols, la.rref(MatFp(p, want))))
         want_slice = _merge_pieces(p, num_monomials(rep.nvars, d), pieces)
         assert tra.mat(d).pivots == want_slice.pivots, d
         assert tra.mat(d).a.tobytes() == want_slice.a.tobytes(), d
