@@ -18,6 +18,16 @@ A module's denominator is held in numerator coordinates
 (``GradedModuleView``), so a quotient step eliminates only the coordinates
 of the classes it adds, never the whole denominator again, and the
 coordinates a passing regularity check computed are the ones it adds.
+
+Each module state carries one memo (``_Memo``), so a run checks and
+quotients each (state, element) pair once, however many searches walk the
+same quotient chain: the rank test of each degree (``_shortfall``), the
+quotient by the element (``_quotient_by``) and the socle search.  A depth
+report's canonical-sequence check, greedy searches and prefix quotients all
+divide the ring by the same elements, so they share one chain.  A memo lives
+as long as its state: a state keeps every quotient built from it alive,
+but a rank test's coordinates only until the element fails a degree or
+its quotient exists.
 """
 
 from __future__ import annotations
@@ -73,6 +83,29 @@ class _Slice(NamedTuple):
         return _Slice(self.cols, la.merge_residues(self.local, self.keep, r), keep, quotient)
 
 
+@dataclass
+class _Step:
+    """What one module state knows about one element f: the outcome of the
+    rank test of each degree checked (``_shortfall``) and, once built, the
+    quotient by f.  The quotient step is the one reader of the tests'
+    quotient coordinates, and only after f passed every degree, so they are
+    kept only until f fails a degree or its quotient exists (None after)."""
+
+    tests: dict[int, tuple[MatFp, MatFp] | None] = field(default_factory=dict)
+    coords: dict[int, np.ndarray] | None = field(default_factory=dict)
+    child: GradedModuleView | None = None
+
+
+@dataclass
+class _Memo:
+    """One module state's computations: a ``_Step`` per element, keyed by
+    its terms (a ``Poly`` is unhashable), and the socle search's witness,
+    held as a 1-tuple once searched."""
+
+    steps: dict[tuple, _Step] = field(default_factory=dict)
+    socle: tuple[SocleWitness | None] | None = None
+
+
 class GradedModuleView:
     """A graded module presented as numerator/denominator subspace bases.
 
@@ -102,6 +135,13 @@ class GradedModuleView:
     (``_quotient_coords``); ``quotient_by`` multiplies only the quotient
     rows and eliminates only those coordinates; and ``socle_search`` tests
     only the generators of the invariant ring.
+
+    The constructor gives the view an empty memo (``_Memo``); every quotient
+    step's new state gets a fresh one, and a relabeled shallow copy shares
+    its original's, since labels are not part of the math.  The memo holds
+    the rank tests, the quotients and the socle witness computed on this
+    state, so it keeps every quotient built from the state alive as long as
+    the state itself.
     """
 
     def __init__(self, rep: CpRep, num: GradedBasis, den: GradedBasis,
@@ -127,6 +167,7 @@ class GradedModuleView:
             keep = np.delete(np.arange(len(cols)), piv)
             quotient = MatFp(n.p, n.a[keep], tuple(cols[keep].tolist())) if piv else n
             self._slices.append(_Slice(cols, MatFp(n.p, m.a[:, cols], piv), keep, quotient))
+        self._memo = _Memo()
 
     @property
     def max_degree(self) -> int:
@@ -153,11 +194,16 @@ class GradedModuleView:
             self._den = GradedBasis(p, self.num.nvars, mats)
         return self._den
 
+    def _at(self, degree: int) -> _Slice:
+        if not 0 <= degree < len(self._slices):
+            raise ValueError(f"degree {degree} outside stored range 0..{self.max_degree}")
+        return self._slices[degree]
+
     def dim(self, degree: int) -> int:
-        return len(self._slices[degree].keep)
+        return len(self._at(degree).keep)
 
     def dims(self) -> list[int]:
-        return [self.dim(d) for d in range(self.max_degree + 1)]
+        return [len(s.keep) for s in self._slices]
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.dims())
@@ -167,7 +213,15 @@ class GradedModuleView:
         denominator: the numerator rows at the quotient positions, with no
         elimination.  With nothing to divide by, this is the numerator's own
         basis."""
-        return self._slices[degree].quotient
+        return self._at(degree).quotient
+
+    def _step(self, f: Poly) -> _Step:
+        """The memo's record of f on this state, made empty on first use."""
+        key = tuple(sorted(f.terms.items()))
+        step = self._memo.steps.get(key)
+        if step is None:
+            step = self._memo.steps[key] = _Step()
+        return step
 
     def quotient_by(self, f: Poly, label: str | None = None) -> GradedModuleView:
         """The module modulo f times it; f must be invariant homogeneous.
@@ -190,7 +244,19 @@ class GradedModuleView:
         Each degree eliminates only the quotient coordinates of the new
         classes, a dim(d - e) x dim(d) matrix.  ``images[k]``, when given,
         holds those coordinates of f times the degree-k quotient rows, as a
-        passing regularity check of f computed them (``_failures``)."""
+        passing regularity check of f computed them (``_failures``).
+
+        The new state is built once per state and f, on the first call, and
+        memoized; every call returns a copy of it under its own label."""
+        step = self._step(f)
+        if step.child is None:
+            step.child, step.coords = self._divided(f, images), None
+        view = copy.copy(step.child)
+        view.label = label if label is not None else f"{self.label} / ({render(f, self.rep.varnames)})"
+        return view
+
+    def _divided(self, f: Poly, images: Sequence[np.ndarray | None] | None) -> GradedModuleView:
+        """The new state of ``_quotient_by``, with a fresh memo."""
         e = f.homogeneous_degree()
         p = self.num.p
         slices = []
@@ -202,8 +268,7 @@ class GradedModuleView:
                 s = s.extended(la.rref(MatFp(p, coords)))
             slices.append(s)
         view = copy.copy(self)
-        view.label = label if label is not None else f"{self.label} / ({render(f, self.rep.varnames)})"
-        view._den, view._slices = None, slices
+        view._den, view._slices, view._memo = None, slices, _Memo()
         return view
 
 
@@ -246,10 +311,27 @@ def _shortfall(view: GradedModuleView, f: Poly, e: int,
     """The quotient coordinates c of f times the degree-d quotient rows q,
     in degree d + e (None when q is empty), and None if multiplication by
     f, of degree e, is injective on degree d; else q and the RREF r of c^T,
-    whose null space combines rows of q into annihilated classes."""
+    whose null space combines rows of q into annihilated classes.
+
+    Memoized per state, f and d (``_Step``); c reads None once f has
+    failed a degree or the quotient by f exists, as nothing reads it then."""
     q = view.quotient_mat(d)
     if q.nrows == 0:
         return None, None
+    step = view._step(f)
+    if d not in step.tests:
+        coords, step.tests[d] = _rank_test(view, q, f, e, d)
+        if step.tests[d] is not None:
+            step.coords = None
+        elif step.coords is not None:
+            step.coords[d] = coords
+    return None if step.coords is None else step.coords[d], step.tests[d]
+
+
+def _rank_test(view: GradedModuleView, q: MatFp, f: Poly, e: int,
+               d: int) -> tuple[np.ndarray, tuple[MatFp, MatFp] | None]:
+    """``_shortfall`` computed: one product, its quotient coordinates and
+    one elimination."""
     coords = _quotient_coords(view, la.mult_map(q, f, d).a, d + e)
     r = la.rref(MatFp(view.num.p, coords.T))
     return coords, (None if r.nrows == q.nrows else (q, r))
@@ -431,63 +513,71 @@ def socle_search(view: GradedModuleView) -> tuple[SocleWitness | None, CheckRepo
     in those degrees.  That kills the same classes as every invariant
     provided the denominator is closed under multiplication by invariants
     within the bound: if c*g lies in the denominator, so does c*g*h, and the
-    products of generators with invariants span every positive degree."""
-    rep = view.rep
-    bound = view.max_degree
-    cap = bound - 2
-    inv = invariant_slice(rep, bound)
+    products of generators with invariants span every positive degree.
+
+    The search runs once per module state (``_Memo``); each call builds
+    its report under the caller's label."""
+    cap = view.max_degree - 2
     report = CheckReport(
         name="socle-search",
-        params={"module": view.label, "witness_degree_cap": cap, "max_degree": bound},
+        params={"module": view.label, "witness_degree_cap": cap, "max_degree": view.max_degree},
         passed=True,
     )
-    witness: SocleWitness | None = None
     with timed(report):
-        p = view.num.p
-        for d in range(0, cap + 1):
-            report.degrees_checked.append(d)
-            q = view.quotient_mat(d)
-            if q.nrows == 0:
-                continue
-            candidates = q.a
-            ann_degrees = [e for e in range(1, bound - d + 1) if inv.dim(e)]
-            for e in ann_degrees:
-                for u in _generators(rep, bound, e):
-                    if candidates.shape[0] == 0:
-                        break
-                    coords = _quotient_coords(view, la.mult_map(MatFp(p, candidates), u, d).a, d + e)
-                    if not coords.any():
-                        continue
-                    left = la.kernel(MatFp(p, coords.T))
-                    if left.nrows == 0:
-                        candidates = candidates[:0]
-                        break
-                    candidates = la.matmul_mod(left.a, candidates, p)
-                if candidates.shape[0] == 0:
-                    break
-            if candidates.shape[0] and ann_degrees:
-                vec = la.rref(MatFp(p, candidates)).a[0]
-                poly = la.vec_to_poly(p, view.num.nvars, d, vec)
-                witness = SocleWitness(
-                    degree=d,
-                    element=poly,
-                    rendered=render(poly, rep.varnames),
-                    annihilator_degrees=ann_degrees,
-                )
-                report.witnesses.append({
-                    "degree": d,
-                    "element": witness.rendered,
-                    "annihilator_degrees": ann_degrees,
-                })
-                report.notes.append(
-                    f"witness killed by all invariants of degree 1..{ann_degrees[-1]}; "
-                    "evidence is bounded, not a proof")
-                break
+        if view._memo.socle is None:
+            view._memo.socle = (_socle_witness(view, cap),)
+        witness, = view._memo.socle
         if witness is None:
+            report.degrees_checked.extend(range(cap + 1))
             report.notes.append(
                 f"inconclusive: no socle element found for witness degrees 0..{cap}; "
                 "maximality evidence is missing")
+        else:
+            ann_degrees = witness.annihilator_degrees
+            report.degrees_checked.extend(range(witness.degree + 1))
+            report.witnesses.append({
+                "degree": witness.degree,
+                "element": witness.rendered,
+                "annihilator_degrees": list(ann_degrees),
+            })
+            report.notes.append(
+                f"witness killed by all invariants of degree 1..{ann_degrees[-1]}; "
+                "evidence is bounded, not a proof")
     return witness, report
+
+
+def _socle_witness(view: GradedModuleView, cap: int) -> SocleWitness | None:
+    """``socle_search``'s lowest-degree witness of degree at most cap."""
+    rep = view.rep
+    bound = view.max_degree
+    inv = invariant_slice(rep, bound)
+    p = view.num.p
+    for d in range(0, cap + 1):
+        q = view.quotient_mat(d)
+        if q.nrows == 0:
+            continue
+        candidates = q.a
+        ann_degrees = [e for e in range(1, bound - d + 1) if inv.dim(e)]
+        for e in ann_degrees:
+            for u in _generators(rep, bound, e):
+                if candidates.shape[0] == 0:
+                    break
+                coords = _quotient_coords(view, la.mult_map(MatFp(p, candidates), u, d).a, d + e)
+                if not coords.any():
+                    continue
+                left = la.kernel(MatFp(p, coords.T))
+                if left.nrows == 0:
+                    candidates = candidates[:0]
+                    break
+                candidates = la.matmul_mod(left.a, candidates, p)
+            if candidates.shape[0] == 0:
+                break
+        if candidates.shape[0] and ann_degrees:
+            vec = la.rref(MatFp(p, candidates)).a[0]
+            poly = la.vec_to_poly(p, view.num.nvars, d, vec)
+            return SocleWitness(degree=d, element=poly, rendered=render(poly, rep.varnames),
+                                annihilator_degrees=ann_degrees)
+    return None
 
 
 @lru_cache(maxsize=64)
@@ -688,16 +778,19 @@ def expected_depth(rep: CpRep) -> int:
     return min(rep.num_blocks + 2, rep.dim)
 
 
-def _prefix_modules(rep: CpRep, gens: Sequence[Poly],
-                    max_degree: int) -> Iterator[tuple[GradedModuleView, GradedModuleView]]:
+def _prefix_modules(rep: CpRep, gens: Sequence[Poly], max_degree: int,
+                    ring: GradedModuleView | None = None
+                    ) -> Iterator[tuple[GradedModuleView, GradedModuleView]]:
     """For every prefix g_1..g_k of the generators, the ideal it generates
     inside the invariant ring and the ring modulo that ideal, as graded
     modules over the ring, from one chain: the k-th quotient is the
-    (k-1)-th one by g_k, and its denominator is the ideal.  Each generator
-    is validated once.  The ideal views have zero denominators, which need
-    no inclusion check."""
+    (k-1)-th one by g_k, and its denominator is the ideal.  The chain starts
+    at ``ring``, the invariant ring's view up to max_degree, when given, so
+    that its memo serves the chain; else at a new one.  Each generator is
+    validated once.  The ideal views have zero denominators, which need no
+    inclusion check."""
     zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
-    quotient = ring_module(rep, max_degree)
+    quotient = ring_module(rep, max_degree) if ring is None else ring
     names = []
     for g in gens:
         rep.check_poly(g)
@@ -886,7 +979,7 @@ def depth_report(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
     ring_cm_domain = ring_ev.maximal and ring_ev.lower == rep.dim
 
     instances = []
-    for k, (ideal, quotient) in enumerate(_prefix_modules(rep, seq, max_degree), 1):
+    for k, (ideal, quotient) in enumerate(_prefix_modules(rep, seq, max_degree, ring), 1):
         ideal_ev = bounded_depth(ideal, search_degree_cap=search_degree_cap)
         quot_ev = bounded_depth(quotient, search_degree_cap=search_degree_cap)
         reports.extend(ideal_ev.reports)

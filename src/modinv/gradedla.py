@@ -320,17 +320,30 @@ def subspace_le(inner: MatFp, outer: MatFp) -> bool:
 @lru_cache(maxsize=None)
 def exponents(nvars: int, degree: int) -> np.ndarray:
     """The degree slice's exponent vectors as rows, in descending
-    lexicographic order: the coordinate order of every slice.  The rows
-    with first exponent e are e beside the (nvars - 1)-variable slice of
-    degree - e, for e = degree..0.  Cached, so read-only."""
+    lexicographic order: the coordinate order of every slice.  Cached, so
+    read-only; only the requested slices are kept.
+
+    Built column by column, with no fewer-variable slice: the prefixes
+    (e_1..e_j) come in order, each extended by e_(j+1) = what it leaves of
+    the degree, down to 0, and column j repeats each e_(j+1) once per
+    completion of its prefix, C(left + free, free) for the ``free``
+    coordinates between e_(j+1) and the last, which takes what is left."""
     if nvars < 1 or degree < 0:
         raise ValueError(f"bad monomial enumeration request ({nvars=}, {degree=})")
-    if nvars == 1:
-        exps = np.array([[degree]], dtype=np.int64)
-    else:
-        tails = [exponents(nvars - 1, degree - e) for e in range(degree, -1, -1)]
-        heads = np.repeat(np.arange(degree, -1, -1, dtype=np.int64), [len(t) for t in tails])
-        exps = np.column_stack((heads, np.vstack(tails)))
+    exps = np.empty((comb(degree + nvars - 1, nvars - 1), nvars), dtype=np.int64)
+    left = np.array([degree], dtype=np.int64)  # what each prefix leaves
+    for j in range(nvars - 1):
+        # each prefix extended by e = left..0, leaving 0..left
+        runs = left + 1
+        ends = np.cumsum(runs)
+        value = np.repeat(left, runs)
+        left = np.arange(ends[-1]) - np.repeat(ends - runs, runs)
+        value -= left
+        free = nvars - j - 2
+        if free:
+            value = np.repeat(value, np.array([comb(r + free, free) for r in range(degree + 1)])[left])
+        exps[:, j] = value
+    exps[:, nvars - 1] = left
     exps.setflags(write=False)
     return exps
 

@@ -78,6 +78,9 @@ PINNED_REPORTS = {
     # slice pieces built along a block of size 1 and along one of size 3
     "hilbert --p 5 --blocks 1,3,2 --max-degree 7":
         "8a7c0f2a31a68b704f5505dcac7e07a2575880cbffcfa862cd7c53e215182e37",
+    # odd p, three blocks: the longest prefix chain, shared by the most jobs
+    "depth-report --p 3 --blocks 2,2,2 --max-degree 7":
+        "fd89a26de8804292cebae399614c30aa9c5698cf60e2edf25783751bb241e86b",
 }
 
 

@@ -452,6 +452,107 @@ def test_quotient_mat_refuses_a_denominator_outside_the_numerator():
                          "inverted", check_inclusion=False)
 
 
+def test_module_view_refuses_degrees_outside_the_bound():
+    # a negative degree is not an index from the end
+    view = ring_module(CpRep.make(2, (2, 2)), 6)
+    for degree in (-1, 7):
+        for read in (view.dim, view.quotient_mat, view.num.mat):
+            with pytest.raises(ValueError, match=rf"^degree {degree} outside stored range 0\.\.6$"):
+                read(degree)
+
+
+def element_key(f):
+    return tuple(sorted(f.terms.items()))
+
+
+def test_depth_report_runs_each_rank_test_and_quotient_step_once(monkeypatch):
+    # the canonical-sequence check, the greedy searches and the prefix
+    # quotients of one report walk one shared chain of module states
+    rank_tests, steps, searches, memos = [], [], [], []
+    real_test, real_divided, real_socle = (depthlab._rank_test, GradedModuleView._divided,
+                                           depthlab._socle_witness)
+    real_extended = depthlab._Slice.extended
+    eliminations = []
+
+    def rank_test(view, q, f, e, d):
+        memos.append(view._memo)  # held, so no state's id is reused
+        rank_tests.append((id(view._memo), element_key(f), d))
+        return real_test(view, q, f, e, d)
+
+    def divided(self, f, images):
+        memos.append(self._memo)
+        steps.append((id(self._memo), element_key(f)))
+        return real_divided(self, f, images)
+
+    def socle(view, cap):
+        memos.append(view._memo)
+        searches.append(id(view._memo))
+        return real_socle(view, cap)
+
+    def extended(self, r):
+        eliminations.append(r.nrows)
+        return real_extended(self, r)
+
+    monkeypatch.setattr(depthlab, "_rank_test", rank_test)
+    monkeypatch.setattr(GradedModuleView, "_divided", divided)
+    monkeypatch.setattr(depthlab, "_socle_witness", socle)
+    monkeypatch.setattr(depthlab._Slice, "extended", extended)
+    reports = depth_report(CpRep.make(2, (2, 2, 2)), 6)
+    assert sum(r.name == "depth-evidence" for r in reports) == 13
+    assert len(set(rank_tests)) == len(rank_tests) <= 575
+    assert len(set(steps)) == len(steps)
+    assert len(eliminations) <= 119
+    assert len(set(searches)) == len(searches) <= 8
+
+
+def same_slices(a, b):
+    return all((s.cols.tobytes(), s.keep.tobytes()) == (t.cols.tobytes(), t.keep.tobytes())
+               and same_echelon(s.local, t.local) and same_echelon(s.quotient, t.quotient)
+               for s, t in zip(a._slices, b._slices, strict=True))
+
+
+@pytest.mark.parametrize("p, blocks", [(2, (2, 2)), (3, (2, 3))])
+def test_memoized_quotient_is_a_relabeled_copy(p, blocks):
+    rep = CpRep.make(p, blocks)
+    bound = 8
+    ring = ring_module(rep, bound)
+    f = canonical_sequence(rep)[0]
+    first = ring._quotient_by(f, "first")
+    again = ring._quotient_by(f, "again")
+    # a relabeled copy of the ring shares its memo, so it hits too
+    twin = ring._quotient_by(f, "ring")._quotient_by(f, "twin")
+    assert (first.label, again.label) == ("first", "again")
+    assert ring._quotient_by(f).label == f"invariant ring / ({render(f, rep.varnames)})"
+    assert first is not again and again._memo is first._memo is not ring._memo
+    assert twin._memo is not again._memo
+    # the same slices as a view built from scratch with the ideal as denominator
+    fresh = GradedModuleView(rep, ring.num, ideal_slice(rep, bound, [f]), "fresh")
+    assert same_slices(again, fresh) and same_slices(first, fresh)
+    assert again.den == fresh.den
+
+
+def test_relabeled_final_view_gets_the_same_socle_witness(monkeypatch):
+    rep = CpRep.make(2, (2, 2, 2))
+    ring = ring_module(rep, 6)
+    evidence = bounded_depth(ring)
+    final = evidence.cert.final_view
+    # the same state reached through the memo under another label
+    other = ring
+    for f in evidence.cert.elements:
+        other = other._quotient_by(f, "relabeled")
+    assert other is not final and other._memo is final._memo
+    kernels = []
+    real = la.kernel
+    monkeypatch.setattr(la, "kernel", lambda mat: kernels.append(mat) or real(mat))
+    witness, report = socle_search(other)
+    assert kernels == []  # the search ran once, inside bounded_depth
+    first, first_report = socle_search(final)
+    assert witness is first is not None
+    assert report.params["module"] == "relabeled" != final.label == first_report.params["module"]
+    assert report.witnesses == first_report.witnesses and report.notes == first_report.notes
+    assert report.degrees_checked == first_report.degrees_checked
+
+
 def test_generator_counts_are_the_indecomposable_dimensions():
     # dim (R+/R+^2)_e, independent of which generators are picked
     for p, blocks, bound, want in [(2, (2, 2, 2), 6, {1: 3, 2: 6, 3: 1}),

@@ -525,6 +525,15 @@ def test_monomial_positions_are_enumeration_indices(nvars):
             la.exponents(bad_nvars, bad_degree)
 
 
+def test_exponents_cache_keeps_only_the_requested_slices():
+    # the fewer-variable slices are built inside the call, not cached
+    la.exponents.cache_clear()
+    exps = la.exponents(7, 9)
+    assert la.exponents.cache_info().currsize == 1
+    assert not exps.flags.writeable and exps.flags.c_contiguous
+    assert la.exponents(7, 9) is exps
+
+
 def test_monomial_positions_refuse_mixed_degrees():
     with pytest.raises(ValueError, match="differing degrees"):
         la.monomial_positions(np.array([[2, 0], [0, 1]], dtype=np.int64))
