@@ -5,7 +5,9 @@ Nothing here proves statements about the full module: a passing check is
 evidence up to the stated degree bound, and the reports say so.  A failing
 regularity check is exact: it carries an element annihilated into the
 denominator.  Every regularity check is one rank test per degree
-(``_shortfall``), with a left kernel only for a witness a report prints.
+(``_shortfall``): one elimination of the quotient coordinates beside an
+identity block gives both their RREF and their left kernel, and a witness
+a report prints is read off that left kernel.
 A socle search with no witness passes as inconclusive, and so does a
 ``norm-reduction`` whose depth and grade sides disagree, or a
 ``transfer-ideal-depth`` whose evidence disagrees with blocks + 1: both are
@@ -15,9 +17,10 @@ or raise the transfer ideal's depth evidence, as from
 ``transfer-quotient --p 3 --blocks 2 --max-degree 4`` to ``--max-degree 5``.
 
 A module's denominator is held in numerator coordinates
-(``GradedModuleView``), so a quotient step eliminates only the coordinates
-of the classes it adds, never the whole denominator again, and the
-coordinates a passing regularity check computed are the ones it adds.
+(``GradedModuleView``), so a quotient step adds only the classes of f times
+the quotient rows, never eliminating the whole denominator again, and the
+RREF of their coordinates is the one a passing regularity check of f
+already computed, so the step eliminates nothing more.
 
 Each module state carries one memo (``_Memo``), so a run checks and
 quotients each (state, element) pair once, however many searches walk the
@@ -26,8 +29,8 @@ quotient by the element (``_quotient_by``) and the socle search.  A depth
 report's canonical-sequence check, greedy searches and prefix quotients all
 divide the ring by the same elements, so they share one chain.  A memo lives
 as long as its state: a state keeps every quotient built from it alive,
-but a rank test's coordinates only until the element fails a degree or
-its quotient exists.
+and every failing degree's left kernel, but a passing rank test's RREF
+only until the element fails a degree or its quotient exists.
 """
 
 from __future__ import annotations
@@ -72,6 +75,21 @@ class _Slice(NamedTuple):
     keep: np.ndarray
     quotient: MatFp
 
+    @classmethod
+    def of(cls, num: MatFp, den: MatFp) -> _Slice | None:
+        """The record of canonical ``den`` inside canonical ``num``; None
+        when a pivot of ``den`` is no pivot of ``num``, so ``den`` is not
+        inside it.  With nothing to divide by, the quotient basis is
+        ``num`` itself."""
+        where = {c: i for i, c in enumerate(num.pivots)}
+        if not where.keys() >= set(den.pivots):
+            return None
+        cols = np.asarray(num.pivots, dtype=np.intp)
+        piv = tuple(where[c] for c in den.pivots)
+        keep = np.delete(np.arange(len(cols)), piv)
+        quotient = MatFp(num.p, num.a[keep], tuple(cols[keep].tolist())) if piv else num
+        return cls(cols, MatFp(num.p, den.a[:, cols], piv), keep, quotient)
+
     def extended(self, r: MatFp) -> _Slice:
         """The slice with the new classes added, r being the canonical RREF
         of their coordinates on ``keep`` (``la.merge_residues``).  The new
@@ -86,13 +104,15 @@ class _Slice(NamedTuple):
 @dataclass
 class _Step:
     """What one module state knows about one element f: the outcome of the
-    rank test of each degree checked (``_shortfall``) and, once built, the
-    quotient by f.  The quotient step is the one reader of the tests'
-    quotient coordinates, and only after f passed every degree, so they are
-    kept only until f fails a degree or its quotient exists (None after)."""
+    rank test of each degree checked (``_shortfall``), the canonical left
+    kernel where f is not injective and None where it is, and, once built,
+    the quotient by f.  The quotient step is the one reader of a passing
+    test's RREF of the quotient coordinates, and only after f passed every
+    degree, so ``rrefs`` holds them only until f fails a degree or its
+    quotient exists (None after)."""
 
-    tests: dict[int, tuple[MatFp, MatFp] | None] = field(default_factory=dict)
-    coords: dict[int, np.ndarray] | None = field(default_factory=dict)
+    tests: dict[int, MatFp | None] = field(default_factory=dict)
+    rrefs: dict[int, MatFp] | None = field(default_factory=dict)
     child: GradedModuleView | None = None
 
 
@@ -158,15 +178,11 @@ class GradedModuleView:
         self._den: GradedBasis | None = den
         self._slices: list[_Slice] = []
         for d, (n, m) in enumerate(zip(num.mats, den.mats)):
-            where = {c: i for i, c in enumerate(n.pivots)}
-            if not where.keys() >= set(m.pivots):
+            s = _Slice.of(n, m)
+            if s is None:
                 raise RuntimeError(f"module {label!r}: the degree-{d} denominator "
                                    "is not inside the numerator")
-            cols = np.asarray(n.pivots, dtype=np.intp)
-            piv = tuple(where[c] for c in m.pivots)
-            keep = np.delete(np.arange(len(cols)), piv)
-            quotient = MatFp(n.p, n.a[keep], tuple(cols[keep].tolist())) if piv else n
-            self._slices.append(_Slice(cols, MatFp(n.p, m.a[:, cols], piv), keep, quotient))
+            self._slices.append(s)
         self._memo = _Memo()
 
     @property
@@ -235,37 +251,37 @@ class GradedModuleView:
             raise ValueError("can only quotient by an invariant element")
         return self._quotient_by(f, label)
 
-    def _quotient_by(self, f: Poly, label: str | None = None,
-                     images: Sequence[np.ndarray | None] | None = None) -> GradedModuleView:
+    def _quotient_by(self, f: Poly, label: str | None = None) -> GradedModuleView:
         """``quotient_by`` for an f its caller has already validated.  The
         inclusion is not re-checked: the old denominator lies in the
         numerator, and so do f times the quotient rows, by closure.
-
-        Each degree eliminates only the quotient coordinates of the new
-        classes, a dim(d - e) x dim(d) matrix.  ``images[k]``, when given,
-        holds those coordinates of f times the degree-k quotient rows, as a
-        passing regularity check of f computed them (``_failures``).
 
         The new state is built once per state and f, on the first call, and
         memoized; every call returns a copy of it under its own label."""
         step = self._step(f)
         if step.child is None:
-            step.child, step.coords = self._divided(f, images), None
+            step.child, step.rrefs = self._divided(f), None
         view = copy.copy(step.child)
         view.label = label if label is not None else f"{self.label} / ({render(f, self.rep.varnames)})"
         return view
 
-    def _divided(self, f: Poly, images: Sequence[np.ndarray | None] | None) -> GradedModuleView:
-        """The new state of ``_quotient_by``, with a fresh memo."""
+    def _divided(self, f: Poly) -> GradedModuleView:
+        """The new state of ``_quotient_by``, with a fresh memo.  Each degree
+        d adds the classes of f times the degree-(d - e) quotient rows, from
+        the RREF of their quotient coordinates: the one a passing rank test
+        of f on this state holds (``_Step.rrefs``), with no elimination, or
+        else a rank test run now, whose outcome the memo records."""
         e = f.homogeneous_degree()
-        p = self.num.p
+        step = self._step(f)
+        held = step.rrefs or {}
         slices = []
         for d in range(self.max_degree + 1):
             s = self._slices[d]
             if e <= d and not f.is_zero() and len(s.keep) and self.dim(d - e):
-                coords = images[d - e] if images is not None else _quotient_coords(
-                    self, la.mult_map(self.quotient_mat(d - e), f, d - e).a, d)
-                s = s.extended(la.rref(MatFp(p, coords)))
+                r = held.get(d - e)
+                if r is None:
+                    r, step.tests[d - e] = _rank_test(self, f, e, d - e)
+                s = s.extended(r)
             slices.append(s)
         view = copy.copy(self)
         view._den, view._slices, view._memo = None, slices, _Memo()
@@ -294,7 +310,9 @@ def _regular_candidate_degree(rep: CpRep, f: Poly) -> int:
 def _quotient_coords(view: GradedModuleView, product: np.ndarray, degree: int) -> np.ndarray:
     """Coordinates of the classes of degree-``degree`` rows in the quotient
     rows there: the rows' residues modulo the denominator, on the quotient
-    positions only, computed in numerator coordinates.
+    positions only, computed in numerator coordinates.  ``product`` holds
+    the rows' entries on the numerator's pivot columns only, as
+    ``_product_coords`` forms them.
 
     Precondition (closure): the rows lie in the numerator, so their entries
     on its pivots are their numerator coordinates.  Their residues modulo
@@ -303,72 +321,76 @@ def _quotient_coords(view: GradedModuleView, product: np.ndarray, degree: int) -
     residue's entries on the quotient positions are its coordinates; the
     other entries follow from those, so dropping them loses nothing."""
     s = view._slices[degree]
-    return la.reduce_rows(product[:, s.cols], s.local, s.keep)
+    return la.reduce_rows(product, s.local, s.keep)
 
 
-def _shortfall(view: GradedModuleView, f: Poly, e: int,
-               d: int) -> tuple[np.ndarray | None, tuple[MatFp, MatFp] | None]:
-    """The quotient coordinates c of f times the degree-d quotient rows q,
-    in degree d + e (None when q is empty), and None if multiplication by
-    f, of degree e, is injective on degree d; else q and the RREF r of c^T,
-    whose null space combines rows of q into annihilated classes.
+def _product_coords(view: GradedModuleView, rows: np.ndarray, f: Poly, e: int, d: int) -> np.ndarray:
+    """The quotient coordinates of f, of degree e, times degree-d rows: the
+    product is formed on the numerator pivot columns of degree d + e alone,
+    the only ones ``_quotient_coords`` reads."""
+    product = la.mult_map(MatFp(view.num.p, rows), f, d, view._slices[d + e].cols)
+    return _quotient_coords(view, product.a, d + e)
 
-    Memoized per state, f and d (``_Step``); c reads None once f has
-    failed a degree or the quotient by f exists, as nothing reads it then."""
-    q = view.quotient_mat(d)
-    if q.nrows == 0:
-        return None, None
+
+def _shortfall(view: GradedModuleView, f: Poly, e: int, d: int) -> MatFp | None:
+    """None if multiplication by f, of degree e, is injective on degree d
+    (or the module is zero there); else the canonical left kernel of the
+    quotient coordinates of f times the degree-d quotient rows q, whose rows
+    combine rows of q into annihilated classes.
+
+    Memoized per state, f and d (``_Step``), with the RREF of a passing
+    degree's coordinates, which the quotient by f reads; those are dropped
+    once f fails a degree or the quotient by f exists."""
+    if view.dim(d) == 0:
+        return None
     step = view._step(f)
     if d not in step.tests:
-        coords, step.tests[d] = _rank_test(view, q, f, e, d)
+        r, step.tests[d] = _rank_test(view, f, e, d)
         if step.tests[d] is not None:
-            step.coords = None
-        elif step.coords is not None:
-            step.coords[d] = coords
-    return None if step.coords is None else step.coords[d], step.tests[d]
+            step.rrefs = None
+        elif step.rrefs is not None:
+            step.rrefs[d] = r
+    return step.tests[d]
 
 
-def _rank_test(view: GradedModuleView, q: MatFp, f: Poly, e: int,
-               d: int) -> tuple[np.ndarray, tuple[MatFp, MatFp] | None]:
-    """``_shortfall`` computed: one product, its quotient coordinates and
-    one elimination."""
-    coords = _quotient_coords(view, la.mult_map(q, f, d).a, d + e)
-    r = la.rref(MatFp(view.num.p, coords.T))
-    return coords, (None if r.nrows == q.nrows else (q, r))
+def _rank_test(view: GradedModuleView, f: Poly, e: int, d: int) -> tuple[MatFp, MatFp | None]:
+    """``_shortfall`` computed: the quotient coordinates c of f times the
+    degree-d quotient rows (``_product_coords``) and one elimination of
+    [c | I], which gives both rref(c) and the left kernel of c, None when
+    it is zero: f is injective on degree d exactly when c has full row
+    rank."""
+    coords = _product_coords(view, view.quotient_mat(d).a, f, e, d)
+    r, left = la.rref_left_kernel(MatFp(view.num.p, coords))
+    return r, (left if left.nrows else None)
 
 
-def _witness(view: GradedModuleView, q: MatFp, r: MatFp, d: int) -> Poly:
-    """The first row of the left kernel, read off the canonical r, times q."""
-    left = la.kernel(r)
-    row = la.matmul_mod(left.a[:1], q.a, view.num.p)[0]
+def _witness(view: GradedModuleView, left: MatFp, d: int) -> Poly:
+    """The first row of the canonical left kernel times the degree-d
+    quotient rows."""
+    row = la.matmul_mod(left.a[:1], view.quotient_mat(d).a, view.num.p)[0]
     return la.vec_to_poly(view.num.p, view.num.nvars, d, row)
 
 
-def _failures(view: GradedModuleView, f: Poly, e: int, start: int = 0, first_only: bool = False
-              ) -> tuple[list[tuple[int, MatFp, MatFp]], list[np.ndarray | None]]:
+def _failures(view: GradedModuleView, f: Poly, e: int, start: int = 0,
+              first_only: bool = False) -> list[tuple[int, MatFp]]:
     """The degrees from ``start`` up to D-e where f is not injective, each
-    with its shortfall; with ``first_only``, the first such degree alone.
-    Also the quotient coordinates of f times the quotient rows of each
-    degree checked, from ``start`` on, which a quotient by f reuses."""
+    with its left kernel; with ``first_only``, the first such degree
+    alone."""
     failures = []
-    images = []
     for d in range(start, view.max_degree - e + 1):
-        coords, short = _shortfall(view, f, e, d)
-        images.append(coords)
-        if short is not None:
-            failures.append((d, *short))
+        left = _shortfall(view, f, e, d)
+        if left is not None:
+            failures.append((d, left))
             if first_only:
                 break
-    return failures, images
+    return failures
 
 
-def _regular_report(view: GradedModuleView, f: Poly, e: int, first_only: bool = False
-                    ) -> tuple[CheckReport, list[np.ndarray | None]]:
+def _regular_report(view: GradedModuleView, f: Poly, e: int, first_only: bool = False) -> CheckReport:
     """The regular-element report over degrees 0..D-e, checked inside the
     timing, with one witness per failing degree; with ``first_only``, a
     partial report up to the first failure, whose witness is still exact.
-    Also the quotient coordinates the check computed (``_failures``): for a
-    passing f, those of every degree, which ``_accept_step`` takes."""
+    A passing check leaves the RREFs its quotient step reads in the memo."""
     rep = view.rep
     bound = view.max_degree
     degrees = list(range(0, bound - e + 1))
@@ -384,12 +406,11 @@ def _regular_report(view: GradedModuleView, f: Poly, e: int, first_only: bool = 
         degrees_checked=degrees,
     )
     with timed(report):
-        failures, images = _failures(view, f, e, first_only=first_only)
-        for d, q, r in failures:
+        for d, left in _failures(view, f, e, first_only=first_only):
             report.passed = False
             report.witnesses.append({
                 "degree": d,
-                "annihilated": render(_witness(view, q, r, d), rep.varnames),
+                "annihilated": render(_witness(view, left, d), rep.varnames),
                 "product_in_denominator": True,
             })
         if not degrees:
@@ -400,7 +421,7 @@ def _regular_report(view: GradedModuleView, f: Poly, e: int, first_only: bool = 
         if degrees and report.passed:
             report.notes.append(
                 f"regular on degrees 0..{degrees[-1]}; higher degrees are outside the bound")
-    return report, images
+    return report
 
 
 def is_regular_element(view: GradedModuleView, f: Poly) -> CheckReport:
@@ -411,7 +432,7 @@ def is_regular_element(view: GradedModuleView, f: Poly) -> CheckReport:
     All degrees 0..D-deg(f) are examined even after a failure, so the
     report does not depend on evaluation order.
     """
-    return _regular_report(view, f, _regular_candidate_degree(view.rep, f))[0]
+    return _regular_report(view, f, _regular_candidate_degree(view.rep, f))
 
 
 @dataclass
@@ -441,13 +462,12 @@ class RegSeqCert:
         return sum(1 for s in self.steps if s.passed)
 
 
-def _accept_step(current: GradedModuleView, f: Poly, e: int, rpt: CheckReport,
-                 images: Sequence[np.ndarray | None]) -> GradedModuleView:
-    """Quotient by a validated f of degree e that passed every degree, with
-    the quotient coordinates its check computed, and record the dimensions
-    before and after, re-checked as h(d) - h(d - e)."""
+def _accept_step(current: GradedModuleView, f: Poly, e: int, rpt: CheckReport) -> GradedModuleView:
+    """Quotient by a validated f of degree e that passed every degree, from
+    the RREFs its check left in the memo, and record the dimensions before
+    and after, re-checked as h(d) - h(d - e)."""
     before = current.dims()
-    nxt = current._quotient_by(f, images=images)
+    nxt = current._quotient_by(f)
     after = nxt.dims()
     expected = [before[d] - (before[d - e] if d >= e else 0) for d in range(len(before))]
     if after != expected:
@@ -470,13 +490,13 @@ def verify_regular_sequence(view: GradedModuleView, elements: Sequence[Poly]) ->
     ok = True
     for f in elements:
         e = _regular_candidate_degree(current.rep, f)
-        rpt, images = _regular_report(current, f, e)
+        rpt = _regular_report(current, f, e)
         steps.append(rpt)
         if not rpt.passed:
             rpt.params["hilbert_before"] = current.dims()
             ok = False
             break
-        current = _accept_step(current, f, e, rpt, images)
+        current = _accept_step(current, f, e, rpt)
     return RegSeqCert(
         elements=tuple(elements),
         rendered=[render(f, view.rep.varnames) for f in elements],
@@ -489,18 +509,35 @@ def verify_regular_sequence(view: GradedModuleView, elements: Sequence[Poly]) ->
 @lru_cache(maxsize=256)
 def _generators(rep: CpRep, bound: int, degree: int) -> tuple[Poly, ...]:
     """Degree-``degree`` generators of the invariant ring: a basis of the
-    invariants of that degree modulo the products of lower-degree
-    generators with invariants, namely the invariant rows off the pivots of
-    those products (they are invariants, so no elimination is needed).
-    Each degree is computed on first use."""
+    invariants of that degree modulo the decomposables, the products of
+    lower-degree generators with invariants.  Each degree is computed on
+    first use.
+
+    The invariants modulo the decomposables are a module view's quotient
+    (``_Slice``).  The first product, by the first degree-1 generator, a
+    fixed variable, is canonical as ``la.mult_map`` builds it, so it seeds
+    the denominator with no elimination; a seed pivot that is no invariant
+    pivot means the products left the invariants.  Every other product is
+    formed on the invariants' pivot columns only and reduced off the seed
+    there, block by block, into one stack of quotient coordinates, which is
+    eliminated once and added as a quotient step adds its classes.  The
+    generators are the invariant rows left at the quotient positions (they
+    are invariants, so no further elimination is needed)."""
     inv = invariant_slice(rep, bound)
     p, here = inv.p, inv.mat(degree)
-    products = [la.mult_map(inv.mat(degree - k), g, degree - k).a
-                for k in range(1, degree) for g in _generators(rep, bound, k)]
-    decomposable = la.rref(MatFp(p, np.vstack([here.a[:0]] + products)))
-    fresh = la.rows_off_pivots(here, decomposable)
-    if fresh is None:
+    products = [(inv.mat(degree - k), g, degree - k) for k in range(1, degree)
+                for g in _generators(rep, bound, k)]
+    seed = la.rref(la.mult_map(*products[0])) if products else MatFp(p, here.a[:0], ())
+    s = _Slice.of(here, seed)
+    if s is None:
         raise RuntimeError(f"degree-{degree} products of generators are not invariants")
+    coords = np.empty((sum(m.nrows for m, _, _ in products[1:]), len(s.keep)), dtype=np.uint8)
+    at = 0
+    for m, g, d in products[1:]:
+        block = la.reduce_rows(la.mult_map(m, g, d, s.cols).a, s.local, s.keep)
+        coords[at:at + len(block)] = block
+        at += len(block)
+    fresh = s.extended(la.rref(MatFp(p, coords))).quotient
     return tuple(la.vec_to_poly(p, rep.nvars, degree, row) for row in fresh.a)
 
 
@@ -562,10 +599,10 @@ def _socle_witness(view: GradedModuleView, cap: int) -> SocleWitness | None:
             for u in _generators(rep, bound, e):
                 if candidates.shape[0] == 0:
                     break
-                coords = _quotient_coords(view, la.mult_map(MatFp(p, candidates), u, d).a, d + e)
+                coords = _product_coords(view, candidates, u, e, d)
                 if not coords.any():
                     continue
-                left = la.kernel(MatFp(p, coords.T))
+                left = la.rref_left_kernel(MatFp(p, coords))[1]
                 if left.nrows == 0:
                     candidates = candidates[:0]
                     break
@@ -633,10 +670,10 @@ def _greedy_regular(view: GradedModuleView,
             if any(f == g for g in found):
                 continue
             # complete if f passes; otherwise partial, up to its first failure
-            rpt, images = _regular_report(current, f, e, first_only=True)
+            rpt = _regular_report(current, f, e, first_only=True)
             # a pass on degrees where the module is zero is vacuous
             if rpt.passed and any(current.dim(d) for d in range(current.max_degree - e + 1)):
-                current = _accept_step(current, f, e, rpt, images)  # the pool is validated
+                current = _accept_step(current, f, e, rpt)  # the pool is validated
                 steps.append(rpt)
                 found.append(f)
                 break
@@ -650,7 +687,7 @@ def _greedy_regular(view: GradedModuleView,
                 else:
                     first = rpt.witnesses[0]
                     record["failing_degrees"] = [first["degree"]] + [
-                        d for d, _, _ in _failures(current, f, e, first["degree"] + 1)[0]]
+                        d for d, _ in _failures(current, f, e, first["degree"] + 1)]
                     record["witness"] = first["annihilated"]
                 last_failures.append(record)
             break

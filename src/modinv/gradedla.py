@@ -7,8 +7,9 @@ lexicographic order).  This is the only layer that branches on the
 characteristic.  Mod-2 elimination keeps each row as one Python integer;
 odd primes use one classic elimination on int32 (exact for p <= 251:
 entries stay below p and each update term is at most (p-1)**2) that
-updates only the columns from the pivot on.  The null space of every
-characteristic is read off the canonical RREF.  One residue routine,
+updates only the columns from the pivot on.  A left kernel comes from the
+same elimination as the RREF, of the matrix beside an identity block
+(``rref_left_kernel``).  One residue routine,
 ``reduce_rows``, reduces vectors modulo a canonical basis on the columns a
 caller asks for: mod 2 in one gathered XOR of packed basis rows, odd p in
 one float64 product of the basis rows the vectors need, on those columns
@@ -17,10 +18,10 @@ eliminates only their residues off its pivots, merging them in with
 ``merge_residues`` (mod 2, the canonical rows enter the one elimination
 with no XOR).  A mod-2 multiplication map XORs the uint8 basis into its
 output through each term's column map; odd primes accumulate the terms in
-int64 and reduce once.  Every monomial position is a binomial rank of
-exponent rows (``monomial_positions``).  ``rows_off_pivots`` selects the
-rows of a canonical basis off the pivots of a canonical subspace, as the
-invariant-ring generators are read off.  Inclusion of row spaces
+int64 and reduce once; odd p forms only the output columns a caller asks
+for, and mod 2 slices them off the full product.  Every monomial position
+is a binomial rank of exponent rows (``monomial_positions``).  Inclusion of
+row spaces
 (``subspace_le``) is a residue test: every inner row must reduce to zero
 modulo the canonical outer basis.
 """
@@ -271,40 +272,18 @@ def merge_residues(basis: MatFp, free: np.ndarray, r: MatFp) -> MatFp:
     return MatFp(p, np.vstack([old, placed])[order], tuple(pivots[order].tolist()))
 
 
-def kernel(mat: MatFp) -> MatFp:
-    """Canonical basis of the right null space {v : v @ mat.T = 0}, i.e. of
-    row vectors v with mat @ v = 0, returned as rows in echelon form.
-
-    Read off the canonical RREF for every p: each free column f gives the
-    null vector with 1 at f, zero on the other free columns and minus
-    column f of the RREF on the pivot columns."""
-    r = rref(mat)
-    ncols = mat.ncols
-    piv = list(r.pivots)
-    pivset = set(piv)
-    free = [c for c in range(ncols) if c not in pivset]
-    if not free:
-        return MatFp(mat.p, np.zeros((0, ncols), dtype=np.uint8), ())
-    out = np.zeros((len(free), ncols), dtype=np.int64)
-    out[np.arange(len(free)), free] = 1
-    if piv:
-        out[:, piv] = (-r.a[:, free].astype(np.int64).T) % mat.p
-    return rref(MatFp(mat.p, out.astype(np.uint8)))
-
-
-def rows_off_pivots(num: MatFp, sub: MatFp) -> MatFp | None:
-    """The rows of canonical ``num`` off the pivots of canonical ``sub``;
-    None when a pivot of ``sub`` is no pivot of ``num``, so ``sub`` is not
-    inside ``num``.  Otherwise each such row is zero on every pivot of
-    ``sub``, so the rows are their own residues modulo ``sub`` and equal the
-    RREF of the reduced ``num``, with no elimination.  The invariant-ring
-    generators are read off this way; a module view keeps its quotient
-    positions itself (``depthlab._Slice``)."""
-    sub_pivots = set(sub.pivots)
-    if not sub_pivots.issubset(num.pivots):
-        return None
-    keep = [i for i, c in enumerate(num.pivots) if c not in sub_pivots]
-    return MatFp(num.p, num.a[keep], tuple(num.pivots[i] for i in keep))
+def rref_left_kernel(mat: MatFp) -> tuple[MatFp, MatFp]:
+    """The canonical RREF of ``mat`` and the canonical basis of its left
+    kernel {u : u @ mat = 0}, from one elimination of [mat | I_k], k the
+    number of rows.  The rows of that RREF with a pivot among the columns
+    of ``mat`` are rref(mat), each beside the combination of rows that
+    gives it; the others are zero on those columns, so their identity part
+    is the canonical left kernel."""
+    k, n = mat.a.shape
+    r = rref(MatFp(mat.p, np.hstack([mat.a, np.eye(k, dtype=np.uint8)])))
+    split = sum(c < n for c in r.pivots)
+    return (MatFp(mat.p, r.a[:split, :n], r.pivots[:split]),
+            MatFp(mat.p, r.a[split:, n:], tuple(c - n for c in r.pivots[split:])))
 
 
 def subspace_le(inner: MatFp, outer: MatFp) -> bool:
@@ -380,10 +359,15 @@ def _mult_colmap(nvars: int, degree: int, mono: Mono) -> np.ndarray:
     return monomial_positions(exponents(nvars, degree) + np.asarray(mono, dtype=np.int64))
 
 
-def mult_map(basis: MatFp, f: Poly, degree: int) -> MatFp:
+def mult_map(basis: MatFp, f: Poly, degree: int, cols: np.ndarray | None = None) -> MatFp:
     """Matrix of multiplication by homogeneous ``f`` applied to each basis
     row of the degree-``degree`` slice; rows land in degree
-    ``degree + deg f``.  The zero polynomial gives the zero map."""
+    ``degree + deg f``, on the ascending columns ``cols`` of that slice only
+    (default: all).  The zero polynomial gives the zero map.
+
+    A monic monomial's column map keeps positions in order, so it takes a
+    canonical basis to a canonical matrix whose pivots are the mapped ones;
+    the full-width product is then flagged canonical, and no other is."""
     shift = f.homogeneous_degree()
     nvars = f.nvars
     if basis.p != f.p:
@@ -391,17 +375,35 @@ def mult_map(basis: MatFp, f: Poly, degree: int) -> MatFp:
     if basis.ncols != num_monomials(nvars, degree):
         raise ValueError(f"basis width {basis.ncols} is not the degree-{degree} slice of {nvars} variables")
     wide = num_monomials(nvars, degree + shift)
+    maps = [(_mult_colmap(nvars, degree, mono), c) for mono, c in f.terms.items()]
     if f.p == 2:
-        # each column map is injective, so XOR through it adds exactly mod 2
+        # each column map is injective, so XOR through it adds exactly mod 2;
+        # restricting the maps to ``cols`` pays only on the int64 path below
         out = np.zeros((basis.nrows, wide), dtype=np.uint8)
-        for mono in f.terms:
-            out[:, _mult_colmap(nvars, degree, mono)] ^= basis.a
-        return MatFp(2, out)
-    acc = np.zeros((basis.nrows, wide), dtype=np.int64)
-    for mono, c in f.terms.items():
-        # the ufunc widens basis.a chunk by chunk: no int64 copy of the basis
-        acc[:, _mult_colmap(nvars, degree, mono)] += np.multiply(basis.a, c, dtype=np.int64)
-    return MatFp(f.p, (acc % f.p).astype(np.uint8))
+        for at, _ in maps:
+            out[:, at] ^= basis.a
+        if cols is not None:
+            out = out[:, cols]
+    else:
+        if cols is not None:
+            slot = np.full(wide, -1, dtype=np.intp)
+            slot[cols] = np.arange(len(cols))
+            wide = len(cols)
+        acc = np.zeros((basis.nrows, wide), dtype=np.int64)
+        for at, c in maps:
+            rows = basis.a
+            if cols is not None:
+                # the term's map into the requested columns, and the basis columns it keeps
+                at = slot[at]
+                kept = np.flatnonzero(at >= 0)
+                at, rows = at[kept], rows[:, kept]
+            # the ufunc widens the rows chunk by chunk: no int64 copy of the basis
+            acc[:, at] += np.multiply(rows, c, dtype=np.int64)
+        out = (acc % f.p).astype(np.uint8)
+    pivots = None
+    if cols is None and basis.is_rref and len(maps) == 1 and maps[0][1] == 1:
+        pivots = tuple(maps[0][0][list(basis.pivots)].tolist())
+    return MatFp(f.p, out, pivots)
 
 
 def vec_to_poly(p: int, nvars: int, degree: int, row: np.ndarray | Sequence[int]) -> Poly:

@@ -4,7 +4,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from modinv import gradedla as la
 from modinv.depthlab import _prefix_modules
+from modinv.gradedla import MatFp
+from modinv.invariants import invariant_slice
 from modinv.poly import Poly, num_monomials
 from modinv.rep import sigma
 
@@ -60,3 +63,57 @@ def ideal_modules(rep, gens, max_degree: int):
     if not pairs:
         raise ValueError("an ideal needs at least one generator")
     return pairs[-1]
+
+
+def rows_off_pivots(num: MatFp, sub: MatFp) -> MatFp | None:
+    """The rows of canonical ``num`` off the pivots of canonical ``sub``;
+    None when a pivot of ``sub`` is no pivot of ``num``, so ``sub`` is not
+    inside ``num``.  Otherwise each such row is zero on every pivot of
+    ``sub``, so the rows are their own residues modulo ``sub`` and equal the
+    RREF of the reduced ``num``, with no elimination: the quotient rows the
+    package's module views (``depthlab._Slice``) are checked against."""
+    sub_pivots = set(sub.pivots)
+    if not sub_pivots.issubset(num.pivots):
+        return None
+    keep = [i for i, c in enumerate(num.pivots) if c not in sub_pivots]
+    return MatFp(num.p, num.a[keep], tuple(num.pivots[i] for i in keep))
+
+
+def kernel(mat: MatFp) -> MatFp:
+    """Canonical basis of the right null space {v : v @ mat.T = 0}, i.e. of
+    row vectors v with mat @ v = 0, returned as rows in echelon form: the
+    reference the package's one-elimination left kernel
+    (``gradedla.rref_left_kernel``) is checked against.
+
+    Read off the canonical RREF: each free column f gives the null vector
+    with 1 at f, zero on the other free columns and minus column f of the
+    RREF on the pivot columns."""
+    r = la.rref(mat)
+    ncols = mat.ncols
+    piv = list(r.pivots)
+    pivset = set(piv)
+    free = [c for c in range(ncols) if c not in pivset]
+    if not free:
+        return MatFp(mat.p, np.zeros((0, ncols), dtype=np.uint8), ())
+    out = np.zeros((len(free), ncols), dtype=np.int64)
+    out[np.arange(len(free)), free] = 1
+    if piv:
+        out[:, piv] = (-r.a[:, free].astype(np.int64).T) % mat.p
+    return la.rref(MatFp(mat.p, out.astype(np.uint8)))
+
+
+@lru_cache(maxsize=None)
+def stacked_generators(rep, bound: int, degree: int) -> tuple:
+    """Degree-``degree`` generators of the invariant ring from one RREF of
+    every product of a lower-degree generator (of this reference's own) with
+    the invariants, stacked at full width: the invariant rows off its
+    pivots.  The construction ``depthlab._generators`` is checked against."""
+    inv = invariant_slice(rep, bound)
+    p, here = inv.p, inv.mat(degree)
+    products = [la.mult_map(inv.mat(degree - k), g, degree - k).a
+                for k in range(1, degree) for g in stacked_generators(rep, bound, k)]
+    decomposable = la.rref(MatFp(p, np.vstack([here.a[:0]] + products)))
+    fresh = rows_off_pivots(here, decomposable)
+    if fresh is None:
+        raise RuntimeError(f"degree-{degree} products of generators are not invariants")
+    return tuple(la.vec_to_poly(p, rep.nvars, degree, row) for row in fresh.a)

@@ -81,6 +81,9 @@ PINNED_REPORTS = {
     # odd p, three blocks: the longest prefix chain, shared by the most jobs
     "depth-report --p 3 --blocks 2,2,2 --max-degree 7":
         "fd89a26de8804292cebae399614c30aa9c5698cf60e2edf25783751bb241e86b",
+    # p = 5 depth evidence: rank tests, left-kernel witnesses and generator seeds
+    "depth-report --p 5 --blocks 2,2 --max-degree 12":
+        "a903f29ff31907a92e4c00e0ba4e117313fd3769fff34d2434a3b2863f3f82f9",
 }
 
 
@@ -177,7 +180,7 @@ def test_internal_error_exits_three(monkeypatch):
     # a quotient that forgets to divide breaks the dimension bookkeeping
     # inside verify_regular_sequence, which is a defect, not a failed check;
     # the sequence is validated already, so it takes the unchecked step
-    monkeypatch.setattr(depthlab.GradedModuleView, "_quotient_by", lambda self, f, label=None, images=None: self)
+    monkeypatch.setattr(depthlab.GradedModuleView, "_quotient_by", lambda self, f, label=None: self)
     code, out, err = invoke(["regseq", "--p", "2", "--blocks", "2", "--max-degree", "6"])
     assert code == 3
     assert out == ""

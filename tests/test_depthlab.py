@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from modinv.poly import Poly, num_monomials, parse, render
 from modinv.rep import CpRep, is_invariant, norm, top_norms
 from modinv.report import CheckReport
 
-from oracle import ideal_modules, poly_to_vec
+from oracle import ideal_modules, kernel, poly_to_vec, rows_off_pivots, stacked_generators
 
 
 def in_denominator(view, f):
@@ -192,7 +194,7 @@ def socle_search_all_rows(view):
                 residue = la.reduce_rows(product.a, view.den.mat(d + e))
                 if not residue.any():
                     continue
-                left = la.kernel(MatFp(p, residue.T))
+                left = kernel(MatFp(p, residue.T))
                 candidates = la.matmul_mod(left.a.astype(np.int64), candidates.astype(np.int64), p)
         if candidates.shape[0] and ann_degrees:
             vec = la.rref(MatFp(p, candidates)).a[0]
@@ -265,7 +267,7 @@ def full_width_regular_step(view, f, e, d):
         return d, 0, None
     p = view.num.p
     residue = la.reduce_rows(la.mult_map(q, f, d).a, view.den.mat(d + e))
-    left = la.kernel(MatFp(p, residue.T))
+    left = kernel(MatFp(p, residue.T))
     if left.nrows == 0:
         return d, q.nrows, None
     row = la.matmul_mod(left.a[:1].astype(np.int64), q.a.astype(np.int64), p)[0]
@@ -286,6 +288,15 @@ def coordinate_modules(rep, bound):
     }
 
 
+def full_product(view, product, degree):
+    """The full-width rows whose entries on the numerator pivot columns of
+    ``degree`` are ``product``: rows of the numerator are their pivot
+    entries times its canonical rows."""
+    num = view.num.mat(degree)
+    assert product.shape[1] == num.nrows, (view.label, degree)
+    return la.matmul_mod(product, num.a, view.num.p)
+
+
 def checked_quotient_coords(calls):
     """_quotient_coords checked on every call against the full-width residue
     modulo the denominator, restricted to the quotient pivots."""
@@ -293,6 +304,7 @@ def checked_quotient_coords(calls):
 
     def check(view, product, degree):
         got = real(view, product, degree)
+        product = full_product(view, product, degree)
         residue = la.reduce_rows(product, view.den.mat(degree))
         want = residue[:, list(eliminating_quotient_mat(view, degree).pivots)]
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -330,8 +342,8 @@ def test_quotient_coordinates_match_elimination(p, blocks, bound, monkeypatch):
                        for a, b in zip(dens, full_numerator_denominators(view, f)))
         for f, e in pool:
             for d in range(bound - e + 1):
-                _, short = _shortfall(view, f, e, d)
-                witness = None if short is None else _witness(view, *short, d)
+                short = _shortfall(view, f, e, d)
+                witness = None if short is None else _witness(view, short, d)
                 got = (d, view.dim(d), witness)
                 assert got == full_width_regular_step(view, f, e, d), (name, render(f, rep.varnames), d)
                 outcomes.add(short is None)
@@ -349,7 +361,7 @@ def stacked_rref_quotient(num, den, f):
     mats = []
     for d in range(num.max_degree + 1):
         if e <= d and num.dim(d) - den.dim(d) and num.dim(d - e) - den.dim(d - e):
-            q = la.rows_off_pivots(num.mat(d - e), den.mat(d - e))
+            q = rows_off_pivots(num.mat(d - e), den.mat(d - e))
             extra = la.mult_map(q, f, d - e).a
             mats.append(la.rref(MatFp(num.p, np.vstack([den.mat(d).a, extra]))))
         else:
@@ -369,13 +381,21 @@ CHAIN_MODULES = {
 }
 
 
+def unchecked(view):
+    """The same module state with a fresh memo, as if nothing had been
+    checked on it."""
+    twin = copy.copy(view)
+    twin._memo = depthlab._Memo()
+    return twin
+
+
 @pytest.mark.parametrize("p, blocks", CHAIN_CASES)
 @pytest.mark.parametrize("kind", sorted(CHAIN_MODULES))
 def test_quotient_chain_matches_stacked_rref(p, blocks, kind, monkeypatch):
     # a chain of quotient steps in numerator coordinates against the
     # full-width stacked RREF: denominators, quotient rows, dimensions and
-    # every quotient-coordinate call, with and without a passing check's
-    # coordinates handed to the step
+    # every quotient-coordinate call, for a quotient with no check before
+    # it and for one after a check, which reads the memo's RREFs
     rep = CpRep.make(p, blocks)
     bound = 8
     view = CHAIN_MODULES[kind](rep, bound)
@@ -386,7 +406,8 @@ def test_quotient_chain_matches_stacked_rref(p, blocks, kind, monkeypatch):
     def check(v, product, degree):
         got = real(v, product, degree)
         den = dens[v].mat(degree)
-        want = la.reduce_rows(product, den, la.rows_off_pivots(v.num.mat(degree), den).pivots)
+        want = la.reduce_rows(full_product(v, product, degree), den,
+                              rows_off_pivots(v.num.mat(degree), den).pivots)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         calls.append(degree)
         return got
@@ -394,14 +415,19 @@ def test_quotient_chain_matches_stacked_rref(p, blocks, kind, monkeypatch):
     monkeypatch.setattr(depthlab, "_quotient_coords", check)
     seq = canonical_sequence(rep)
     assert len(seq) >= 3
-    changed = 0
+    changed = reused = 0
     for f in seq:
         e = f.homogeneous_degree()
         want = stacked_rref_quotient(view.num, dens[view], f)
-        report, images = depthlab._regular_report(view, f, e)
-        steps = [view._quotient_by(f)]
+        fresh = unchecked(view)
+        dens[fresh] = dens[view]
+        report = depthlab._regular_report(view, f, e)
+        held = view._step(f).rrefs
+        steps = [fresh._quotient_by(f), view._quotient_by(f)]
         if report.passed:
-            steps.append(view._quotient_by(f, images=images))
+            # every RREF the step needs was held, and is dropped after it
+            assert held and view._step(f).rrefs is None
+            reused += 1
         for nxt in steps:
             dens[nxt] = want
             assert nxt.dims() == [view.num.dim(d) - want.dim(d) for d in range(bound + 1)]
@@ -410,18 +436,20 @@ def test_quotient_chain_matches_stacked_rref(p, blocks, kind, monkeypatch):
                 local = want.mat(d).a[:, list(view.num.mat(d).pivots)]
                 assert nxt._slices[d].local.a.tobytes() == local.tobytes(), (render(f, rep.varnames), d)
                 assert same_echelon(nxt.den.mat(d), want.mat(d)), (render(f, rep.varnames), d)
-                quotient = la.rows_off_pivots(view.num.mat(d), want.mat(d))
+                quotient = rows_off_pivots(view.num.mat(d), want.mat(d))
                 assert same_echelon(nxt.quotient_mat(d), quotient), (render(f, rep.varnames), d)
         changed += want != dens[view]
         view = steps[0]
-    assert changed >= 2 and calls
+    assert changed >= 2 and reused and calls
 
 
 @pytest.mark.parametrize("p, blocks", CHAIN_CASES)
 @pytest.mark.parametrize("kind", ["ring", "transfer-quotient"])
 def test_quotient_step_eliminates_only_the_new_classes(p, blocks, kind, monkeypatch):
-    # each elimination of a quotient step is the k x dim(d) matrix of the
-    # new classes' quotient coordinates, never wider than dim M_d
+    # with no check before it, each elimination of a quotient step is the
+    # new classes' quotient coordinates beside the identity, k x (dim(d) + k)
+    # for k = dim(d - e), never the denominator; after a passing check the
+    # step eliminates nothing
     rep = CpRep.make(p, blocks)
     bound = 8
     view = CHAIN_MODULES[kind](rep, bound)
@@ -432,16 +460,24 @@ def test_quotient_step_eliminates_only_the_new_classes(p, blocks, kind, monkeypa
         shapes.append(mat.a.shape)
         return real(mat)
 
+    passed = 0
     for f in canonical_sequence(rep):
         e = f.homogeneous_degree()
         degrees = [d for d in range(e, bound + 1) if view.dim(d) and view.dim(d - e)]
         shapes.clear()
         monkeypatch.setattr(la, "rref", record)
-        nxt = view._quotient_by(f)
+        nxt = unchecked(view)._quotient_by(f)
         monkeypatch.setattr(la, "rref", real)
-        assert shapes == [(view.dim(d - e), view.dim(d)) for d in degrees]
-        assert all(width <= view.num.dim(d) for (_, width), d in zip(shapes, degrees))
+        assert shapes == [(view.dim(d - e), view.dim(d) + view.dim(d - e)) for d in degrees]
+        if depthlab._regular_report(view, f, e).passed:
+            shapes.clear()
+            monkeypatch.setattr(la, "rref", record)
+            checked = view._quotient_by(f)
+            monkeypatch.setattr(la, "rref", real)
+            assert shapes == [] and checked.dims() == nxt.dims()
+            passed += 1
         view = nxt
+    assert passed
 
 
 def test_quotient_mat_refuses_a_denominator_outside_the_numerator():
@@ -450,6 +486,21 @@ def test_quotient_mat_refuses_a_denominator_outside_the_numerator():
     with pytest.raises(RuntimeError, match="'inverted'.*degree-0"):
         GradedModuleView(rep, transfer_slice(rep, 4), invariant_slice(rep, 4),
                          "inverted", check_inclusion=False)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_slice_of_selects_the_quotient_rows_or_refuses(p):
+    num = la.rref(MatFp(p, np.array([[1, 2, 0, 0], [0, 0, 1, 3], [0, 0, 0, 1]], dtype=np.uint8) % p))
+    for sub in (num.a[:0], num.a[1:2], num.a[[0, 2]], num.a):
+        sub = la.rref(MatFp(p, sub))
+        s = depthlab._Slice.of(num, sub)
+        want = rows_off_pivots(num, sub)
+        assert same_echelon(s.quotient, want) and s.cols.tolist() == list(num.pivots)
+        assert s.cols[s.keep].tolist() == list(want.pivots)
+        # the denominator on the numerator's pivot columns, canonical there
+        assert same_echelon(s.local, la.rref(MatFp(p, sub.a[:, s.cols])))
+    # a pivot of the subspace (column 1) that is no pivot of num
+    assert depthlab._Slice.of(num, la.rref(MatFp(p, np.array([[0, 1, 0, 0]], dtype=np.uint8)))) is None
 
 
 def test_module_view_refuses_degrees_outside_the_bound():
@@ -472,17 +523,27 @@ def test_depth_report_runs_each_rank_test_and_quotient_step_once(monkeypatch):
     real_test, real_divided, real_socle = (depthlab._rank_test, GradedModuleView._divided,
                                            depthlab._socle_witness)
     real_extended = depthlab._Slice.extended
-    eliminations = []
+    real_rref = la.rref
+    eliminations, dividing, divided_rrefs = [], [], []
 
-    def rank_test(view, q, f, e, d):
+    def rank_test(view, f, e, d):
         memos.append(view._memo)  # held, so no state's id is reused
         rank_tests.append((id(view._memo), element_key(f), d))
-        return real_test(view, q, f, e, d)
+        return real_test(view, f, e, d)
 
-    def divided(self, f, images):
+    def divided(self, f):
         memos.append(self._memo)
         steps.append((id(self._memo), element_key(f)))
-        return real_divided(self, f, images)
+        dividing.append(True)
+        try:
+            return real_divided(self, f)
+        finally:
+            dividing.pop()
+
+    def rref(mat):
+        if dividing:
+            divided_rrefs.append(mat.a.shape)
+        return real_rref(mat)
 
     def socle(view, cap):
         memos.append(view._memo)
@@ -497,12 +558,16 @@ def test_depth_report_runs_each_rank_test_and_quotient_step_once(monkeypatch):
     monkeypatch.setattr(GradedModuleView, "_divided", divided)
     monkeypatch.setattr(depthlab, "_socle_witness", socle)
     monkeypatch.setattr(depthlab._Slice, "extended", extended)
+    monkeypatch.setattr(la, "rref", rref)
     reports = depth_report(CpRep.make(2, (2, 2, 2)), 6)
     assert sum(r.name == "depth-evidence" for r in reports) == 13
-    assert len(set(rank_tests)) == len(rank_tests) <= 575
+    assert len(set(rank_tests)) == len(rank_tests) == 575
     assert len(set(steps)) == len(steps)
-    assert len(eliminations) <= 119
-    assert len(set(searches)) == len(searches) <= 8
+    assert len(eliminations) == 119
+    assert len(set(searches)) == len(searches) == 8
+    # every quotient step follows a passing check of its element on its
+    # state, so it reads the memo's RREFs and eliminates nothing
+    assert steps and divided_rrefs == []
 
 
 def same_slices(a, b):
@@ -542,8 +607,8 @@ def test_relabeled_final_view_gets_the_same_socle_witness(monkeypatch):
         other = other._quotient_by(f, "relabeled")
     assert other is not final and other._memo is final._memo
     kernels = []
-    real = la.kernel
-    monkeypatch.setattr(la, "kernel", lambda mat: kernels.append(mat) or real(mat))
+    real = la.rref_left_kernel
+    monkeypatch.setattr(la, "rref_left_kernel", lambda mat: kernels.append(mat) or real(mat))
     witness, report = socle_search(other)
     assert kernels == []  # the search ran once, inside bounded_depth
     first, first_report = socle_search(final)
@@ -579,6 +644,24 @@ def test_generators_match_elimination(p, blocks, bound):
     rep = CpRep.make(p, blocks)
     for degree in range(1, bound + 1):
         assert _generators(rep, bound, degree) == eliminating_generators(rep, bound, degree), degree
+
+
+GENERATOR_CASES = [(2, (2, 2, 2), 6), (3, (2, 3), 10), (5, (2, 2), 10)]
+
+
+@pytest.mark.parametrize("p, blocks, bound", GENERATOR_CASES)
+def test_generators_match_the_stacked_rref(p, blocks, bound):
+    # the seeded, block-by-block construction against one RREF of every
+    # product stacked at full width, with the reference's own generators
+    rep = CpRep.make(p, blocks)
+    for degree in range(1, bound + 1):
+        assert _generators(rep, bound, degree) == stacked_generators(rep, bound, degree), degree
+    # the seed, x[1,1] times the invariants, is canonical as it is formed
+    inv = invariant_slice(rep, bound)
+    first = _generators(rep, bound, 1)[0]
+    assert first == rep.variable(1, 1)
+    seed = la.mult_map(inv.mat(bound - 1), first, bound - 1)
+    assert seed.pivots is not None and seed.pivots == la.rref(MatFp(p, seed.a)).pivots
 
 
 def test_generators_refuse_products_outside_the_invariants(monkeypatch):
@@ -617,34 +700,62 @@ def test_validated_elements_are_not_checked_again(monkeypatch):
     assert calls == [seq[0]]
 
 
+def oracle_witness(view, f, e, d):
+    """The witness as a separate left kernel gives it: the first row of the
+    oracle's kernel of rref(c^T), c the full-width product's quotient
+    coordinates, times the quotient rows."""
+    p = view.num.p
+    q = eliminating_quotient_mat(view, d)
+    coords = la.reduce_rows(la.mult_map(q, f, d).a, view.den.mat(d + e),
+                            eliminating_quotient_mat(view, d + e).pivots)
+    left = kernel(la.rref(MatFp(p, coords.T)))
+    row = la.matmul_mod(left.a[:1], q.a, p)[0]
+    return la.vec_to_poly(p, view.num.nvars, d, row)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_left_kernels_are_taken_only_for_reported_witnesses(p, monkeypatch):
+    # each rank test is one elimination of [c | I], which gives the left
+    # kernel too; no regularity check eliminates anything else, so a
+    # reported witness costs no elimination of its own
     rep = CpRep.make(p, (2, 2))
     bound = 8
     views = [ring_module(rep, bound), *ideal_modules(rep, canonical_sequence(rep)[:2], bound),
              transfer_quotient_module(rep, bound)]
     pool = _candidate_pool(rep, bound, p)
-    real = la.kernel
-    kernels = []
+    real_rref, real_left = la.rref, la.rref_left_kernel
+    eliminations, tests = [], []
 
-    def counting(mat):
-        left = real(mat)
-        kernels.append(left.nrows)
-        return left
+    def rref(mat):
+        eliminations.append(mat.a.shape)
+        return real_rref(mat)
 
-    monkeypatch.setattr(la, "kernel", counting)
-    failing = 0
+    def left_kernel(mat):
+        tests.append(mat.a.shape)
+        return real_left(mat)
+
+    monkeypatch.setattr(la, "rref", rref)
+    monkeypatch.setattr(la, "rref_left_kernel", left_kernel)
+    reported = []
     for view in views:
-        # an injective degree is a rank test alone: no kernel, so none is zero
         _greedy_regular(view, pool)
-        assert kernels and all(kernels), view.label
-        for f, _ in pool:
-            kernels.clear()
+        assert tests, view.label
+        assert eliminations == [(k, m + k) for k, m in tests], view.label
+        for f, e in pool:
+            eliminations.clear()
+            tests.clear()
             report = is_regular_element(view, f)
-            assert all(kernels), (view.label, render(f, rep.varnames))
-            assert len(kernels) == len(report.witnesses), (view.label, render(f, rep.varnames))
-            failing += len(report.witnesses) > 1
-        kernels.clear()
+            assert eliminations == [(k, m + k) for k, m in tests], (view.label, render(f, rep.varnames))
+            reported.append((view, f, e, report))
+        eliminations.clear()
+        tests.clear()
+    monkeypatch.undo()
+    failing = 0
+    for view, f, e, report in reported:
+        for w in report.witnesses:
+            want = oracle_witness(view, f, e, w["degree"])
+            assert w["annihilated"] == render(want, rep.varnames), (view.label, render(f, rep.varnames))
+        failing += len(report.witnesses) > 1
     # some full checks reported several witnesses
     assert failing
 
@@ -823,7 +934,7 @@ def test_ideal_modules_validate_and_skip_zero_generators():
 def test_greedy_search_rechecks_the_dimension_bookkeeping(monkeypatch):
     # a quotient that forgets to divide is a defect of the accepted step,
     # caught in the greedy search as in verify_regular_sequence
-    monkeypatch.setattr(GradedModuleView, "_quotient_by", lambda self, f, label=None, images=None: self)
+    monkeypatch.setattr(GradedModuleView, "_quotient_by", lambda self, f, label=None: self)
     with pytest.raises(RuntimeError, match="dimension bookkeeping broke"):
         bounded_depth(ring_module(CpRep.make(2, (2, 2)), 6))
 

@@ -7,7 +7,7 @@ from modinv import gradedla as la
 from modinv.gradedla import GradedBasis, MatFp
 from modinv.poly import Poly, num_monomials, parse
 
-from oracle import monomial_index, monomials_of_degree, poly_to_vec
+from oracle import kernel, monomial_index, monomials_of_degree, poly_to_vec, rows_off_pivots
 
 VARS2 = ("x[1,1]", "x[2,1]")
 
@@ -134,7 +134,7 @@ def test_rank_and_rank_nullity():
             m = MatFp(p, a)
             rank = len(la.rref(m).pivots)
             assert rank == len(oracle_rref(a.tolist(), p))
-            ker = la.kernel(m)
+            ker = kernel(m)
             assert rank + ker.nrows == m.ncols
             if ker.nrows:
                 # right null space: every kernel row is killed by the matrix
@@ -241,7 +241,7 @@ def test_kernel_p2_is_canonical_null_space(shape):
         low_rank = random_matrix(rng, 2, rows, inner).astype(np.int64) @ random_matrix(rng, 2, inner, cols)
         for a in (random_matrix(rng, 2, rows, cols), sparse_matrix(rng, 2, rows, cols, 0.05),
                   (low_rank % 2).astype(np.uint8)):
-            ker = la.kernel(MatFp(2, a))
+            ker = kernel(MatFp(2, a))
             assert ker.a.shape[1] == cols
             assert len(oracle_rref(a.tolist(), 2)) + ker.nrows == cols
             assert ker.a.tolist() == oracle_rref(ker.a.tolist(), 2)
@@ -367,14 +367,14 @@ def test_rows_off_pivots_selects_or_refuses():
     p = 5
     num = la.rref(MatFp(p, np.array([[1, 2, 0, 0], [0, 0, 1, 3], [0, 0, 0, 1]], dtype=np.uint8)))
     sub = la.rref(MatFp(p, num.a[1:2]))
-    got = la.rows_off_pivots(num, sub)
+    got = rows_off_pivots(num, sub)
     assert got.pivots == (0, 3) and got.a.tolist() == num.a[[0, 2]].tolist()
     # the quotient rows equal the RREF of num reduced modulo sub
     reduced = la.reduce_rows(num.a, sub)
     assert got == la.rref(MatFp(p, reduced))
-    assert la.rows_off_pivots(num, la.rref(MatFp(p, num.a[:0]))) == num
+    assert rows_off_pivots(num, la.rref(MatFp(p, num.a[:0]))) == num
     # a pivot of sub (column 1) that is no pivot of num
-    assert la.rows_off_pivots(num, la.rref(MatFp(p, np.array([[0, 1, 0, 0]], dtype=np.uint8)))) is None
+    assert rows_off_pivots(num, la.rref(MatFp(p, np.array([[0, 1, 0, 0]], dtype=np.uint8)))) is None
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -439,7 +439,7 @@ def test_packed_rows_come_from_a_read_only_copy():
 def test_kernel_canonical_form():
     p = 3
     a = MatFp(p, np.array([[1, 2, 0], [0, 0, 1]], dtype=np.uint8))
-    ker = la.kernel(a)
+    ker = kernel(a)
     # one free column -> one kernel row, echelonized
     assert ker.nrows == 1
     assert ker.is_rref
@@ -566,6 +566,80 @@ def test_mult_map_rows_match_polynomial_products(p):
     # a degree-2 multiplier with several terms on the same rows
     g = x[0] * x[0] + 2 * x[0] * x[1] + x[1] * x[2]
     assert la.mult_map(basis, g, degree).a.tolist() == mult_map_oracle(basis, g, degree)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_mult_map_on_columns_is_the_full_product_there(p):
+    rng = random.Random(60 + p)
+    nvars, degree = 3, 3
+    x = [Poly.variable(p, nvars, i) for i in range(nvars)]
+    wide = num_monomials(nvars, degree + 2)
+    basis = MatFp(p, random_matrix(rng, p, 5, num_monomials(nvars, degree)))
+    for f in (x[0] * x[1], x[0] * x[0] + (p - 1) * x[1] * x[2], x[2] * x[2] + x[0] * x[2] + x[1] * x[1]):
+        full = la.mult_map(basis, f, degree).a
+        for cols in (np.arange(wide), np.array([], dtype=np.intp), np.array([0, wide - 1]),
+                     np.sort(rng.sample(range(wide), wide // 3)).astype(np.intp)):
+            out = la.mult_map(basis, f, degree, cols)
+            assert out.a.dtype == full.dtype and out.a.shape == (basis.nrows, len(cols))
+            assert out.a.tobytes() == full[:, cols].tobytes()
+            assert out.pivots is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_monic_monomial_product_of_a_canonical_basis_is_canonical(p):
+    rng = random.Random(70 + p)
+    nvars, degree = 3, 3
+    x = [Poly.variable(p, nvars, i) for i in range(nvars)]
+    a = random_matrix(rng, p, 6, num_monomials(nvars, degree))
+    a[3] = (2 * a[0] + a[1]) % p  # rank-deficient before the RREF
+    canon = la.rref(MatFp(p, a))
+    for f in (x[0], x[1] * x[2], x[2] ** 3):
+        out = la.mult_map(canon, f, degree)
+        assert out.pivots is not None
+        want = la.rref(MatFp(p, out.a))
+        assert out.pivots == want.pivots and out.a.tobytes() == want.a.tobytes()
+    # an empty canonical basis gives an empty canonical product
+    empty = MatFp(p, a[:0], ())
+    assert la.mult_map(empty, x[0], degree).pivots == ()
+    # not canonical: the basis, a coefficient other than 1, or two terms
+    assert la.mult_map(MatFp(p, canon.a), x[0], degree).pivots is None
+    if p > 2:
+        assert la.mult_map(canon, 2 * x[0], degree).pivots is None
+    assert la.mult_map(canon, x[0] + x[1], degree).pivots is None
+
+
+LEFT_KERNEL_SHAPES = [(0, 0), (0, 5), (4, 0), (3, 7), (7, 3), (6, 6), (12, 20)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rref_left_kernel_is_rref_and_the_oracle_left_kernel(p):
+    rng = random.Random(80 + p)
+
+    def rand(rows, cols):
+        return random_matrix(rng, p, rows, cols).reshape(rows, cols)
+
+    def cases():
+        for rows, cols in LEFT_KERNEL_SHAPES:
+            yield rand(rows, cols)                                       # full row rank when wide
+            yield np.zeros((rows, cols), dtype=np.uint8)                 # the zero matrix
+            inner = max(1, min(rows, cols) // 2)
+            low = rand(rows, inner).astype(np.int64) @ rand(inner, cols)
+            yield (low % p).astype(np.uint8)                             # rank-deficient
+        yield np.eye(5, 8, dtype=np.uint8)                               # full row rank
+
+    seen = set()
+    for a in cases():
+        image, left = la.rref_left_kernel(MatFp(p, a))
+        want, ker = la.rref(MatFp(p, a)), kernel(MatFp(p, a.T))
+        for got, ref in ((image, want), (left, ker)):
+            assert got.a.dtype == ref.a.dtype and got.a.shape == ref.a.shape
+            assert got.a.tobytes() == ref.a.tobytes() and got.pivots == ref.pivots
+        assert image.ncols == a.shape[1] and left.ncols == a.shape[0]
+        assert image.nrows + left.nrows == a.shape[0]
+        seen.add((a.shape[0] == 0, a.shape[1] == 0, image.nrows == a.shape[0], not a.any()))
+    # empty rows, empty columns, full row rank, deficient and zero were all met
+    assert {(True, False, True, True), (False, True, False, True), (False, False, True, False),
+            (False, False, False, False), (False, False, False, True)} <= seen
 
 
 def test_poly_vec_round_trip():

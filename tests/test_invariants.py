@@ -13,7 +13,7 @@ from modinv.invariants import (_block_sigma, _merge_pieces, _mono_parents, _peel
 from modinv.poly import Poly, num_monomials, var_mono
 from modinv.rep import CpRep, _generator_power_images, is_invariant, sigma, top_norms
 
-from oracle import monomial_index, monomials_of_degree, poly_to_vec, transfer
+from oracle import kernel, monomial_index, monomials_of_degree, poly_to_vec, transfer
 
 
 def oracle_invariant_dim(rep: CpRep, degree: int) -> int:
@@ -140,7 +140,7 @@ def dense_slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]
         cur = {k: dense_power_matrix(rep, k, d, prev[k]) for k in range(1, p)}
         width = num_monomials(n, d)
         fixed = (cur[1].astype(np.int64).T - np.eye(width, dtype=np.int64)) % p
-        inv_mats.append(la.kernel(MatFp(p, fixed.astype(np.uint8))))
+        inv_mats.append(kernel(MatFp(p, fixed.astype(np.uint8))))
         total = np.eye(width, dtype=np.int64)
         for k in range(1, p):
             total += cur[k]
@@ -289,7 +289,7 @@ def test_slices_eliminate_only_each_slab(monkeypatch, p, blocks, bound):
     that piece's slab, and no null space is taken."""
     calls = []
     slab_rows = [None]
-    real_power, real_rref, real_kernel = invariants._slab_power, la.rref, la.kernel
+    real_power, real_rref, real_left = invariants._slab_power, la.rref, la.rref_left_kernel
 
     def power(p, blocks, multidegree, peel, k):
         out = real_power(p, blocks, multidegree, peel, k)
@@ -301,13 +301,13 @@ def test_slices_eliminate_only_each_slab(monkeypatch, p, blocks, bound):
         calls.append(("rref", mat.nrows, slab_rows[0]))
         return real_rref(mat)
 
-    def kernel(mat):
-        calls.append(("kernel", mat.nrows, slab_rows[0]))
-        return real_kernel(mat)
+    def left_kernel(mat):
+        calls.append(("left kernel", mat.nrows, slab_rows[0]))
+        return real_left(mat)
 
     monkeypatch.setattr(invariants, "_slab_power", power)
     monkeypatch.setattr(la, "rref", rref)
-    monkeypatch.setattr(la, "kernel", kernel)
+    monkeypatch.setattr(la, "rref_left_kernel", left_kernel)
     invariants._slices.cache_clear()
     try:
         invariants._slices(CpRep.make(p, blocks), bound)
