@@ -121,7 +121,8 @@ def _cmd_hilbert(args: argparse.Namespace) -> list[CheckReport]:
             window_start=rep.p.value * rep.dim)
         report.params["invariant_dims"] = inv.dims()
         report.params["transfer_ideal_dims"] = tra.dims()
-        report.params["quotient_dims"] = depthlab.transfer_quotient_module(rep, bound).dims()
+        # the transfer ideal lies in the invariants, degree by degree
+        report.params["quotient_dims"] = [i - t for i, t in zip(inv.dims(), tra.dims())]
         report.passed = growth_ok
         report.witnesses.extend({"degree": d, "problem": "dimension growth difference not zero"}
                                 for d in offenders)

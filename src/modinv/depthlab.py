@@ -88,7 +88,7 @@ class _Slice(NamedTuple):
         piv = tuple(where[c] for c in den.pivots)
         keep = np.delete(np.arange(len(cols)), piv)
         quotient = MatFp(num.p, num.a[keep], tuple(cols[keep].tolist())) if piv else num
-        return cls(cols, MatFp(num.p, den.a[:, cols], piv), keep, quotient)
+        return cls(cols, MatFp(num.p, den.a.take(cols, axis=1), piv), keep, quotient)
 
     def extended(self, r: MatFp) -> _Slice:
         """The slice with the new classes added, r being the canonical RREF
@@ -152,7 +152,7 @@ class GradedModuleView:
     every invariant, within the bound.  Products of quotient rows then lie
     in the numerator, so regularity and socle checks compute only the
     coordinates of their classes in the quotient rows of the target degree
-    (``_quotient_coords``); ``quotient_by`` multiplies only the quotient
+    (``_product_coords``); ``quotient_by`` multiplies only the quotient
     rows and eliminates only those coordinates; and ``socle_search`` tests
     only the generators of the invariant ring.
 
@@ -307,29 +307,22 @@ def _regular_candidate_degree(rep: CpRep, f: Poly) -> int:
     return e
 
 
-def _quotient_coords(view: GradedModuleView, product: np.ndarray, degree: int) -> np.ndarray:
-    """Coordinates of the classes of degree-``degree`` rows in the quotient
-    rows there: the rows' residues modulo the denominator, on the quotient
-    positions only, computed in numerator coordinates.  ``product`` holds
-    the rows' entries on the numerator's pivot columns only, as
-    ``_product_coords`` forms them.
-
-    Precondition (closure): the rows lie in the numerator, so their entries
-    on its pivots are their numerator coordinates.  Their residues modulo
-    the denominator then lie in the numerator too and are zero on the
-    denominator pivots, so they lie in the span of the quotient rows, and a
-    residue's entries on the quotient positions are its coordinates; the
-    other entries follow from those, so dropping them loses nothing."""
-    s = view._slices[degree]
-    return la.reduce_rows(product, s.local, s.keep)
-
-
 def _product_coords(view: GradedModuleView, rows: np.ndarray, f: Poly, e: int, d: int) -> np.ndarray:
     """The quotient coordinates of f, of degree e, times degree-d rows: the
-    product is formed on the numerator pivot columns of degree d + e alone,
-    the only ones ``_quotient_coords`` reads."""
-    product = la.mult_map(MatFp(view.num.p, rows), f, d, view._slices[d + e].cols)
-    return _quotient_coords(view, product.a, d + e)
+    classes' coordinates in the quotient rows of degree d + e, which are
+    the product's residues modulo the denominator, on the quotient
+    positions only, computed in numerator coordinates
+    (``la.reduced_product``).  The product is formed on the numerator pivot
+    columns alone.
+
+    Precondition (closure): the products lie in the numerator, so their
+    entries on its pivots are their numerator coordinates.  Their residues
+    modulo the denominator then lie in the numerator too and are zero on
+    the denominator pivots, so they lie in the span of the quotient rows,
+    and a residue's entries on the quotient positions are its coordinates;
+    the other entries follow from those, so dropping them loses nothing."""
+    s = view._slices[d + e]
+    return la.reduced_product(MatFp(view.num.p, rows), f, d, s.cols, s.local, s.keep)
 
 
 def _shortfall(view: GradedModuleView, f: Poly, e: int, d: int) -> MatFp | None:
@@ -534,7 +527,7 @@ def _generators(rep: CpRep, bound: int, degree: int) -> tuple[Poly, ...]:
     coords = np.empty((sum(m.nrows for m, _, _ in products[1:]), len(s.keep)), dtype=np.uint8)
     at = 0
     for m, g, d in products[1:]:
-        block = la.reduce_rows(la.mult_map(m, g, d, s.cols).a, s.local, s.keep)
+        block = la.reduced_product(m, g, d, s.cols, s.local, s.keep)
         coords[at:at + len(block)] = block
         at += len(block)
     fresh = s.extended(la.rref(MatFp(p, coords))).quotient
@@ -870,26 +863,27 @@ def transfer_quotient_check(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE) ->
         raise BoundTooSmallError(
             f"bound {max_degree} is below blocks*p = {blocks * p}; the vanishing window is empty")
     module = transfer_quotient_module(rep, max_degree)
-    norms = top_norms(rep)
-    cert = verify_regular_sequence(module, norms)
+    cert = verify_regular_sequence(module, top_norms(rep))
     reports = list(cert.steps)
+    passed, dims, final_dims = cert.passed, module.dims(), cert.final_view.dims()
+    # the module's memo holds the whole norm chain: free it before the
+    # transfer ideal is searched
+    del module, cert
 
-    final_dims = cert.final_view.dims()
     window = list(range(blocks * p + 1, max_degree + 1))
     offenders = [d for d in window if final_dims[d] != 0]
     vanishing = CheckReport(
         name="transfer-quotient-vanishing",
         params={"window_start": blocks * p + 1, "max_degree": max_degree,
                 "final_dims": final_dims},
-        passed=cert.passed and not offenders,
+        passed=passed and not offenders,
         degrees_checked=window,
         witnesses=[{"degree": d, "dim": final_dims[d]} for d in offenders],
     )
-    if not cert.passed:
+    if not passed:
         vanishing.notes.append("norm sequence failed; vanishing not evaluated on the full quotient")
     reports.append(vanishing)
 
-    dims = module.dims()
     # (1 - t^p)^blocks times the series: zeros stand for negative degrees
     numerator = finite_difference([0] * (blocks * p) + dims, p, blocks)
     negative = [d for d, v in enumerate(numerator) if v < 0]

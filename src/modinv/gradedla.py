@@ -9,25 +9,30 @@ odd primes use one classic elimination on int32 (exact for p <= 251:
 entries stay below p and each update term is at most (p-1)**2) that
 updates only the columns from the pivot on.  A left kernel comes from the
 same elimination as the RREF, of the matrix beside an identity block
-(``rref_left_kernel``).  One residue routine,
-``reduce_rows``, reduces vectors modulo a canonical basis on the columns a
-caller asks for: mod 2 in one gathered XOR of packed basis rows, odd p in
-one float64 product of the basis rows the vectors need, on those columns
-where the rows are nonzero.  ``extend`` adds rows to a canonical basis and
-eliminates only their residues off its pivots, merging them in with
-``merge_residues`` (mod 2, the canonical rows enter the one elimination
-with no XOR).  A mod-2 multiplication map XORs the uint8 basis into its
-output through each term's column map; odd primes accumulate the terms in
-int64 and reduce once; odd p forms only the output columns a caller asks
-for, and mod 2 slices them off the full product.  Every monomial position
-is a binomial rank of exponent rows (``monomial_positions``).  Inclusion of
-row spaces
-(``subspace_le``) is a residue test: every inner row must reduce to zero
-modulo the canonical outer basis.
+(``rref_left_kernel``); mod 2 the identity bits are set in the rows'
+integers as they are read, so no wider matrix is formed.  One residue
+routine, ``reduce_rows``, reduces vectors modulo a canonical basis on the
+columns a caller asks for: mod 2 in one gathered XOR of packed basis
+rows, odd p in one float64 product of the basis rows the vectors need, on
+those columns where the rows are nonzero.  ``extend`` adds rows to a
+canonical basis and eliminates only their residues off its pivots,
+merging them in with ``merge_residues`` (mod 2, the canonical rows enter
+the one elimination with no XOR).  A mod-2 multiplication map XORs the
+transposed basis through each term's column map, one contiguous row per
+target monomial, and gathers the rows of the columns a caller asks for;
+odd primes accumulate the terms in int64, on those columns only, and
+reduce once.  ``reduced_product`` is a product reduced modulo a canonical
+basis, as quotient coordinates need it: mod 2 the product stays
+transposed, so the vectors' coefficients and the kept columns are row
+gathers.  Every monomial position is a binomial rank of exponent rows
+(``monomial_positions``).  Inclusion of row spaces (``subspace_le``) is a
+residue test: every inner row must reduce to zero modulo the canonical
+outer basis.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import comb
 from typing import Sequence
@@ -92,21 +97,26 @@ class MatFp:
         return f"MatFp(p={self.p}, shape={self.a.shape}, rref={self.is_rref})"
 
 
-def _rref_p2(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+def _rref_p2(a: np.ndarray, identity: bool = False) -> tuple[np.ndarray, tuple[int, ...]]:
     """GF(2) RREF with each row held as one Python int, column 0 the top
-    bit.  Each input row is reduced by XORing in the stored pivot row of its
-    highest pivot bit until no pivot bit is left; a nonzero remainder is
-    stored under its leading bit.  The stored rows are back-reduced once at
-    the end, lowest pivot first."""
+    bit.  With ``identity`` it is the RREF of [a | I_k], k the number of
+    rows: row i's int gets its identity bit as it is read, so the wider
+    matrix is never formed.  Each input row is reduced by XORing in the
+    stored pivot row of its highest pivot bit until no pivot bit is left; a
+    nonzero remainder is stored under its leading bit.  The stored rows are
+    back-reduced once at the end, lowest pivot first."""
     nrows, ncols = a.shape
-    if nrows == 0 or ncols == 0:
-        return np.zeros((0, ncols), dtype=np.uint8), ()
-    width = (ncols + 7) // 8
+    wide = ncols + nrows if identity else ncols
+    if nrows == 0 or wide == 0:
+        return np.zeros((0, wide), dtype=np.uint8), ()
+    have, width = (ncols + 7) // 8, (wide + 7) // 8
+    shift = 8 * (width - have)
+    unit = 1 << (8 * width - 1 - ncols) if identity else 0  # row 0's identity bit
     data = np.packbits(a, axis=1).tobytes()
     piv: dict[int, int] = {}
     pmask = 0
-    for start in range(0, nrows * width, width):
-        x = int.from_bytes(data[start:start + width], "big")
+    for i in range(nrows):
+        x = int.from_bytes(data[i * have:i * have + have], "big") << shift | unit >> i
         y = x & pmask
         while y:
             x ^= piv[y.bit_length() - 1]
@@ -126,10 +136,10 @@ def _rref_p2(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
             y ^= 1 << bit
         piv[top] = x
     order.reverse()
-    packed = np.frombuffer(b"".join(piv[top].to_bytes(width, "big") for top in order),
+    packed = np.frombuffer(b"".join([piv[top].to_bytes(width, "big") for top in order]),
                            dtype=np.uint8).reshape(len(order), width)
-    out = np.unpackbits(packed, axis=1, count=ncols)
-    return out, tuple(8 * width - 1 - top for top in order)
+    out = np.unpackbits(packed, axis=1, count=wide)
+    return out, tuple([8 * width - 1 - top for top in order])
 
 
 def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -188,6 +198,15 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (np.rint(prod).astype(np.int64) % p).astype(np.uint8)
 
 
+def _xor_gathered(out: np.ndarray, rows: np.ndarray, sources: np.ndarray) -> None:
+    """XOR into each row of ``out`` named in ``rows`` (ascending, not
+    empty) the ``sources`` rows beside it, one reduction per target row."""
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    starts = np.flatnonzero(first)
+    out[rows[starts]] ^= np.bitwise_xor.reduceat(sources, starts, axis=0)
+
+
 def reduce_rows(vectors: np.ndarray, basis: MatFp, cols: Sequence[int] | None = None) -> np.ndarray:
     """Residues of the given row vectors modulo the row space of ``basis``
     (which must be canonical), on the columns ``cols`` only (default: all).
@@ -209,12 +228,8 @@ def reduce_rows(vectors: np.ndarray, basis: MatFp, cols: Sequence[int] | None = 
         rows, piv = np.nonzero(v[:, list(basis.pivots)])
         if rows.size == 0:
             return v[:, cols].copy()
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        starts = np.flatnonzero(first)
         vp = np.packbits(v, axis=1)
-        bp = basis._packed_rows()
-        vp[rows[starts]] ^= np.bitwise_xor.reduceat(bp[piv], starts, axis=0)
+        _xor_gathered(vp, rows, basis._packed_rows()[piv])
         return np.unpackbits(vp, axis=1, count=basis.ncols)[:, cols]
     coeffs = v[:, list(basis.pivots)]
     used = np.flatnonzero(coeffs.any(axis=0))
@@ -278,12 +293,16 @@ def rref_left_kernel(mat: MatFp) -> tuple[MatFp, MatFp]:
     number of rows.  The rows of that RREF with a pivot among the columns
     of ``mat`` are rref(mat), each beside the combination of rows that
     gives it; the others are zero on those columns, so their identity part
-    is the canonical left kernel."""
+    is the canonical left kernel.  Mod 2 the identity bits go straight into
+    the rows the elimination holds; odd p eliminates the stacked block."""
     k, n = mat.a.shape
-    r = rref(MatFp(mat.p, np.hstack([mat.a, np.eye(k, dtype=np.uint8)])))
-    split = sum(c < n for c in r.pivots)
-    return (MatFp(mat.p, r.a[:split, :n], r.pivots[:split]),
-            MatFp(mat.p, r.a[split:, n:], tuple(c - n for c in r.pivots[split:])))
+    if mat.p == 2:
+        r, pivots = _rref_p2(mat.a, identity=True)
+    else:
+        r, pivots = _rref_modp(np.hstack([mat.a, np.eye(k, dtype=np.uint8)]), mat.p)
+    split = bisect_left(pivots, n)
+    return (MatFp(mat.p, r[:split, :n], pivots[:split]),
+            MatFp(mat.p, r[split:, n:], tuple(c - n for c in pivots[split:])))
 
 
 def subspace_le(inner: MatFp, outer: MatFp) -> bool:
@@ -359,6 +378,32 @@ def _mult_colmap(nvars: int, degree: int, mono: Mono) -> np.ndarray:
     return monomial_positions(exponents(nvars, degree) + np.asarray(mono, dtype=np.int64))
 
 
+def _term_maps(basis: MatFp, f: Poly, degree: int) -> tuple[list[tuple[np.ndarray, int]], int]:
+    """Each term of f as (column map, coefficient), and the width of the
+    target slice, for f times rows of the degree-``degree`` slice."""
+    shift = f.homogeneous_degree()
+    nvars = f.nvars
+    if basis.p != f.p:
+        raise ValueError("field mismatch between basis and polynomial")
+    if basis.ncols != num_monomials(nvars, degree):
+        raise ValueError(f"basis width {basis.ncols} is not the degree-{degree} slice of {nvars} variables")
+    maps = [(_mult_colmap(nvars, degree, mono), c) for mono, c in f.terms.items()]
+    return maps, num_monomials(nvars, degree + shift)
+
+
+def _xor_product_t(basis: MatFp, maps: list[tuple[np.ndarray, int]], wide: int) -> np.ndarray:
+    """Mod 2, the basis rows times the polynomial whose terms' column maps
+    are ``maps``, transposed: one row per target monomial of the ``wide``
+    ones, one column per basis row.  Each column map is injective, so
+    XORing the transposed basis through it, one contiguous row per
+    monomial, adds exactly mod 2."""
+    t = np.ascontiguousarray(basis.a.T)
+    out = np.zeros((wide, basis.nrows), dtype=np.uint8)
+    for at, _ in maps:
+        out[at] ^= t
+    return out
+
+
 def mult_map(basis: MatFp, f: Poly, degree: int, cols: np.ndarray | None = None) -> MatFp:
     """Matrix of multiplication by homogeneous ``f`` applied to each basis
     row of the degree-``degree`` slice; rows land in degree
@@ -368,22 +413,12 @@ def mult_map(basis: MatFp, f: Poly, degree: int, cols: np.ndarray | None = None)
     A monic monomial's column map keeps positions in order, so it takes a
     canonical basis to a canonical matrix whose pivots are the mapped ones;
     the full-width product is then flagged canonical, and no other is."""
-    shift = f.homogeneous_degree()
-    nvars = f.nvars
-    if basis.p != f.p:
-        raise ValueError("field mismatch between basis and polynomial")
-    if basis.ncols != num_monomials(nvars, degree):
-        raise ValueError(f"basis width {basis.ncols} is not the degree-{degree} slice of {nvars} variables")
-    wide = num_monomials(nvars, degree + shift)
-    maps = [(_mult_colmap(nvars, degree, mono), c) for mono, c in f.terms.items()]
+    maps, wide = _term_maps(basis, f, degree)
     if f.p == 2:
-        # each column map is injective, so XOR through it adds exactly mod 2;
-        # restricting the maps to ``cols`` pays only on the int64 path below
-        out = np.zeros((basis.nrows, wide), dtype=np.uint8)
-        for at, _ in maps:
-            out[:, at] ^= basis.a
-        if cols is not None:
-            out = out[:, cols]
+        # the requested columns are rows of the transposed product; restricting
+        # the maps to them instead pays only on the int64 path below
+        out = _xor_product_t(basis, maps, wide)
+        out = (out if cols is None else out[cols]).T
     else:
         if cols is not None:
             slot = np.full(wide, -1, dtype=np.intp)
@@ -404,6 +439,31 @@ def mult_map(basis: MatFp, f: Poly, degree: int, cols: np.ndarray | None = None)
     if cols is None and basis.is_rref and len(maps) == 1 and maps[0][1] == 1:
         pivots = tuple(maps[0][0][list(basis.pivots)].tolist())
     return MatFp(f.p, out, pivots)
+
+
+def reduced_product(basis: MatFp, f: Poly, degree: int, cols: np.ndarray,
+                    modulo: MatFp, keep: np.ndarray) -> np.ndarray:
+    """``reduce_rows(mult_map(basis, f, degree, cols).a, modulo, keep)``:
+    the residues of f times the basis rows, formed on the ascending columns
+    ``cols`` of degree ``degree + deg f``, modulo canonical ``modulo`` (a
+    basis on those columns), on its columns ``keep`` only.
+
+    Odd p computes exactly that.  Mod 2 the product stays transposed, as
+    ``mult_map`` scatters it, so its columns at the pivots of ``modulo``
+    (the vectors' coefficients) and at ``keep`` are row gathers; only the
+    latter are transposed back, and each vector XORs in the ``modulo`` rows
+    its coefficients select, on ``keep``, in one gathered step."""
+    if basis.p != 2:
+        return reduce_rows(mult_map(basis, f, degree, cols).a, modulo, keep)
+    if not modulo.is_rref or modulo.ncols != len(cols):
+        raise ValueError("modulo must be a canonical basis on the requested columns")
+    maps, wide = _term_maps(basis, f, degree)
+    product = _xor_product_t(basis, maps, wide)
+    out = np.ascontiguousarray(product[cols[keep]].T)
+    rows, piv = np.nonzero(product[cols[list(modulo.pivots)]].T)
+    if rows.size:
+        _xor_gathered(out, rows, modulo.a[piv][:, keep])
+    return out
 
 
 def vec_to_poly(p: int, nvars: int, degree: int, row: np.ndarray | Sequence[int]) -> Poly:

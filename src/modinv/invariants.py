@@ -144,15 +144,22 @@ def _pieces(blocks: tuple[int, ...], degree: int) -> list[tuple[tuple[int, ...],
 def _merge_pieces(p: int, width: int, pieces: list[tuple[np.ndarray, MatFp]]) -> MatFp:
     """Scatter canonical echelon bases on disjoint increasing column sets
     of a space ``width`` wide into one canonical echelon basis; one basis
-    placed on increasing columns stays canonical."""
+    placed on increasing columns stays canonical.  Each piece goes straight
+    to the rows its pivots take in the merged order."""
     pivots = np.concatenate([cols[list(m.pivots)] for cols, m in pieces])
+    order = np.argsort(pivots)
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
     out = np.zeros((pivots.size, width), dtype=np.uint8)
     start = 0
     for cols, m in pieces:
-        out[start:start + m.nrows, cols] = m.a
+        rows = at[start:start + m.nrows]
         start += m.nrows
-    order = np.argsort(pivots)
-    return MatFp(p, out[order], tuple(pivots[order].tolist()))
+        if m.nrows and rows[-1] - rows[0] == m.nrows - 1:
+            out[rows[0]:rows[-1] + 1, cols] = m.a  # a run of rows, as one piece alone takes
+        else:
+            out[rows[:, None], cols] = m.a
+    return MatFp(p, out, tuple(pivots[order].tolist()))
 
 
 @lru_cache(maxsize=16)

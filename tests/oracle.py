@@ -45,6 +45,65 @@ def poly_to_vec(f: Poly, degree: int) -> np.ndarray:
     return v
 
 
+def oracle_rref(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Classic textbook Gauss-Jordan over F_p on lists of ints.  Written
+    without numpy so it shares nothing with the implementation under test."""
+    mat = [[v % p for v in row] for row in rows]
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    pivot_row = 0
+    for col in range(ncols):
+        src = next((r for r in range(pivot_row, len(mat)) if mat[r][col]), None)
+        if src is None:
+            continue
+        mat[pivot_row], mat[src] = mat[src], mat[pivot_row]
+        inv = pow(mat[pivot_row][col], p - 2, p)
+        mat[pivot_row] = [(v * inv) % p for v in mat[pivot_row]]
+        for r in range(len(mat)):
+            if r != pivot_row and mat[r][col]:
+                c = mat[r][col]
+                mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(mat):
+            break
+    return [row for row in mat if any(row)]
+
+
+def oracle_pivots(rows: list[list[int]]) -> list[int]:
+    return [row.index(next(v for v in row if v)) for row in rows]
+
+
+def oracle_left_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """Canonical basis of {u : u @ A = 0} for the k x ``ncols`` matrix A
+    with the given rows, with no numpy: the null space of A^T, one vector
+    per free column of its RREF (1 there, zero on the other free columns,
+    minus that column of the RREF on the pivots), then brought to RREF.
+    The reference the package's one-elimination left kernel is checked
+    against."""
+    k = len(rows)
+    transposed = oracle_rref([[rows[i][j] for i in range(k)] for j in range(ncols)], p)
+    pivots = oracle_pivots(transposed)
+    null = []
+    for free in (c for c in range(k) if c not in pivots):
+        u = [0] * k
+        u[free] = 1
+        for row, c in zip(transposed, pivots):
+            u[c] = -row[free] % p
+        null.append(u)
+    return oracle_rref(null, p)
+
+
+def product_rows(rows: list[list[int]], f: Poly, degree: int) -> list[list[int]]:
+    """f times each degree-``degree`` row, one polynomial product at a
+    time, each row read on the tuple enumeration: the reference the
+    package's multiplication maps are checked against."""
+    monos = monomials_of_degree(f.nvars, degree)
+    target = degree + f.homogeneous_degree()
+    return [poly_to_vec(Poly(f.p, f.nvars, {m: c for m, c in zip(monos, row) if c}) * f, target).tolist()
+            for row in rows]
+
+
 def transfer(rep, f: Poly) -> Poly:
     """Sum of f over the whole group orbit of generator powers: the
     polynomial-level reference for the transfer slices."""

@@ -84,6 +84,12 @@ PINNED_REPORTS = {
     # p = 5 depth evidence: rank tests, left-kernel witnesses and generator seeds
     "depth-report --p 5 --blocks 2,2 --max-degree 12":
         "a903f29ff31907a92e4c00e0ba4e117313fd3769fff34d2434a3b2863f3f82f9",
+    # p = 2 reach: transposed products, reductions and left kernels at width
+    "depth-report --p 2 --blocks 2,2,2 --max-degree 10":
+        "5056b0f647a8ea4dba77e7b59bcd93e207db7ce8a6091e28672fe114f246a6b7",
+    # four blocks at p = 2: the widest merged slices
+    "hilbert --p 2 --blocks 2,2,2,2 --max-degree 7":
+        "7d29b281bebbb547a0d5dac868c37ce9065dc71926dc8ff7cffb53a780d56840",
 }
 
 

@@ -288,31 +288,23 @@ def coordinate_modules(rep, bound):
     }
 
 
-def full_product(view, product, degree):
-    """The full-width rows whose entries on the numerator pivot columns of
-    ``degree`` are ``product``: rows of the numerator are their pivot
-    entries times its canonical rows."""
-    num = view.num.mat(degree)
-    assert product.shape[1] == num.nrows, (view.label, degree)
-    return la.matmul_mod(product, num.a, view.num.p)
+def checked_product_coords(calls):
+    """_product_coords checked on every call against the residue of the
+    full-width product modulo the denominator, restricted to the quotient
+    pivots."""
+    real = depthlab._product_coords
 
-
-def checked_quotient_coords(calls):
-    """_quotient_coords checked on every call against the full-width residue
-    modulo the denominator, restricted to the quotient pivots."""
-    real = depthlab._quotient_coords
-
-    def check(view, product, degree):
-        got = real(view, product, degree)
-        product = full_product(view, product, degree)
-        residue = la.reduce_rows(product, view.den.mat(degree))
-        want = residue[:, list(eliminating_quotient_mat(view, degree).pivots)]
+    def check(view, rows, f, e, d):
+        got = real(view, rows, f, e, d)
+        product = la.mult_map(MatFp(view.num.p, rows), f, d).a
+        residue = la.reduce_rows(product, view.den.mat(d + e))
+        want = residue[:, list(eliminating_quotient_mat(view, d + e).pivots)]
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes(), (view.label, degree)
+        assert got.tobytes() == want.tobytes(), (view.label, d + e)
         # zero coordinates mean a zero residue (products lie in the numerator)
-        assert got.any() == residue.any(), (view.label, degree)
+        assert got.any() == residue.any(), (view.label, d + e)
         # whether the denominator term mattered: entries on its pivots
-        calls.append(bool(product[:, list(view.den.mat(degree).pivots)].any()))
+        calls.append(bool(product[:, list(view.den.mat(d + e).pivots)].any()))
         return got
     return check
 
@@ -326,7 +318,7 @@ def test_quotient_coordinates_match_elimination(p, blocks, bound, monkeypatch):
     pool = _candidate_pool(rep, bound, min(p, bound))
     outcomes = set()
     calls = []
-    monkeypatch.setattr(depthlab, "_quotient_coords", checked_quotient_coords(calls))
+    monkeypatch.setattr(depthlab, "_product_coords", checked_product_coords(calls))
     for name, view in coordinate_modules(rep, bound).items():
         # the socle search's candidate products, stage by stage
         witness, report = socle_search(view)
@@ -389,6 +381,23 @@ def unchecked(view):
     return twin
 
 
+def record_eliminations(monkeypatch, shapes):
+    """Record the shape of every matrix the elimination kernels reduce, a
+    mod-2 elimination's identity bits counted as the columns they are."""
+    real_p2, real_modp = la._rref_p2, la._rref_modp
+
+    def rref_p2(a, identity=False):
+        shapes.append((a.shape[0], a.shape[1] + a.shape[0] * identity))
+        return real_p2(a, identity)
+
+    def rref_modp(a, p):
+        shapes.append(a.shape)
+        return real_modp(a, p)
+
+    monkeypatch.setattr(la, "_rref_p2", rref_p2)
+    monkeypatch.setattr(la, "_rref_modp", rref_modp)
+
+
 @pytest.mark.parametrize("p, blocks", CHAIN_CASES)
 @pytest.mark.parametrize("kind", sorted(CHAIN_MODULES))
 def test_quotient_chain_matches_stacked_rref(p, blocks, kind, monkeypatch):
@@ -400,19 +409,19 @@ def test_quotient_chain_matches_stacked_rref(p, blocks, kind, monkeypatch):
     bound = 8
     view = CHAIN_MODULES[kind](rep, bound)
     dens = {view: view.den}
-    real = depthlab._quotient_coords
+    real = depthlab._product_coords
     calls = []
 
-    def check(v, product, degree):
-        got = real(v, product, degree)
-        den = dens[v].mat(degree)
-        want = la.reduce_rows(full_product(v, product, degree), den,
-                              rows_off_pivots(v.num.mat(degree), den).pivots)
+    def check(v, rows, g, e, d):
+        got = real(v, rows, g, e, d)
+        den = dens[v].mat(d + e)
+        want = la.reduce_rows(la.mult_map(MatFp(v.num.p, rows), g, d).a, den,
+                              rows_off_pivots(v.num.mat(d + e), den).pivots)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-        calls.append(degree)
+        calls.append(d + e)
         return got
 
-    monkeypatch.setattr(depthlab, "_quotient_coords", check)
+    monkeypatch.setattr(depthlab, "_product_coords", check)
     seq = canonical_sequence(rep)
     assert len(seq) >= 3
     changed = reused = 0
@@ -453,27 +462,21 @@ def test_quotient_step_eliminates_only_the_new_classes(p, blocks, kind, monkeypa
     rep = CpRep.make(p, blocks)
     bound = 8
     view = CHAIN_MODULES[kind](rep, bound)
-    real = la.rref
     shapes = []
-
-    def record(mat):
-        shapes.append(mat.a.shape)
-        return real(mat)
-
     passed = 0
     for f in canonical_sequence(rep):
         e = f.homogeneous_degree()
         degrees = [d for d in range(e, bound + 1) if view.dim(d) and view.dim(d - e)]
         shapes.clear()
-        monkeypatch.setattr(la, "rref", record)
-        nxt = unchecked(view)._quotient_by(f)
-        monkeypatch.setattr(la, "rref", real)
+        with monkeypatch.context() as m:
+            record_eliminations(m, shapes)
+            nxt = unchecked(view)._quotient_by(f)
         assert shapes == [(view.dim(d - e), view.dim(d) + view.dim(d - e)) for d in degrees]
         if depthlab._regular_report(view, f, e).passed:
             shapes.clear()
-            monkeypatch.setattr(la, "rref", record)
-            checked = view._quotient_by(f)
-            monkeypatch.setattr(la, "rref", real)
+            with monkeypatch.context() as m:
+                record_eliminations(m, shapes)
+                checked = view._quotient_by(f)
             assert shapes == [] and checked.dims() == nxt.dims()
             passed += 1
         view = nxt
@@ -523,8 +526,7 @@ def test_depth_report_runs_each_rank_test_and_quotient_step_once(monkeypatch):
     real_test, real_divided, real_socle = (depthlab._rank_test, GradedModuleView._divided,
                                            depthlab._socle_witness)
     real_extended = depthlab._Slice.extended
-    real_rref = la.rref
-    eliminations, dividing, divided_rrefs = [], [], []
+    eliminations, dividing, kernels, divided_kernels = [], [], [], []
 
     def rank_test(view, f, e, d):
         memos.append(view._memo)  # held, so no state's id is reused
@@ -535,15 +537,12 @@ def test_depth_report_runs_each_rank_test_and_quotient_step_once(monkeypatch):
         memos.append(self._memo)
         steps.append((id(self._memo), element_key(f)))
         dividing.append(True)
+        before = len(kernels)
         try:
             return real_divided(self, f)
         finally:
             dividing.pop()
-
-    def rref(mat):
-        if dividing:
-            divided_rrefs.append(mat.a.shape)
-        return real_rref(mat)
+            divided_kernels.extend(kernels[before:])
 
     def socle(view, cap):
         memos.append(view._memo)
@@ -551,14 +550,16 @@ def test_depth_report_runs_each_rank_test_and_quotient_step_once(monkeypatch):
         return real_socle(view, cap)
 
     def extended(self, r):
-        eliminations.append(r.nrows)
+        # the generators' own extensions are cached across tests, so count only quotient steps'
+        if dividing:
+            eliminations.append(r.nrows)
         return real_extended(self, r)
 
     monkeypatch.setattr(depthlab, "_rank_test", rank_test)
     monkeypatch.setattr(GradedModuleView, "_divided", divided)
     monkeypatch.setattr(depthlab, "_socle_witness", socle)
     monkeypatch.setattr(depthlab._Slice, "extended", extended)
-    monkeypatch.setattr(la, "rref", rref)
+    record_eliminations(monkeypatch, kernels)
     reports = depth_report(CpRep.make(2, (2, 2, 2)), 6)
     assert sum(r.name == "depth-evidence" for r in reports) == 13
     assert len(set(rank_tests)) == len(rank_tests) == 575
@@ -567,7 +568,7 @@ def test_depth_report_runs_each_rank_test_and_quotient_step_once(monkeypatch):
     assert len(set(searches)) == len(searches) == 8
     # every quotient step follows a passing check of its element on its
     # state, so it reads the memo's RREFs and eliminates nothing
-    assert steps and divided_rrefs == []
+    assert steps and kernels and divided_kernels == []
 
 
 def same_slices(a, b):
@@ -723,18 +724,14 @@ def test_left_kernels_are_taken_only_for_reported_witnesses(p, monkeypatch):
     views = [ring_module(rep, bound), *ideal_modules(rep, canonical_sequence(rep)[:2], bound),
              transfer_quotient_module(rep, bound)]
     pool = _candidate_pool(rep, bound, p)
-    real_rref, real_left = la.rref, la.rref_left_kernel
+    real_left = la.rref_left_kernel
     eliminations, tests = [], []
-
-    def rref(mat):
-        eliminations.append(mat.a.shape)
-        return real_rref(mat)
 
     def left_kernel(mat):
         tests.append(mat.a.shape)
         return real_left(mat)
 
-    monkeypatch.setattr(la, "rref", rref)
+    record_eliminations(monkeypatch, eliminations)
     monkeypatch.setattr(la, "rref_left_kernel", left_kernel)
     reported = []
     for view in views:

@@ -7,38 +7,10 @@ from modinv import gradedla as la
 from modinv.gradedla import GradedBasis, MatFp
 from modinv.poly import Poly, num_monomials, parse
 
-from oracle import kernel, monomial_index, monomials_of_degree, poly_to_vec, rows_off_pivots
+from oracle import (kernel, monomial_index, monomials_of_degree, oracle_left_kernel, oracle_pivots,
+                    oracle_rref, poly_to_vec, product_rows, rows_off_pivots)
 
 VARS2 = ("x[1,1]", "x[2,1]")
-
-
-def oracle_rref(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Classic textbook Gauss-Jordan over F_p on lists of ints.  Written
-    without numpy so it shares nothing with the implementation under test."""
-    mat = [[v % p for v in row] for row in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        src = next((r for r in range(pivot_row, len(mat)) if mat[r][col]), None)
-        if src is None:
-            continue
-        mat[pivot_row], mat[src] = mat[src], mat[pivot_row]
-        inv = pow(mat[pivot_row][col], p - 2, p)
-        mat[pivot_row] = [(v * inv) % p for v in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    return [row for row in mat if any(row)]
-
-
-def oracle_pivots(rows: list[list[int]]) -> list[int]:
-    return [row.index(next(v for v in row if v)) for row in rows]
 
 
 def in_span(basis: GradedBasis, f: Poly) -> bool:
@@ -539,13 +511,6 @@ def test_monomial_positions_refuse_mixed_degrees():
         la.monomial_positions(np.array([[2, 0], [0, 1]], dtype=np.int64))
 
 
-def mult_map_oracle(basis: MatFp, f: Poly, degree: int) -> list[list[int]]:
-    """Rows of the multiplication map, one polynomial product at a time."""
-    shift = f.homogeneous_degree()
-    return [poly_to_vec(la.vec_to_poly(basis.p, f.nvars, degree, row) * f,
-                           degree + shift).tolist() for row in basis.a]
-
-
 @pytest.mark.parametrize("p", [2, 3])
 def test_mult_map_rows_match_polynomial_products(p):
     rng = random.Random(40 + p)
@@ -560,12 +525,12 @@ def test_mult_map_rows_match_polynomial_products(p):
     basis = MatFp(p, np.array(rows, dtype=np.uint8))
     out = la.mult_map(basis, f, degree)
     assert out.a.shape == (basis.nrows, num_monomials(nvars, degree + 1))
-    assert out.a.tolist() == mult_map_oracle(basis, f, degree)
+    assert out.a.tolist() == product_rows(basis.a.tolist(), f, degree)
     if p == 2:
         assert (1, 1, 1) not in la.vec_to_poly(p, nvars, degree + 1, out.a[0]).terms
     # a degree-2 multiplier with several terms on the same rows
     g = x[0] * x[0] + 2 * x[0] * x[1] + x[1] * x[2]
-    assert la.mult_map(basis, g, degree).a.tolist() == mult_map_oracle(basis, g, degree)
+    assert la.mult_map(basis, g, degree).a.tolist() == product_rows(basis.a.tolist(), g, degree)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -640,6 +605,78 @@ def test_rref_left_kernel_is_rref_and_the_oracle_left_kernel(p):
     # empty rows, empty columns, full row rank, deficient and zero were all met
     assert {(True, False, True, True), (False, True, False, True), (False, False, True, False),
             (False, False, False, False), (False, False, False, True)} <= seen
+
+
+# widths on both sides of a byte once the identity bits are added
+P2_KERNEL_SHAPES = [(0, 0), (0, 6), (3, 0), (1, 1), (1, 9), (3, 5), (2, 7), (8, 8), (9, 4), (17, 23)]
+
+
+def test_p2_rref_left_kernel_matches_the_pure_oracle():
+    # the identity bits live in the eliminated rows themselves; the oracle
+    # takes the null space of the transpose with no numpy
+    rng = random.Random(91)
+
+    def cases():
+        for rows, cols in P2_KERNEL_SHAPES:
+            yield random_matrix(rng, 2, rows, cols).reshape(rows, cols)
+            if rows >= 3 and cols:
+                low = random_matrix(rng, 2, rows, cols)
+                low[2] = low[0] ^ low[1]                     # rank-deficient
+                yield low
+            full = np.triu(random_matrix(rng, 2, rows, cols).reshape(rows, cols), 1)
+            full[np.arange(min(rows, cols)), np.arange(min(rows, cols))] = 1
+            yield full                                       # full rank
+
+    seen = set()
+    for a in cases():
+        k, n = a.shape
+        image, left = la.rref_left_kernel(MatFp(2, a))
+        want = oracle_rref(a.tolist(), 2)
+        ker = oracle_left_kernel(a.tolist(), n, 2)
+        assert image.a.shape == (len(want), n) and image.a.tolist() == want
+        assert image.pivots == tuple(oracle_pivots(want))
+        assert left.a.shape == (len(ker), k) and left.a.tolist() == ker
+        assert left.pivots == tuple(oracle_pivots(ker))
+        seen.add((k == 0, n == 0, k == 1, image.nrows == min(k, n), image.nrows < k))
+    # no rows, no columns, one row, full rank and rank-deficient all met
+    assert {(True, False, False, True, False), (False, True, False, True, True),
+            (False, False, True, True, False), (False, False, False, True, False),
+            (False, False, False, False, True)} <= seen
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_products_and_reduced_products_match_the_pure_oracle(p):
+    # mult_map, on all columns and on some, and reduced_product against
+    # polynomial products reduced by hand modulo a canonical basis
+    rng = random.Random(93 + p)
+    nvars, degree = 3, 3
+    x = [Poly.variable(p, nvars, i) for i in range(nvars)]
+    width = num_monomials(nvars, degree)
+    for f in (x[0] * x[1], x[0] + x[1] + (p - 1) * x[2], x[0] * x[0] + x[1] * x[2] + x[2] * x[2],
+              Poly.zero(p, nvars)):
+        wide = num_monomials(nvars, degree + f.homogeneous_degree())
+        for k in (0, 1, 7):
+            rows = random_matrix(rng, p, k, width).reshape(k, width)
+            basis = MatFp(p, rows)
+            want = product_rows(rows.tolist(), f, degree)
+            full = la.mult_map(basis, f, degree)
+            assert full.a.shape == (k, wide) and full.a.tolist() == want
+            for cols in (np.arange(wide), np.array([], dtype=np.intp),
+                         np.sort(rng.sample(range(wide), wide // 2)).astype(np.intp)):
+                on = [[row[c] for c in cols] for row in want]
+                got = la.mult_map(basis, f, degree, cols)
+                assert got.a.shape == (k, len(cols)) and got.a.tolist() == on
+                m = len(cols)
+                for r in (0, 1, m // 2):
+                    canon = oracle_rref(random_matrix(rng, p, r, m).tolist(), p)
+                    pivots = oracle_pivots(canon)
+                    modulo = MatFp(p, np.array(canon, dtype=np.uint8).reshape(len(canon), m), tuple(pivots))
+                    keep = np.array([c for c in range(m) if c not in pivots], dtype=np.intp)
+                    residue = [[(v[c] - sum(v[j] * b[c] for j, b in zip(pivots, canon))) % p for c in keep]
+                               for v in on]
+                    out = la.reduced_product(basis, f, degree, cols, modulo, keep)
+                    assert out.dtype == np.uint8 and out.shape == (k, len(keep))
+                    assert out.tolist() == residue, (str(f), k, m, r)
 
 
 def test_poly_vec_round_trip():
