@@ -6,8 +6,8 @@ from .depthlab import (DEFAULT_MAX_DEGREE, BoundTooSmallError, DepthEvidence,
                        DepthInstance, GradedModuleView, RegSeqCert, ZeroModuleError,
                        bounded_depth, bounded_grade, canonical_sequence,
                        depth_inequality_audit, depth_report, expected_depth,
-                       is_regular_element, norm_reduction_check, ring_module,
-                       socle_search, transfer_ideal_module, transfer_quotient_check,
+                       norm_reduction_check, ring_module, socle_search,
+                       transfer_ideal_module, transfer_quotient_check,
                        transfer_quotient_module, verify_regular_sequence)
 from .invariants import (dimension_growth_check, finite_difference, ideal_slice,
                          invariant_slice, transfer_slice)
@@ -30,10 +30,9 @@ __all__ = [
     "depth_inequality_audit", "depth_report", "dimension_growth_check",
     "dumps_report", "expected_depth", "finite_difference",
     "hilbert_enumeration_check", "ideal_slice", "invariant_slice",
-    "is_invariant", "is_regular_element", "non_factorial_witness", "norm",
-    "norm_decompose", "norm_reduction_check", "parse", "render",
-    "ring_module", "run_preset", "sigma", "socle_search", "top_norms",
-    "transfer_ideal_module", "transfer_quotient_check", "transfer_quotient_module",
-    "transfer_slice", "verify_free_decomp", "verify_height_witness",
-    "verify_regular_sequence",
+    "is_invariant", "non_factorial_witness", "norm", "norm_decompose",
+    "norm_reduction_check", "parse", "render", "ring_module", "run_preset",
+    "sigma", "socle_search", "top_norms", "transfer_ideal_module",
+    "transfer_quotient_check", "transfer_quotient_module", "transfer_slice",
+    "verify_free_decomp", "verify_height_witness", "verify_regular_sequence",
 ]

@@ -141,11 +141,13 @@ class GradedModuleView:
     echelon matrix on the numerator's pivot columns, of width dim num_d;
     the quotient positions, the numerator pivots it leaves; and the
     quotient basis, the numerator rows there, which is the numerator's own
-    matrix where the denominator is zero.  A denominator pivot that is no
-    numerator pivot means the denominator left the numerator, and the
-    constructor raises RuntimeError.  A quotient step derives its records
-    from these; the full-width ``den`` of a quotient step is built only
-    when something reads it.
+    matrix where the denominator is zero.  The constructor's one inclusion
+    guard is that pivot test: a denominator pivot that is no numerator
+    pivot means the denominator left the numerator, and it raises
+    RuntimeError.  Every caller has proved the inclusion already, so no
+    full-width test runs.  A quotient step derives its records from these;
+    the full-width ``den`` of a quotient step is built only when something
+    reads it.
 
     The numerator must be closed under multiplication by the invariants
     that get applied to it, and the denominator under multiplication by
@@ -164,14 +166,11 @@ class GradedModuleView:
     the state itself.
     """
 
-    def __init__(self, rep: CpRep, num: GradedBasis, den: GradedBasis,
-                 label: str, check_inclusion: bool = True):
+    def __init__(self, rep: CpRep, num: GradedBasis, den: GradedBasis, label: str):
         if num.p != rep.p.value or num.nvars != rep.nvars:
             raise ValueError("numerator does not match the representation")
         if num.p != den.p or num.nvars != den.nvars or num.max_degree != den.max_degree:
             raise ValueError("numerator and denominator gradings differ")
-        if check_inclusion and not la.graded_le(den, num):
-            raise ValueError(f"denominator is not contained in numerator for module {label!r}")
         self.rep = rep
         self.num = num
         self.label = label
@@ -289,11 +288,9 @@ class GradedModuleView:
 
 
 def ring_module(rep: CpRep, max_degree: int) -> GradedModuleView:
-    """The invariant ring as a module over itself, up to a degree bound.
-    The zero denominator needs no inclusion check."""
+    """The invariant ring as a module over itself, up to a degree bound."""
     zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
-    return GradedModuleView(rep, invariant_slice(rep, max_degree), zero, "invariant ring",
-                            check_inclusion=False)
+    return GradedModuleView(rep, invariant_slice(rep, max_degree), zero, "invariant ring")
 
 
 def _regular_candidate_degree(rep: CpRep, f: Poly) -> int:
@@ -415,17 +412,6 @@ def _regular_report(view: GradedModuleView, f: Poly, e: int, first_only: bool = 
             report.notes.append(
                 f"regular on degrees 0..{degrees[-1]}; higher degrees are outside the bound")
     return report
-
-
-def is_regular_element(view: GradedModuleView, f: Poly) -> CheckReport:
-    """Check that multiplication by f is injective on every checkable
-    degree slice of the module.  Each failing degree carries an explicit
-    nonzero element whose product with f falls into the denominator.
-
-    All degrees 0..D-deg(f) are examined even after a failure, so the
-    report does not depend on evaluation order.
-    """
-    return _regular_report(view, f, _regular_candidate_degree(view.rep, f))
 
 
 @dataclass
@@ -590,8 +576,6 @@ def _socle_witness(view: GradedModuleView, cap: int) -> SocleWitness | None:
         ann_degrees = [e for e in range(1, bound - d + 1) if inv.dim(e)]
         for e in ann_degrees:
             for u in _generators(rep, bound, e):
-                if candidates.shape[0] == 0:
-                    break
                 coords = _product_coords(view, candidates, u, e, d)
                 if not coords.any():
                     continue
@@ -645,19 +629,23 @@ def _greedy_regular(view: GradedModuleView,
 
     Within a round a candidate is checked up to its first failing degree;
     an accepted element has passed every degree, so its step report is the
-    one ``is_regular_element`` gives.  Only the final round, whose records
-    reach the report, rank-tests the later degrees of its rejected
-    candidates, without witnesses.  A zero module is refused, and so is a
-    sequence longer than n = dim V: none is regular, so the bound is too
-    small."""
+    complete one ``verify_regular_sequence`` gives.  Only the final round,
+    whose records reach the report, rank-tests the later degrees of its
+    rejected candidates, without witnesses.  A zero module is refused, and
+    so is a sequence longer than n = dim V: none is regular, so the bound is
+    too small.
+
+    The search never empties the module: an accepted f of degree e keeps
+    the lowest nonzero degree m, as the module is zero in degree m - e
+    (``_accept_step`` checks the dimensions), so only a round that rejects
+    every candidate ends it."""
     if view.is_zero():
         raise ZeroModuleError(f"module {view.label!r} is zero up to degree {view.max_degree}")
     varnames = view.rep.varnames
     current = view
     found: list[Poly] = []
     steps: list[CheckReport] = []
-    last_failures: list[dict] = [{"note": "module is zero up to the bound; search stopped"}]
-    while not current.is_zero():
+    while True:
         rejected = []
         for f, e in candidates:
             if any(f == g for g in found):
@@ -720,21 +708,15 @@ class DepthEvidence:
 
 def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None) -> DepthEvidence:
     """Greedy depth evidence for a module: longest regular sequence the
-    pool yields, then a socle search on the quotient for maximality."""
+    pool yields, then a socle search on the quotient for maximality.  The
+    greedy search never empties the module, so the quotient always has a
+    class to search."""
     rep = view.rep
     cap = rep.p.value if search_degree_cap is None else search_degree_cap
     cap = min(cap, view.max_degree)
     cert, failures = _greedy_regular(view, _candidate_pool(rep, view.max_degree, cap))
-    final = cert.final_view
-    reports = list(cert.steps)
-    maximal = False
-    if final.is_zero():
-        summary_notes = ["quotient vanished inside the bound; depth may continue above it"]
-    else:
-        witness, socle_report = socle_search(final)
-        reports.append(socle_report)
-        maximal = witness is not None
-        summary_notes = []
+    witness, socle_report = socle_search(cert.final_view)
+    maximal = witness is not None
     summary = CheckReport(
         name="depth-evidence",
         params={
@@ -747,10 +729,10 @@ def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None) 
         },
         passed=True,
         witnesses=failures,
-        notes=["depth bounds are certified only up to the degree bound"] + summary_notes,
+        notes=["depth bounds are certified only up to the degree bound"],
     )
-    reports.append(summary)
-    return DepthEvidence(lower=len(cert.elements), maximal=maximal, cert=cert, reports=reports)
+    return DepthEvidence(lower=len(cert.elements), maximal=maximal, cert=cert,
+                         reports=[*cert.steps, socle_report, summary])
 
 
 @dataclass
@@ -817,8 +799,7 @@ def _prefix_modules(rep: CpRep, gens: Sequence[Poly], max_degree: int,
     (k-1)-th one by g_k, and its denominator is the ideal.  The chain starts
     at ``ring``, the invariant ring's view up to max_degree, when given, so
     that its memo serves the chain; else at a new one.  Each generator is
-    validated once.  The ideal views have zero denominators, which need no
-    inclusion check."""
+    validated once.  The ideal views have zero denominators."""
     zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
     quotient = ring_module(rep, max_degree) if ring is None else ring
     names = []
@@ -831,23 +812,21 @@ def _prefix_modules(rep: CpRep, gens: Sequence[Poly], max_degree: int,
         names.append(render(g, rep.varnames))
         label = ", ".join(names)
         quotient = quotient._quotient_by(g, f"invariant ring mod ({label})")
-        yield GradedModuleView(rep, quotient.den, zero, f"ideal ({label})", check_inclusion=False), quotient
+        yield GradedModuleView(rep, quotient.den, zero, f"ideal ({label})"), quotient
 
 
 def transfer_quotient_module(rep: CpRep, max_degree: int) -> GradedModuleView:
     """Invariant ring modulo the transfer ideal, as a graded module.  The
-    inclusion is not re-checked at full width: the slices were built with
-    each transfer piece proved inside its invariant piece."""
+    slices were built with each transfer piece proved inside its invariant
+    piece, so the view adds only its pivot test."""
     return GradedModuleView(rep, invariant_slice(rep, max_degree), transfer_slice(rep, max_degree),
-                            "invariants mod transfer ideal", check_inclusion=False)
+                            "invariants mod transfer ideal")
 
 
 def transfer_ideal_module(rep: CpRep, max_degree: int) -> GradedModuleView:
-    """The transfer ideal as a module over the invariant ring.  The zero
-    denominator needs no inclusion check."""
+    """The transfer ideal as a module over the invariant ring."""
     zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
-    return GradedModuleView(rep, transfer_slice(rep, max_degree), zero, "transfer ideal",
-                            check_inclusion=False)
+    return GradedModuleView(rep, transfer_slice(rep, max_degree), zero, "transfer ideal")
 
 
 def transfer_quotient_check(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE) -> list[CheckReport]:

@@ -25,9 +25,9 @@ reduce once.  ``reduced_product`` is a product reduced modulo a canonical
 basis, as quotient coordinates need it: mod 2 the product stays
 transposed, so the vectors' coefficients and the kept columns are row
 gathers.  Every monomial position is a binomial rank of exponent rows
-(``monomial_positions``).  Inclusion of row spaces (``subspace_le``) is a
-residue test: every inner row must reduce to zero modulo the canonical
-outer basis.
+(``monomial_positions``).  A graded subspace (``GradedBasis``) holds one
+canonical echelon basis per degree; it takes them as they are, with no
+elimination.
 """
 
 from __future__ import annotations
@@ -305,16 +305,6 @@ def rref_left_kernel(mat: MatFp) -> tuple[MatFp, MatFp]:
             MatFp(mat.p, r[split:, n:], tuple(c - n for c in pivots[split:])))
 
 
-def subspace_le(inner: MatFp, outer: MatFp) -> bool:
-    """Row space inclusion: inner <= outer exactly when every inner row
-    reduces to zero modulo the canonical form of ``outer``, which is
-    eliminated only if it is not canonical already."""
-    if inner.p != outer.p or inner.ncols != outer.ncols:
-        raise ValueError("subspace test on mismatched spaces")
-    outer = outer if outer.is_rref else rref(outer)
-    return not reduce_rows(inner.a, outer).any()
-
-
 @lru_cache(maxsize=None)
 def exponents(nvars: int, degree: int) -> np.ndarray:
     """The degree slice's exponent vectors as rows, in descending
@@ -477,8 +467,9 @@ def vec_to_poly(p: int, nvars: int, degree: int, row: np.ndarray | Sequence[int]
 
 
 class GradedBasis:
-    """Echelonized bases for the degree slices 0..D of a graded subspace of
-    the polynomial ring."""
+    """Canonical echelon bases for the degree slices 0..D of a graded
+    subspace of the polynomial ring.  A slice that is not canonical is
+    refused, not eliminated: a caller that has rows brings their RREF."""
 
     __slots__ = ("p", "nvars", "max_degree", "mats")
 
@@ -486,12 +477,12 @@ class GradedBasis:
         self.p = p
         self.nvars = nvars
         self.max_degree = len(mats) - 1
-        checked = []
         for d, m in enumerate(mats):
             if m.p != p or m.ncols != num_monomials(nvars, d):
                 raise ValueError(f"degree-{d} slice has wrong shape or field")
-            checked.append(m if m.is_rref else rref(m))
-        self.mats = tuple(checked)
+            if not m.is_rref:
+                raise ValueError(f"degree-{d} slice is not a canonical echelon basis")
+        self.mats = tuple(mats)
 
     @classmethod
     def zero(cls, p: int, nvars: int, max_degree: int) -> GradedBasis:
@@ -523,10 +514,3 @@ class GradedBasis:
 
     def __repr__(self) -> str:
         return f"GradedBasis(p={self.p}, nvars={self.nvars}, dims={self.dims()})"
-
-
-def graded_le(inner: GradedBasis, outer: GradedBasis) -> bool:
-    """Degreewise row-space inclusion over the common stored range."""
-    if inner.p != outer.p or inner.nvars != outer.nvars or inner.max_degree != outer.max_degree:
-        raise ValueError("graded inclusion test on mismatched gradings")
-    return all(subspace_le(inner.mats[d], outer.mats[d]) for d in range(inner.max_degree + 1))

@@ -5,8 +5,8 @@ from functools import lru_cache
 import numpy as np
 
 from modinv import gradedla as la
-from modinv.depthlab import _prefix_modules
-from modinv.gradedla import MatFp
+from modinv.depthlab import _prefix_modules, _regular_candidate_degree, _regular_report
+from modinv.gradedla import GradedBasis, MatFp
 from modinv.invariants import invariant_slice
 from modinv.poly import Poly, num_monomials
 from modinv.rep import sigma
@@ -176,3 +176,29 @@ def stacked_generators(rep, bound: int, degree: int) -> tuple:
     if fresh is None:
         raise RuntimeError(f"degree-{degree} products of generators are not invariants")
     return tuple(la.vec_to_poly(p, rep.nvars, degree, row) for row in fresh.a)
+
+
+def subspace_le(inner: MatFp, outer: MatFp) -> bool:
+    """Row space inclusion: inner <= outer exactly when every inner row
+    reduces to zero modulo the canonical form of ``outer``, which is
+    eliminated only if it is not canonical already: the reference for
+    inclusions the package proves by construction."""
+    if inner.p != outer.p or inner.ncols != outer.ncols:
+        raise ValueError("subspace test on mismatched spaces")
+    outer = outer if outer.is_rref else la.rref(outer)
+    return not la.reduce_rows(inner.a, outer).any()
+
+
+def graded_le(inner: GradedBasis, outer: GradedBasis) -> bool:
+    """Degreewise row-space inclusion over the common stored range."""
+    if inner.p != outer.p or inner.nvars != outer.nvars or inner.max_degree != outer.max_degree:
+        raise ValueError("graded inclusion test on mismatched gradings")
+    return all(subspace_le(inner.mats[d], outer.mats[d]) for d in range(inner.max_degree + 1))
+
+
+def is_regular_element(view, f: Poly):
+    """The complete regular-element report of a validated f on a module
+    view: every degree 0..D-deg(f) is rank-tested even after a failure, and
+    each failing degree carries an annihilated class.  The package reaches
+    the same report through ``verify_regular_sequence``."""
+    return _regular_report(view, f, _regular_candidate_degree(view.rep, f))

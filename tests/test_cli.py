@@ -8,6 +8,8 @@ import pytest
 import modinv
 from modinv import depthlab, invariants
 from modinv.cli import build_parser, run
+from modinv.gradedla import MatFp
+from modinv.rep import top_norms
 
 DOCUMENT_KEYS = ["tool", "version", "config", "checks", "summary"]
 CHECK_KEYS = ["name", "params", "pass", "degrees_checked", "witnesses", "notes", "millis"]
@@ -191,6 +193,44 @@ def test_internal_error_exits_three(monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: dimension bookkeeping broke")
+
+
+def fail_the_first_top_norm(monkeypatch):
+    """Make every passing rank test of the first top norm fail: its left
+    kernel becomes the first unit vector, as if the norm annihilated the
+    first quotient row."""
+    real = depthlab._rank_test
+
+    def rank_test(view, f, e, d):
+        r, left = real(view, f, e, d)
+        if left is None and f == top_norms(view.rep)[0]:
+            left = MatFp(view.num.p, np.eye(1, view.dim(d), dtype=np.uint8), (0,))
+        return r, left
+
+    monkeypatch.setattr(depthlab, "_rank_test", rank_test)
+
+
+def test_transfer_quotient_with_a_norm_that_is_not_regular_exits_one(monkeypatch):
+    fail_the_first_top_norm(monkeypatch)
+    code, out, _ = invoke(["transfer-quotient", "--p", "3", "--blocks", "2", "--max-degree", "4"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks[0]["name"] == "regular-element" and not checks[0]["pass"]
+    vanishing = checks[1]
+    assert vanishing["name"] == "transfer-quotient-vanishing" and not vanishing["pass"]
+    assert vanishing["notes"] == ["norm sequence failed; vanishing not evaluated on the full quotient"]
+
+
+def test_grade_with_a_norm_that_is_not_regular_reports_the_failed_reduction(monkeypatch):
+    fail_the_first_top_norm(monkeypatch)
+    code, out, _ = invoke(["grade", "--p", "2", "--blocks", "2", "--max-degree", "8"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [("regular-element", False),
+                                                         ("norm-reduction", False)]
+    assert checks[1]["params"] == {"module": "invariant ring"}
+    assert checks[1]["notes"] == ["the top-variable norms are not a regular sequence on the "
+                                  "module; the depth-grade relation was not evaluated"]
 
 
 @pytest.mark.parametrize("command", ["transfer-quotient", "hilbert"])

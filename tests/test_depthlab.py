@@ -11,8 +11,7 @@ from modinv.depthlab import (BoundTooSmallError, DepthEvidence, DepthInstance,
                              _shortfall, _witness, bounded_depth,
                              bounded_grade, canonical_sequence,
                              depth_inequality_audit, depth_report, expected_depth,
-                             is_regular_element, norm_reduction_check,
-                             ring_module, socle_search, transfer_ideal_module,
+                             norm_reduction_check, ring_module, socle_search, transfer_ideal_module,
                              transfer_quotient_check, transfer_quotient_module,
                              verify_regular_sequence)
 from modinv.gradedla import GradedBasis, MatFp
@@ -21,7 +20,8 @@ from modinv.poly import Poly, num_monomials, parse, render
 from modinv.rep import CpRep, is_invariant, norm, top_norms
 from modinv.report import CheckReport
 
-from oracle import ideal_modules, kernel, poly_to_vec, rows_off_pivots, stacked_generators
+from oracle import (graded_le, ideal_modules, is_regular_element, kernel, poly_to_vec,
+                    rows_off_pivots, stacked_generators, subspace_le)
 
 
 def in_denominator(view, f):
@@ -43,16 +43,16 @@ def test_ring_module_is_the_invariant_ring():
     assert ring.max_degree == 6
 
 
-def test_module_view_checks_inclusion_by_default():
-    # a caller's own bases are checked at full width unless it opts out
+def test_module_view_of_a_callers_bases():
+    # the view runs no full-width inclusion test; the oracle confirms the one
+    # this caller's bases satisfy
     rep = CpRep.make(2, (2,))
     inv = invariant_slice(rep, 4)
-    full = GradedBasis(2, 2, [MatFp(2, np.eye(num_monomials(2, d), dtype=np.uint8))
+    full = GradedBasis(2, 2, [la.rref(MatFp(2, np.eye(num_monomials(2, d), dtype=np.uint8)))
                               for d in range(5)])
+    assert graded_le(inv, full)
     view = GradedModuleView(rep, full, inv, "polynomials mod invariants")
     assert view.dims() == [full.dim(d) - inv.dim(d) for d in range(5)]
-    with pytest.raises(ValueError, match="denominator is not contained in numerator"):
-        GradedModuleView(rep, inv, full, "invariants mod polynomials")
 
 
 def test_quotient_by_requires_invariance():
@@ -230,7 +230,7 @@ def test_socle_search_over_generators_matches_all_rows(p, kind):
     for e in range(1, bound + 1):
         for g in _generators(rep, bound, e):
             for d in range(bound - e + 1):
-                assert la.subspace_le(la.mult_map(view.den.mat(d), g, d), view.den.mat(d + e)), (e, d)
+                assert subspace_le(la.mult_map(view.den.mat(d), g, d), view.den.mat(d + e)), (e, d)
     witness, report = socle_search(view)
     want = socle_search_all_rows(view)
     assert report.to_json_dict() == want.to_json_dict()
@@ -280,7 +280,7 @@ def coordinate_modules(rep, bound):
     zero = GradedBasis.zero(rep.p.value, rep.nvars, bound)
     return {
         "ring": ring_module(rep, bound),
-        "ideal": GradedModuleView(rep, ideal, zero, "ideal", check_inclusion=False),
+        "ideal": GradedModuleView(rep, ideal, zero, "ideal"),
         "quotient": GradedModuleView(rep, invariant_slice(rep, bound), ideal, "quotient"),
         "transfer-ideal": transfer_ideal_module(rep, bound),
         "transfer-quotient": transfer_quotient_module(rep, bound),
@@ -487,8 +487,7 @@ def test_quotient_mat_refuses_a_denominator_outside_the_numerator():
     rep = CpRep.make(3, (2, 2))
     # the invariant ring is not inside the transfer ideal: degree 0 is 1 vs 0
     with pytest.raises(RuntimeError, match="'inverted'.*degree-0"):
-        GradedModuleView(rep, transfer_slice(rep, 4), invariant_slice(rep, 4),
-                         "inverted", check_inclusion=False)
+        GradedModuleView(rep, transfer_slice(rep, 4), invariant_slice(rep, 4), "inverted")
 
 
 @pytest.mark.parametrize("p", [2, 5])
@@ -689,7 +688,7 @@ def test_validated_elements_are_not_checked_again(monkeypatch):
     monkeypatch.setattr(depthlab, "is_invariant", counting)
     ring = ring_module(rep, 8)
     seq = canonical_sequence(rep)
-    # one check per element, in is_regular_element, none in the quotient step
+    # one check per element, as it is validated, none in the quotient step
     assert verify_regular_sequence(ring, seq).passed
     assert len(calls) == len(seq)
     # the greedy search takes validated pairs and checks nothing
@@ -776,6 +775,30 @@ def test_bounded_depth_rejects_zero_module():
         bounded_grade(view, [], "empty")
 
 
+@pytest.mark.parametrize("p, blocks, bound", [(2, (2, 2), 8), (3, (2, 2, 2), 7)])
+def test_greedy_search_keeps_the_lowest_nonzero_degree(p, blocks, bound, monkeypatch):
+    # an accepted f of degree e adds nothing in the lowest nonzero degree m,
+    # as the module is zero in degree m - e, so no search empties its module
+    # and every depth job reaches its socle search
+    rep = CpRep.make(p, blocks)
+    runs = []
+    real = depthlab.bounded_depth
+
+    def recording(view, search_degree_cap=None):
+        evidence = real(view, search_degree_cap)
+        runs.append((view, evidence))
+        return evidence
+
+    monkeypatch.setattr(depthlab, "bounded_depth", recording)
+    depth_report(rep, bound)
+    assert len(runs) == 3 + 2 * len(canonical_sequence(rep))
+    for view, evidence in runs:
+        start, final = view.dims(), evidence.cert.final_view.dims()
+        m = next(d for d, v in enumerate(start) if v)
+        assert final[:m] == start[:m] and final[m] == start[m] > 0, view.label
+        assert evidence.reports[-2].name == "socle-search", view.label
+
+
 def test_bounded_grade_records_failures():
     rep = CpRep.make(2, (2,))
     ring = ring_module(rep, 8)
@@ -790,8 +813,8 @@ def test_bounded_grade_records_failures():
 
 def reference_greedy(view, pool):
     """Exhaustive reference of the greedy search: every round runs the
-    public ``is_regular_element`` on every pool element not yet taken, then
-    takes the first one that passes on a nonzero degree."""
+    complete ``oracle.is_regular_element`` on every pool element not yet
+    taken, then takes the first one that passes on a nonzero degree."""
     varnames = view.rep.varnames
     current, found, steps = view, [], []
     while not current.is_zero():
@@ -1048,6 +1071,37 @@ def test_depth_audit_flags_violations():
     assert report.passed and not report.witnesses
     assert ("broken: depth(I) >= min(depth(R), depth(R/I) + 1): violated on bounded "
             "evidence; inconclusive") in report.notes
+
+
+@pytest.mark.parametrize("statement, depths, side", [
+    # (ring, ideal, quotient) depths: the ideal deeper than the ring, then the quotient
+    ("depth(R/I) = depth(R)", (2, 3, 2), "quotient"),
+    ("depth(I) = depth(R)", (2, 2, 3), "ideal"),
+])
+def test_depth_audit_checks_equality_with_the_ring_when_one_side_is_deeper(statement, depths, side):
+    rep = CpRep.make(2, (2,))
+
+    def audit(label, shift=0, open_side=None):
+        depth = dict(zip(("ring", "ideal", "quotient"), depths))
+        depth[side] += shift
+        return depth_inequality_audit([DepthInstance(label=label, **{
+            name: _fake_evidence(rep, d, name != open_side) for name, d in depth.items()})])
+
+    report = audit("equal")
+    assert {"instance": "equal", "check": statement, "status": "holds"} in report.params["verified"]
+    assert not report.notes
+    # one less on the side that must equal the ring: a violation, noted
+    report = audit("lower", shift=-1)
+    assert report.passed
+    assert f"lower: {statement}: violated on bounded evidence; inconclusive" in report.notes
+    # without maximality on that side the equality is undecided
+    report = audit("open", open_side=side)
+    assert f"open: {statement}: inconclusive on bounded evidence" in report.notes
+    # without it on the ring's, no side is definitely deeper: not checked
+    report = audit("ring open", open_side="ring")
+    checked = [note.split(": ")[1] for note in report.notes]
+    checked += [entry["check"] for entry in report.params.get("verified", [])]
+    assert statement not in checked
 
 
 def test_depth_audit_of_the_transfer_ideal_is_inconclusive_at_low_bound():

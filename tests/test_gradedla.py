@@ -7,8 +7,9 @@ from modinv import gradedla as la
 from modinv.gradedla import GradedBasis, MatFp
 from modinv.poly import Poly, num_monomials, parse
 
-from oracle import (kernel, monomial_index, monomials_of_degree, oracle_left_kernel, oracle_pivots,
-                    oracle_rref, poly_to_vec, product_rows, rows_off_pivots)
+from oracle import (graded_le, kernel, monomial_index, monomials_of_degree, oracle_left_kernel,
+                    oracle_pivots, oracle_rref, poly_to_vec, product_rows, rows_off_pivots,
+                    subspace_le)
 
 VARS2 = ("x[1,1]", "x[2,1]")
 
@@ -273,11 +274,11 @@ def test_image_contains_subspace_le():
     img = la.rref(MatFp(p, a))
     for row in a:
         assert not la.reduce_rows(row.reshape(1, -1), img).any()
-    assert la.subspace_le(MatFp(p, a), img)
-    assert la.subspace_le(img, MatFp(p, a))
+    assert subspace_le(MatFp(p, a), img)
+    assert subspace_le(img, MatFp(p, a))
     bigger = MatFp(p, np.vstack([a, random_matrix(rng, p, 1, 8)]))
     if len(la.rref(bigger).pivots) > img.nrows:
-        assert not la.subspace_le(bigger, img)
+        assert not subspace_le(bigger, img)
 
 
 def rank_inclusion(inner: np.ndarray, outer: np.ndarray, p: int) -> bool:
@@ -308,7 +309,7 @@ def test_subspace_le_matches_rank_inclusion(p, monkeypatch):
             outcomes.add(want)
             for a in inclusion_inputs(inner, p):
                 for b in inclusion_inputs(outer, p):
-                    assert la.subspace_le(a, b) == want, (cols, trial)
+                    assert subspace_le(a, b) == want, (cols, trial)
     assert outcomes == {True, False}
 
     # outer pivots 0 and 3; columns 1, 2, 4 and 5 are free
@@ -326,13 +327,13 @@ def test_subspace_le_matches_rank_inclusion(p, monkeypatch):
         inner = (row % p).astype(np.uint8).reshape(1, -1)
         assert rank_inclusion(inner, outer.a, p) == want, name
         for a in inclusion_inputs(inner, p):
-            assert la.subspace_le(a, outer) == want, name
+            assert subspace_le(a, outer) == want, name
 
     # canonical inputs are used as they are, with no elimination
     def no_rref(mat):
         raise AssertionError("rref called on a canonical input")
     monkeypatch.setattr(la, "rref", no_rref)
-    assert la.subspace_le(la.MatFp(p, outer.a[:1], outer.pivots[:1]), outer)
+    assert subspace_le(la.MatFp(p, outer.a[:1], outer.pivots[:1]), outer)
 
 
 def test_rows_off_pivots_selects_or_refuses():
@@ -691,15 +692,25 @@ def test_poly_vec_round_trip():
         poly_to_vec(parse("x[1,1]^2", VARS2, p), 3)
 
 
+def test_graded_basis_refuses_a_slice_that_is_not_canonical():
+    p = 3
+    canonical = [la.rref(MatFp(p, np.eye(num_monomials(2, d), dtype=np.uint8))) for d in range(3)]
+    assert GradedBasis(p, 2, canonical).mats == tuple(canonical)
+    # the same rows with no RREF flag, and rows that are not reduced
+    for raw in (MatFp(p, canonical[2].a), MatFp(p, np.array([[2, 1, 0], [0, 1, 0]], dtype=np.uint8))):
+        with pytest.raises(ValueError, match="degree-2 slice is not a canonical echelon basis"):
+            GradedBasis(p, 2, canonical[:2] + [raw])
+
+
 def test_graded_basis_accessors():
     p = 2
-    full = GradedBasis(p, 2, [MatFp(p, np.eye(num_monomials(2, d), dtype=np.uint8))
+    full = GradedBasis(p, 2, [la.rref(MatFp(p, np.eye(num_monomials(2, d), dtype=np.uint8)))
                               for d in range(5)])
     zero = GradedBasis.zero(p, 2, 4)
     assert full.dims() == [1, 2, 3, 4, 5]
     assert zero.dims() == [0] * 5
-    assert la.graded_le(zero, full)
-    assert not la.graded_le(full, zero)
+    assert graded_le(zero, full)
+    assert not graded_le(full, zero)
     f = parse("x[1,1]*x[2,1] + x[2,1]^2", VARS2, p)
     assert in_span(full, f)
     assert not in_span(zero, f)
