@@ -3,7 +3,8 @@ deterministic JSON reports, exit codes.
 
 Exit codes: 0 all checks passed, 1 at least one check failed (the report
 carries the witnesses), 2 usage or configuration error, 3 internal error
-(a consistency check inside the computation broke; no report).  Reports are
+(a consistency check inside the computation broke, or any other unexpected
+exception escaped it; no report).  Reports are
 byte-identical for identical configurations; ``--timings`` opts into real
 wall-clock fields and gives that determinism up.
 """
@@ -348,6 +349,13 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
         return 2
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=err)
+        return 3
+    except Exception as exc:
+        # an exception nothing here expects is a defect: name it and keep its
+        # traceback (imported only here: a normal run does not load it)
+        import traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=err)
+        traceback.print_exc(file=err)
         return 3
     text = dumps_report(_document(config, checks))
     if config.output:

@@ -309,7 +309,7 @@ def _product_coords(view: GradedModuleView, rows: np.ndarray, f: Poly, e: int, d
     classes' coordinates in the quotient rows of degree d + e, which are
     the product's residues modulo the denominator, on the quotient
     positions only, computed in numerator coordinates
-    (``la.reduced_product``).  The product is formed on the numerator pivot
+    (``la.reduced_product``).  The product is read on the numerator pivot
     columns alone.
 
     Precondition (closure): the products lie in the numerator, so their
@@ -497,11 +497,11 @@ def _generators(rep: CpRep, bound: int, degree: int) -> tuple[Poly, ...]:
     fixed variable, is canonical as ``la.mult_map`` builds it, so it seeds
     the denominator with no elimination; a seed pivot that is no invariant
     pivot means the products left the invariants.  Every other product is
-    formed on the invariants' pivot columns only and reduced off the seed
-    there, block by block, into one stack of quotient coordinates, which is
-    eliminated once and added as a quotient step adds its classes.  The
-    generators are the invariant rows left at the quotient positions (they
-    are invariants, so no further elimination is needed)."""
+    read on the invariants' pivot columns and reduced off the seed there
+    (``la.reduced_product``), block by block, into one stack of quotient
+    coordinates, which is eliminated once and added as a quotient step adds
+    its classes.  The generators are the invariant rows left at the quotient
+    positions (they are invariants, so no further elimination is needed)."""
     inv = invariant_slice(rep, bound)
     p, here = inv.p, inv.mat(degree)
     products = [(inv.mat(degree - k), g, degree - k) for k in range(1, degree)

@@ -10,21 +10,21 @@ entries stay below p and each update term is at most (p-1)**2) that
 updates only the columns from the pivot on.  A left kernel comes from the
 same elimination as the RREF, of the matrix beside an identity block
 (``rref_left_kernel``); mod 2 the identity bits are set in the rows'
-integers as they are read, so no wider matrix is formed.  One residue
-routine, ``reduce_rows``, reduces vectors modulo a canonical basis on the
-columns a caller asks for: mod 2 in one gathered XOR of packed basis
-rows, odd p in one float64 product of the basis rows the vectors need, on
-those columns where the rows are nonzero.  ``extend`` adds rows to a
-canonical basis and eliminates only their residues off its pivots,
-merging them in with ``merge_residues`` (mod 2, the canonical rows enter
-the one elimination with no XOR).  A mod-2 multiplication map XORs the
-transposed basis through each term's column map, one contiguous row per
-target monomial, and gathers the rows of the columns a caller asks for;
-odd primes accumulate the terms in int64, on those columns only, and
-reduce once.  ``reduced_product`` is a product reduced modulo a canonical
-basis, as quotient coordinates need it: mod 2 the product stays
-transposed, so the vectors' coefficients and the kept columns are row
-gathers.  Every monomial position is a binomial rank of exponent rows
+integers as they are read, so no wider matrix is formed.  One reduction
+kernel, ``_subtract``, takes coefficients times basis rows off vectors on
+the columns a caller asks for: mod 2 in one gathered XOR, odd p in one
+float64 product of the basis rows the vectors need, on those columns where
+the rows are nonzero.  ``reduce_rows`` reduces vectors modulo a canonical
+basis with it.  ``extend`` adds rows to a canonical basis and eliminates
+only their residues off its pivots, merging them in with
+``merge_residues`` (mod 2, the canonical rows enter the one elimination
+with no XOR).  One product layout serves every p: a multiplication map
+scatters the transposed basis through each term's column map, one
+contiguous uint8 row per target monomial (``_product_t``).
+``reduced_product`` is a product reduced modulo a canonical basis, as
+quotient coordinates need it: the product stays transposed, so the
+vectors' coefficients and the kept columns are row gathers.  Every
+monomial position is a binomial rank of exponent rows
 (``monomial_positions``).  A graded subspace (``GradedBasis``) holds one
 canonical echelon basis per degree; it takes them as they are, with no
 elimination.
@@ -48,12 +48,9 @@ class MatFp:
 
     ``pivots`` is set (a tuple of pivot column indices) exactly when the
     matrix is a canonical reduced row echelon form with zero rows dropped.
-    The first mod-2 reduction against the matrix replaces ``a`` by a
-    read-only copy and packs it once, so the packed rows cannot go stale and
-    the array the matrix was built from stays the caller's, writable.
     """
 
-    __slots__ = ("p", "a", "pivots", "_packed")
+    __slots__ = ("p", "a", "pivots")
 
     def __init__(self, p: int, a: np.ndarray, pivots: tuple[int, ...] | None = None):
         if a.ndim != 2:
@@ -64,7 +61,6 @@ class MatFp:
         self.p = p
         self.a = np.ascontiguousarray(a, dtype=np.uint8)
         self.pivots = pivots
-        self._packed: np.ndarray | None = None
 
     @property
     def nrows(self) -> int:
@@ -77,14 +73,6 @@ class MatFp:
     @property
     def is_rref(self) -> bool:
         return self.pivots is not None
-
-    def _packed_rows(self) -> np.ndarray:
-        """The rows packed eight entries to a byte, column 0 the top bit."""
-        if self._packed is None:
-            self.a = self.a.copy()
-            self.a.setflags(write=False)
-            self._packed = np.packbits(self.a, axis=1)
-        return self._packed
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatFp):
@@ -198,13 +186,25 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (np.rint(prod).astype(np.int64) % p).astype(np.uint8)
 
 
-def _xor_gathered(out: np.ndarray, rows: np.ndarray, sources: np.ndarray) -> None:
-    """XOR into each row of ``out`` named in ``rows`` (ascending, not
-    empty) the ``sources`` rows beside it, one reduction per target row."""
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    starts = np.flatnonzero(first)
-    out[rows[starts]] ^= np.bitwise_xor.reduceat(sources, starts, axis=0)
+def _subtract(out: np.ndarray, coeffs: np.ndarray, basis_rows: np.ndarray,
+              cols: np.ndarray | slice, p: int) -> None:
+    """``out -= coeffs @ basis_rows[:, cols]`` over F_p, in place.  Each
+    gather takes the rows first and then the columns.  Mod 2 every vector
+    XORs in the rows its coefficients select, in one gathered reduction per
+    vector; odd p multiplies only the rows some vector needs, on the columns
+    where they are nonzero."""
+    if p == 2:
+        vec, piv = np.nonzero(coeffs)
+        if vec.size:
+            first = np.ones(vec.size, dtype=bool)
+            first[1:] = vec[1:] != vec[:-1]
+            starts = np.flatnonzero(first)
+            out[vec[starts]] ^= np.bitwise_xor.reduceat(basis_rows[piv][:, cols], starts, axis=0)
+        return
+    used = np.flatnonzero(coeffs.any(axis=0))
+    rows = basis_rows[used][:, cols]
+    hit = np.flatnonzero(rows.any(axis=0))
+    out[:, hit] = (out[:, hit].astype(np.int16) - matmul_mod(coeffs[:, used], rows[:, hit], p)) % p
 
 
 def reduce_rows(vectors: np.ndarray, basis: MatFp, cols: Sequence[int] | None = None) -> np.ndarray:
@@ -212,31 +212,15 @@ def reduce_rows(vectors: np.ndarray, basis: MatFp, cols: Sequence[int] | None = 
     (which must be canonical), on the columns ``cols`` only (default: all).
     A zero residue means membership.  The pivot columns of ``basis`` are
     unit vectors, so a vector's coefficients are its pivot entries and its
-    residue is v - v[:, pivots] @ basis; odd p multiplies only the basis
-    rows some vector needs, on the requested columns where they are
-    nonzero, and p = 2 XORs the packed basis rows each vector needs in one
-    gathered step."""
+    residue is v - v[:, pivots] @ basis (``_subtract``)."""
     if not basis.is_rref:
         raise ValueError("basis must be in reduced row echelon form")
     v = np.ascontiguousarray(vectors, dtype=np.uint8)
     if v.ndim != 2 or v.shape[1] != basis.ncols:
         raise ValueError(f"vector width {v.shape} does not match basis width {basis.ncols}")
     cols = slice(None) if cols is None else np.asarray(cols, dtype=np.intp)
-    if v.shape[0] == 0 or basis.nrows == 0:
-        return v[:, cols].copy()
-    if basis.p == 2:
-        rows, piv = np.nonzero(v[:, list(basis.pivots)])
-        if rows.size == 0:
-            return v[:, cols].copy()
-        vp = np.packbits(v, axis=1)
-        _xor_gathered(vp, rows, basis._packed_rows()[piv])
-        return np.unpackbits(vp, axis=1, count=basis.ncols)[:, cols]
-    coeffs = v[:, list(basis.pivots)]
-    used = np.flatnonzero(coeffs.any(axis=0))
-    rows = basis.a[used][:, cols]
-    hit = np.flatnonzero(rows.any(axis=0))
     out = v[:, cols].copy()
-    out[:, hit] = (out[:, hit].astype(np.int16) - matmul_mod(coeffs[:, used], rows[:, hit], basis.p)) % basis.p
+    _subtract(out, v[:, list(basis.pivots)], basis.a, cols, basis.p)
     return out
 
 
@@ -381,78 +365,55 @@ def _term_maps(basis: MatFp, f: Poly, degree: int) -> tuple[list[tuple[np.ndarra
     return maps, num_monomials(nvars, degree + shift)
 
 
-def _xor_product_t(basis: MatFp, maps: list[tuple[np.ndarray, int]], wide: int) -> np.ndarray:
-    """Mod 2, the basis rows times the polynomial whose terms' column maps
-    are ``maps``, transposed: one row per target monomial of the ``wide``
-    ones, one column per basis row.  Each column map is injective, so
-    XORing the transposed basis through it, one contiguous row per
-    monomial, adds exactly mod 2."""
+def _product_t(basis: MatFp, maps: list[tuple[np.ndarray, int]], wide: int) -> np.ndarray:
+    """The basis rows times the polynomial whose terms' column maps and
+    coefficients are ``maps``, transposed: one row per target monomial of
+    the ``wide`` ones, one column per basis row.  Each column map is
+    injective, so scattering the transposed basis through it, one
+    contiguous row per monomial, adds each term exactly once: mod 2 by XOR,
+    odd p in int32 and reduced at once (each sum is below 251 + 250**2)."""
     t = np.ascontiguousarray(basis.a.T)
     out = np.zeros((wide, basis.nrows), dtype=np.uint8)
-    for at, _ in maps:
-        out[at] ^= t
+    for at, c in maps:
+        if basis.p == 2:
+            out[at] ^= t
+        else:
+            out[at] = (out[at] + np.multiply(t, c, dtype=np.int32)) % basis.p
     return out
 
 
-def mult_map(basis: MatFp, f: Poly, degree: int, cols: np.ndarray | None = None) -> MatFp:
+def mult_map(basis: MatFp, f: Poly, degree: int) -> MatFp:
     """Matrix of multiplication by homogeneous ``f`` applied to each basis
     row of the degree-``degree`` slice; rows land in degree
-    ``degree + deg f``, on the ascending columns ``cols`` of that slice only
-    (default: all).  The zero polynomial gives the zero map.
+    ``degree + deg f``.  The zero polynomial gives the zero map.
 
     A monic monomial's column map keeps positions in order, so it takes a
     canonical basis to a canonical matrix whose pivots are the mapped ones;
-    the full-width product is then flagged canonical, and no other is."""
+    that product is flagged canonical, and no other is."""
     maps, wide = _term_maps(basis, f, degree)
-    if f.p == 2:
-        # the requested columns are rows of the transposed product; restricting
-        # the maps to them instead pays only on the int64 path below
-        out = _xor_product_t(basis, maps, wide)
-        out = (out if cols is None else out[cols]).T
-    else:
-        if cols is not None:
-            slot = np.full(wide, -1, dtype=np.intp)
-            slot[cols] = np.arange(len(cols))
-            wide = len(cols)
-        acc = np.zeros((basis.nrows, wide), dtype=np.int64)
-        for at, c in maps:
-            rows = basis.a
-            if cols is not None:
-                # the term's map into the requested columns, and the basis columns it keeps
-                at = slot[at]
-                kept = np.flatnonzero(at >= 0)
-                at, rows = at[kept], rows[:, kept]
-            # the ufunc widens the rows chunk by chunk: no int64 copy of the basis
-            acc[:, at] += np.multiply(rows, c, dtype=np.int64)
-        out = (acc % f.p).astype(np.uint8)
     pivots = None
-    if cols is None and basis.is_rref and len(maps) == 1 and maps[0][1] == 1:
+    if basis.is_rref and len(maps) == 1 and maps[0][1] == 1:
         pivots = tuple(maps[0][0][list(basis.pivots)].tolist())
-    return MatFp(f.p, out, pivots)
+    return MatFp(f.p, _product_t(basis, maps, wide).T, pivots)
 
 
 def reduced_product(basis: MatFp, f: Poly, degree: int, cols: np.ndarray,
                     modulo: MatFp, keep: np.ndarray) -> np.ndarray:
-    """``reduce_rows(mult_map(basis, f, degree, cols).a, modulo, keep)``:
-    the residues of f times the basis rows, formed on the ascending columns
+    """``reduce_rows(mult_map(basis, f, degree).a[:, cols], modulo, keep)``:
+    the residues of f times the basis rows, on the ascending columns
     ``cols`` of degree ``degree + deg f``, modulo canonical ``modulo`` (a
     basis on those columns), on its columns ``keep`` only.
 
-    Odd p computes exactly that.  Mod 2 the product stays transposed, as
-    ``mult_map`` scatters it, so its columns at the pivots of ``modulo``
-    (the vectors' coefficients) and at ``keep`` are row gathers; only the
-    latter are transposed back, and each vector XORs in the ``modulo`` rows
-    its coefficients select, on ``keep``, in one gathered step."""
-    if basis.p != 2:
-        return reduce_rows(mult_map(basis, f, degree, cols).a, modulo, keep)
+    The product stays transposed, as ``_product_t`` scatters it, so its
+    columns at the pivots of ``modulo`` (the vectors' coefficients) and at
+    ``keep`` are row gathers; only the latter are transposed back before
+    ``_subtract`` takes the ``modulo`` rows off them."""
     if not modulo.is_rref or modulo.ncols != len(cols):
         raise ValueError("modulo must be a canonical basis on the requested columns")
     maps, wide = _term_maps(basis, f, degree)
-    product = _xor_product_t(basis, maps, wide)
+    product = _product_t(basis, maps, wide)
     out = np.ascontiguousarray(product[cols[keep]].T)
-    rows, piv = np.nonzero(product[cols[list(modulo.pivots)]].T)
-    if rows.size:
-        _xor_gathered(out, rows, modulo.a[piv][:, keep])
+    _subtract(out, product[cols[list(modulo.pivots)]].T, modulo.a, keep, basis.p)
     return out
 
 

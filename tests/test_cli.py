@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +94,9 @@ PINNED_REPORTS = {
     # four blocks at p = 2: the widest merged slices
     "hilbert --p 2 --blocks 2,2,2,2 --max-degree 7":
         "7d29b281bebbb547a0d5dac868c37ce9065dc71926dc8ff7cffb53a780d56840",
+    # the largest supported prime: products and reductions of uint8 entries up to 250
+    "hilbert --p 251 --blocks 3 --max-degree 3":
+        "f5a7929562c1291894638d0d08338db6b22a11838c01a2e001f920eee6b02674",
 }
 
 
@@ -101,6 +106,26 @@ def test_default_reports_are_pinned():
         code, out, _ = invoke(argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+def benchmark_workloads() -> dict:
+    """``WORKLOADS`` of perfbench/run.py, read from its source without
+    running it: each name maps to (argv, SHA-256 of the report bytes)."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "WORKLOADS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no WORKLOADS")
+
+
+def test_benchmark_workload_reports_are_pinned():
+    # a report drift fails here before the benchmark refuses the runs
+    workloads = benchmark_workloads()
+    assert workloads
+    for name, (argv, digest) in workloads.items():
+        code, out, _ = invoke(list(argv))
+        assert code == 0, name
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
 
 
 def test_timings_flag_unzeroes_millis():
@@ -193,6 +218,20 @@ def test_internal_error_exits_three(monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: dimension bookkeeping broke")
+
+
+def test_unexpected_exception_exits_three(monkeypatch):
+    # an exception no handler expects is a defect too, never "a check failed"
+    def broken(rep, max_degree):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(depthlab, "transfer_quotient_check", broken)
+    code, out, err = invoke(["transfer-quotient", "--p", "3", "--blocks", "2", "--max-degree", "4"])
+    assert code == 3
+    assert out == ""
+    first, rest = err.split("\n", 1)
+    assert first == "internal error: IndexError: index 7 is out of bounds"
+    assert rest.startswith("Traceback (most recent call last):") and "in broken" in rest
 
 
 def fail_the_first_top_norm(monkeypatch):
