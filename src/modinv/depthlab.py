@@ -7,7 +7,10 @@ regularity check is exact: it carries an element annihilated into the
 denominator.  Every regularity check is one rank test per degree
 (``_shortfall``): one elimination of the quotient coordinates beside an
 identity block gives both their RREF and their left kernel, and a witness
-a report prints is read off that left kernel.
+a report prints is read off that left kernel.  The failing degrees are
+walked lazily (``_failures``), so a greedy search tests a candidate only up
+to its first failure, and builds only what it prints: the step report of an
+accepted element and the witness of each final-round failure record.
 A socle search with no witness passes as inconclusive, and so does a
 ``norm-reduction`` whose depth and grade sides disagree, or a
 ``transfer-ideal-depth`` whose evidence disagrees with blocks + 1: both are
@@ -36,6 +39,7 @@ only until the element fails a degree or its quotient exists.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
@@ -361,26 +365,20 @@ def _witness(view: GradedModuleView, left: MatFp, d: int) -> Poly:
     return la.vec_to_poly(view.num.p, view.num.nvars, d, row)
 
 
-def _failures(view: GradedModuleView, f: Poly, e: int, start: int = 0,
-              first_only: bool = False) -> list[tuple[int, MatFp]]:
-    """The degrees from ``start`` up to D-e where f is not injective, each
-    with its left kernel; with ``first_only``, the first such degree
-    alone."""
-    failures = []
-    for d in range(start, view.max_degree - e + 1):
+def _failures(view: GradedModuleView, f: Poly, e: int) -> Iterator[tuple[int, MatFp]]:
+    """The degrees up to D-e where f is not injective, lowest first, each
+    with its left kernel.  A degree is rank-tested only when the walk
+    reaches it, so the first failure costs no test above it."""
+    for d in range(view.max_degree - e + 1):
         left = _shortfall(view, f, e, d)
         if left is not None:
-            failures.append((d, left))
-            if first_only:
-                break
-    return failures
+            yield d, left
 
 
-def _regular_report(view: GradedModuleView, f: Poly, e: int, first_only: bool = False) -> CheckReport:
+def _regular_report(view: GradedModuleView, f: Poly, e: int) -> CheckReport:
     """The regular-element report over degrees 0..D-e, checked inside the
-    timing, with one witness per failing degree; with ``first_only``, a
-    partial report up to the first failure, whose witness is still exact.
-    A passing check leaves the RREFs its quotient step reads in the memo."""
+    timing, with one witness per failing degree.  A passing check leaves
+    the RREFs its quotient step reads in the memo."""
     rep = view.rep
     bound = view.max_degree
     degrees = list(range(0, bound - e + 1))
@@ -396,7 +394,7 @@ def _regular_report(view: GradedModuleView, f: Poly, e: int, first_only: bool = 
         degrees_checked=degrees,
     )
     with timed(report):
-        for d, left in _failures(view, f, e, first_only=first_only):
+        for d, left in _failures(view, f, e):
             report.passed = False
             report.witnesses.append({
                 "degree": d,
@@ -532,8 +530,13 @@ def socle_search(view: GradedModuleView) -> tuple[SocleWitness | None, CheckRepo
     products of generators with invariants span every positive degree.
 
     The search runs once per module state (``_Memo``); each call builds
-    its report under the caller's label."""
+    its report under the caller's label.  A bound below 2 leaves no witness
+    degree and is refused."""
     cap = view.max_degree - 2
+    if cap < 0:
+        raise BoundTooSmallError(
+            f"a socle search needs a degree bound of at least 2, got {view.max_degree}: "
+            f"its witness-degree cap D - 2 = {cap} leaves no degree")
     report = CheckReport(
         name="socle-search",
         params={"module": view.label, "witness_degree_cap": cap, "max_degree": view.max_degree},
@@ -627,13 +630,14 @@ def _greedy_regular(view: GradedModuleView,
     the certificate of the sequence found and the failure records of the
     final, exhausted round.
 
-    Within a round a candidate is checked up to its first failing degree;
-    an accepted element has passed every degree, so its step report is the
-    complete one ``verify_regular_sequence`` gives.  Only the final round,
-    whose records reach the report, rank-tests the later degrees of its
-    rejected candidates, without witnesses.  A zero module is refused, and
-    so is a sequence longer than n = dim V: none is regular, so the bound is
-    too small.
+    Within a round a candidate is rank-tested up to its first failing degree
+    (``_failures``), and a rejected one keeps nothing else.  Only an
+    accepted element gets a step report, the complete one
+    ``verify_regular_sequence`` gives, read off the memo with no new rank
+    test.  Only the final round, whose records reach the report, walks its
+    rejected candidates' later degrees, and renders one witness each, at the
+    first failing degree.  A zero module is refused, and so is a sequence
+    longer than n = dim V: none is regular, so the bound is too small.
 
     The search never empties the module: an accepted f of degree e keeps
     the lowest nonzero degree m, as the module is zero in degree m - e
@@ -650,28 +654,28 @@ def _greedy_regular(view: GradedModuleView,
         for f, e in candidates:
             if any(f == g for g in found):
                 continue
-            # complete if f passes; otherwise partial, up to its first failure
-            rpt = _regular_report(current, f, e, first_only=True)
             # a pass on degrees where the module is zero is vacuous
-            if rpt.passed and any(current.dim(d) for d in range(current.max_degree - e + 1)):
+            if (next(_failures(current, f, e), None) is None
+                    and any(current.dim(d) for d in range(current.max_degree - e + 1))):
+                rpt = _regular_report(current, f, e)
                 current = _accept_step(current, f, e, rpt)  # the pool is validated
                 steps.append(rpt)
                 found.append(f)
                 break
-            rejected.append((f, e, rpt))
+            rejected.append((f, e))
         else:
-            last_failures = []
-            for f, e, rpt in rejected:
-                record = {"element": render(f, varnames)}
-                if rpt.passed:
-                    record["skipped"] = "no checkable degree"
-                else:
-                    first = rpt.witnesses[0]
-                    record["failing_degrees"] = [first["degree"]] + [
-                        d for d, _ in _failures(current, f, e, first["degree"] + 1)]
-                    record["witness"] = first["annihilated"]
-                last_failures.append(record)
             break
+    last_failures = []
+    for f, e in rejected:
+        record = {"element": render(f, varnames)}
+        failures = list(_failures(current, f, e))
+        if failures:
+            d, left = failures[0]
+            record["failing_degrees"] = [d for d, _ in failures]
+            record["witness"] = render(_witness(current, left, d), varnames)
+        else:
+            record["skipped"] = "no checkable degree"
+        last_failures.append(record)
     n = view.rep.dim
     if len(found) > n:
         raise BoundTooSmallError(
@@ -698,12 +702,10 @@ class DepthEvidence:
     cert: RegSeqCert
     reports: list[CheckReport] = field(default_factory=list)
 
-    @property
-    def upper(self) -> int | None:
-        return self.lower if self.maximal else None
-
-    def interval(self) -> tuple[int, int | None]:
-        return self.lower, self.upper
+    def interval(self) -> Interval:
+        """[lower, upper], the upper end infinite until a socle witness
+        closes it."""
+        return self.lower, self.lower if self.maximal else math.inf
 
 
 def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None) -> DepthEvidence:
@@ -735,20 +737,11 @@ def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None) 
                          reports=[*cert.steps, socle_report, summary])
 
 
-@dataclass
-class GradeResult:
-    """Bounded grade evidence: a maximal-within-bounds regular sequence on
-    the module drawn from a spanning pool of the ideal."""
-
-    length: int
-    cert: RegSeqCert
-    failures: list[dict]
-    report: CheckReport
-
-
-def bounded_grade(view: GradedModuleView, pool: Sequence[Poly], pool_label: str) -> GradeResult:
-    """Longest regular sequence on the module found inside the pool; when
-    the scan exhausts, the per-element failure certificates are kept."""
+def bounded_grade(view: GradedModuleView, pool: Sequence[Poly],
+                  pool_label: str) -> tuple[RegSeqCert, CheckReport]:
+    """Longest regular sequence on the module found inside the pool, with
+    its grade-search report; when the scan exhausts, the report keeps the
+    per-element failure certificates."""
     cert, failures = _greedy_regular(
         view, [(f, _regular_candidate_degree(view.rep, f)) for f in pool])
     report = CheckReport(
@@ -764,7 +757,7 @@ def bounded_grade(view: GradedModuleView, pool: Sequence[Poly], pool_label: str)
         witnesses=failures,
         notes=["grade evidence is a lower bound certified up to the degree bound"],
     )
-    return GradeResult(length=len(cert.elements), cert=cert, failures=failures, report=report)
+    return cert, report
 
 
 def canonical_sequence(rep: CpRep) -> list[Poly]:
@@ -928,18 +921,19 @@ def norm_reduction_check(view: GradedModuleView, search_degree_cap: int | None =
     cap = rep.p.value if search_degree_cap is None else search_degree_cap
     pool = [f for e in range(1, min(cap, view.max_degree) + 1)
             for f in tra.row_polys(e)]
-    grade_res = bounded_grade(reduced, pool, "transfer-image basis elements")
-    reports.extend(grade_res.cert.steps)
-    reports.append(grade_res.report)
+    grade_cert, grade_report = bounded_grade(reduced, pool, "transfer-image basis elements")
+    reports.extend(grade_cert.steps)
+    reports.append(grade_report)
+    grade = len(grade_cert.elements)
 
     # the grade side is a lower bound; equality is certified when the depth
     # side is two-sided and matches.  Both sides are bounded evidence, so a
     # disagreement is inconclusive rather than failed
     blocks = rep.num_blocks
-    expected = grade_res.length + blocks
+    expected = grade + blocks
     agree = depth_ev.lower == expected if depth_ev.maximal else depth_ev.lower >= expected
     note = (f"depth evidence {depth_ev.lower}{'' if depth_ev.maximal else '+'} vs "
-            f"grade evidence {grade_res.length} + {blocks} blocks")
+            f"grade evidence {grade} + {blocks} blocks")
     if not agree:
         note = f"inconclusive: {note} disagree; both sides are verified only up to degree {view.max_degree}"
     summary = CheckReport(
@@ -948,7 +942,7 @@ def norm_reduction_check(view: GradedModuleView, search_degree_cap: int | None =
             "module": view.label,
             "depth_lower": depth_ev.lower,
             "depth_maximal": depth_ev.maximal,
-            "grade_lower": grade_res.length,
+            "grade_lower": grade,
             "blocks": blocks,
             "relation": "depth(M) = grade + blocks",
         },
@@ -1021,16 +1015,16 @@ def depth_report(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
     return reports
 
 
-Interval = tuple[int, int | None]
+Interval = tuple[int, float]
 
 
 def _interval_ge(a: Interval, b: Interval) -> str:
-    """Definite comparison a >= b on [lo, hi] data, hi None meaning open."""
+    """Definite comparison a >= b on [lo, hi] data, hi inf meaning open."""
     a_lo, a_hi = a
     b_lo, b_hi = b
-    if b_hi is not None and a_lo >= b_hi:
+    if a_lo >= b_hi:
         return "holds"
-    if a_hi is not None and a_hi < b_lo:
+    if a_hi < b_lo:
         return "violated"
     return "inconclusive"
 
@@ -1038,31 +1032,11 @@ def _interval_ge(a: Interval, b: Interval) -> str:
 def _interval_eq(a: Interval, b: Interval) -> str:
     a_lo, a_hi = a
     b_lo, b_hi = b
-    if a_lo == a_hi and b_lo == b_hi and a_lo == b_lo:
+    if a_lo == a_hi == b_lo == b_hi:
         return "holds"
-    if (a_hi is not None and a_hi < b_lo) or (b_hi is not None and b_hi < a_lo):
+    if a_hi < b_lo or b_hi < a_lo:
         return "violated"
     return "inconclusive"
-
-
-def _interval_min(a: Interval, b: Interval) -> Interval:
-    lo = min(a[0], b[0])
-    if a[1] is None:
-        hi = b[1]
-    elif b[1] is None:
-        hi = a[1]
-    else:
-        hi = min(a[1], b[1])
-    return lo, hi
-
-
-def _interval_shift(a: Interval, offset: int) -> Interval:
-    return a[0] + offset, None if a[1] is None else a[1] + offset
-
-
-def _interval_gt(a: Interval, b: Interval) -> bool:
-    """Definitely a > b."""
-    return b[1] is not None and a[0] > b[1]
 
 
 def _fmt_interval(a: Interval) -> str:
@@ -1100,24 +1074,27 @@ def depth_inequality_audit(instances: Sequence[DepthInstance]) -> CheckReport:
                 "depth_ideal": _fmt_interval(i),
                 "depth_quotient": _fmt_interval(q),
             })
+            (r_lo, r_hi), (i_lo, i_hi), (q_lo, q_hi) = r, i, q
             checks: list[tuple[str, str]] = [
-                ("depth(R) >= min(depth(I), depth(R/I))", _interval_ge(r, _interval_min(i, q))),
+                ("depth(R) >= min(depth(I), depth(R/I))",
+                 _interval_ge(r, (min(i_lo, q_lo), min(i_hi, q_hi)))),
                 ("depth(I) >= min(depth(R), depth(R/I) + 1)",
-                 _interval_ge(i, _interval_min(r, _interval_shift(q, 1)))),
+                 _interval_ge(i, (min(r_lo, q_lo + 1), min(r_hi, q_hi + 1)))),
                 ("depth(R/I) >= min(depth(I) - 1, depth(R))",
-                 _interval_ge(q, _interval_min(_interval_shift(i, -1), r))),
+                 _interval_ge(q, (min(i_lo - 1, r_lo), min(i_hi - 1, r_hi)))),
             ]
-            if _interval_gt(r, i) or _interval_gt(r, q) or inst.ring_cm_domain:
-                checks.append(("depth(I) = depth(R/I) + 1",
-                               _interval_eq(i, _interval_shift(q, 1))))
-            if _interval_gt(i, r):
+            # "definitely greater": the lower end passes the other's upper end
+            if r_lo > i_hi or r_lo > q_hi or inst.ring_cm_domain:
+                checks.append(("depth(I) = depth(R/I) + 1", _interval_eq(i, (q_lo + 1, q_hi + 1))))
+            if i_lo > r_hi:
                 checks.append(("depth(R/I) = depth(R)", _interval_eq(q, r)))
-            if _interval_gt(q, r):
+            if q_lo > r_hi:
                 checks.append(("depth(I) = depth(R)", _interval_eq(i, r)))
             if inst.ideal_regseq_length is not None:
+                k = 1 - inst.ideal_regseq_length
                 checks.append((
                     f"depth(I) = depth(R) + 1 - {inst.ideal_regseq_length} (regular-sequence ideal)",
-                    _interval_eq(i, _interval_shift(r, 1 - inst.ideal_regseq_length))))
+                    _interval_eq(i, (r_lo + k, r_hi + k))))
             for statement, status in checks:
                 if status == "violated":
                     report.notes.append(f"{inst.label}: {statement}: violated on bounded evidence; "

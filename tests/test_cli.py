@@ -97,6 +97,9 @@ PINNED_REPORTS = {
     # the largest supported prime: products and reductions of uint8 entries up to 250
     "hilbert --p 251 --blocks 3 --max-degree 3":
         "f5a7929562c1291894638d0d08338db6b22a11838c01a2e001f920eee6b02674",
+    # an audit that mixes open bounds (>=2) with closed ones, 16 notes inconclusive
+    "depth-report --p 2 --blocks 2,2 --max-degree 8 --search-cap 1":
+        "1427b0c0e5029f6db83e1eba658a729fe6872acbadf6e35c44b42644238d0433",
 }
 
 
@@ -182,6 +185,11 @@ def test_config_errors_exit_two():
         ["depth-report", "--p", "2", "--blocks", "2,2", "--max-degree", "4", "--search-cap", "-1"],
         ["grade", "--p", "2", "--blocks", "2", "--max-degree", "6", "--search-cap", "0"],
         ["monomial-example", "--name", "example-1", "--degree-cap", "-1"],
+        # a socle search's witness-degree cap is D - 2, so at D <= 1 it has
+        # no degree to search: refused, not reported as inconclusive
+        ["regseq", "--p", "2", "--blocks", "2", "--max-degree", "0", "--socle"],
+        ["grade", "--p", "2", "--blocks", "2", "--max-degree", "0"],
+        ["depth-report", "--p", "2", "--blocks", "2", "--max-degree", "1"],
     ):
         code, out, err = invoke(argv)
         assert code == 2, argv

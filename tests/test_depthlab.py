@@ -570,6 +570,26 @@ def test_depth_report_runs_each_rank_test_and_quotient_step_once(monkeypatch):
     assert steps and kernels and divided_kernels == []
 
 
+def test_depth_report_builds_only_the_reports_it_prints(monkeypatch):
+    # a rejected candidate keeps no report and no witness: each step report
+    # and each witness string built is one the output prints, and the lazy
+    # failure walk runs the same rank tests as a full check would
+    counts = dict.fromkeys(["_rank_test", "_regular_report", "_witness"], 0)
+    for name in counts:
+        def counting(*args, real=getattr(depthlab, name), name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(depthlab, name, counting)
+    reports = depth_report(CpRep.make(2, (2, 2, 2)), 6)
+    checks = [r for r in reports if r.name == "regular-element"]
+    annihilated = [w["annihilated"] for r in checks for w in r.witnesses]
+    records = [w["witness"] for r in reports if r.name == "depth-evidence"
+               for w in r.witnesses if "witness" in w]
+    assert counts == {"_rank_test": 575, "_regular_report": len(checks),
+                      "_witness": len(annihilated) + len(records)}
+    assert (len(checks), len(annihilated), len(records)) == (42, 0, 158)
+
+
 def same_slices(a, b):
     return all((s.cols.tobytes(), s.keep.tobytes()) == (t.cols.tobytes(), t.keep.tobytes())
                and same_echelon(s.local, t.local) and same_echelon(s.quotient, t.quotient)
@@ -805,10 +825,10 @@ def test_bounded_grade_records_failures():
     # the quotient by the full parameter system has grade zero
     view = ring.quotient_by(rep.variable(1, 1)).quotient_by(norm(rep, 2, 1))
     pool = [rep.variable(1, 1), norm(rep, 2, 1)]
-    result = bounded_grade(view, pool, "parameter system")
-    assert result.length == 0
-    assert len(result.failures) == 2
-    assert result.report.params["pool"] == "parameter system"
+    cert, report = bounded_grade(view, pool, "parameter system")
+    assert len(cert.elements) == 0
+    assert len(report.witnesses) == 2
+    assert report.params["pool"] == "parameter system"
 
 
 def reference_greedy(view, pool):
@@ -877,8 +897,8 @@ def test_greedy_search_matches_exhaustive_reference(p, blocks, bound):
     transfer_pool = [f for e in range(1, min(p, bound) + 1) for f in transfer.row_polys(e)]
 
     def grade_search():
-        grade = bounded_grade(reduced, transfer_pool, "transfer-image basis elements")
-        return grade.cert, grade.failures
+        cert, report = bounded_grade(reduced, transfer_pool, "transfer-image basis elements")
+        return cert, report.witnesses
     records += assert_same_search(reduced, transfer_pool, grade_search)
     assert any("failing_degrees" in r for r in records)
     if p == 5:
