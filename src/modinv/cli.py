@@ -4,18 +4,14 @@ deterministic JSON reports, exit codes.
 Exit codes: 0 all checks passed, 1 at least one check failed (the report
 carries the witnesses), 2 usage or configuration error, 3 internal error
 (a consistency check inside the computation broke, or any other unexpected
-exception escaped it; no report).  Reports are
-byte-identical for identical configurations; ``--timings`` opts into real
-wall-clock fields and gives that determinism up.
+exception escaped it; no report).  Reports are byte-identical for identical
+configurations: no wall-clock time and no shell variable reaches them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
-from os import environ
 from typing import Sequence, TextIO
 
 from . import __version__, depthlab, monoalg
@@ -23,7 +19,7 @@ from .depthlab import DEFAULT_MAX_DEGREE
 from .invariants import dimension_growth_check, invariant_slice, transfer_slice
 from .poly import Poly, PolyParseError, parse, render
 from .rep import CpRep, is_invariant, norm_decompose
-from .report import CheckReport, dumps_report, timed
+from .report import CheckReport, dumps_report
 
 TOOL_NAME = "modinv"
 TOOL_VERSION = __version__
@@ -31,20 +27,6 @@ TOOL_VERSION = __version__
 
 class ConfigError(ValueError):
     """Bad configuration that was caught before any computation ran."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation parameters, echoed verbatim into the report."""
-
-    subcommand: str
-    options: dict
-    workers: int
-    timings: bool
-    output: str | None
-
-    def to_json_dict(self) -> dict:
-        return {"subcommand": self.subcommand, **self.options, "workers": self.workers}
 
 
 def _parse_blocks(text: str) -> tuple[int, ...]:
@@ -60,19 +42,6 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
 def _require_at_least(option: str, value: int | None, least: int) -> None:
     if value is not None and value < least:
         raise ConfigError(f"{option} must be at least {least}, got {value}")
-
-
-def _workers_from_env() -> int:
-    raw = environ.get("MODINV_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"MODINV_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"MODINV_THREADS must be at least 1, got {value}")
-    return value
 
 
 def _make_rep(args: argparse.Namespace) -> CpRep:
@@ -114,19 +83,18 @@ def _cmd_hilbert(args: argparse.Namespace) -> list[CheckReport]:
                "pass means the p-step finite differences of order dim vanish "
                "inside the bound (quasi-polynomial growth)"],
     )
-    with timed(report):
-        inv = invariant_slice(rep, bound)
-        tra = transfer_slice(rep, bound)
-        growth_ok, offenders = dimension_growth_check(
-            inv.dims(), order=rep.dim, step=rep.p.value,
-            window_start=rep.p.value * rep.dim)
-        report.params["invariant_dims"] = inv.dims()
-        report.params["transfer_ideal_dims"] = tra.dims()
-        # the transfer ideal lies in the invariants, degree by degree
-        report.params["quotient_dims"] = [i - t for i, t in zip(inv.dims(), tra.dims())]
-        report.passed = growth_ok
-        report.witnesses.extend({"degree": d, "problem": "dimension growth difference not zero"}
-                                for d in offenders)
+    inv = invariant_slice(rep, bound)
+    tra = transfer_slice(rep, bound)
+    growth_ok, offenders = dimension_growth_check(
+        inv.dims(), order=rep.dim, step=rep.p.value,
+        window_start=rep.p.value * rep.dim)
+    report.params["invariant_dims"] = inv.dims()
+    report.params["transfer_ideal_dims"] = tra.dims()
+    # the transfer ideal lies in the invariants, degree by degree
+    report.params["quotient_dims"] = [i - t for i, t in zip(inv.dims(), tra.dims())]
+    report.passed = growth_ok
+    report.witnesses.extend({"degree": d, "problem": "dimension growth difference not zero"}
+                            for d in offenders)
     return [report]
 
 
@@ -245,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {TOOL_VERSION}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the JSON report to this path instead of stdout")
-    common.add_argument("--timings", action="store_true",
-                        help="include wall-clock millis in reports (reports are no "
-                             "longer byte-identical across runs)")
     commands = parser.add_subparsers(dest="subcommand", required=True)
 
     sub = commands.add_parser("hilbert", parents=[common],
@@ -306,13 +271,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _document(config: RunConfig, checks: Sequence[CheckReport]) -> dict:
+def _document(args: argparse.Namespace, checks: Sequence[CheckReport]) -> dict:
+    """The report: the subcommand and its options as given, every check,
+    and a summary."""
+    options = {key: value for key, value in sorted(vars(args).items())
+               if key not in ("handler", "output", "subcommand") and value is not None}
     failed = sum(1 for c in checks if not c.passed)
     return {
         "tool": TOOL_NAME,
         "version": TOOL_VERSION,
-        "config": config.to_json_dict(),
-        "checks": [c.to_json_dict(include_timings=config.timings) for c in checks],
+        # "workers" is a pinned-format constant; it goes when a benchmark change re-pins the hashes
+        "config": {"subcommand": args.subcommand, **options, "workers": 1},
+        "checks": [c.to_json_dict() for c in checks],
         "summary": {
             "total": len(checks),
             "passed": len(checks) - failed,
@@ -331,18 +301,6 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        workers = _workers_from_env()
-        options = {
-            key: value for key, value in sorted(vars(args).items())
-            if key not in ("handler", "output", "timings", "subcommand") and value is not None
-        }
-        config = RunConfig(
-            subcommand=args.subcommand,
-            options=options,
-            workers=workers,
-            timings=args.timings,
-            output=args.output,
-        )
         checks = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=err)
@@ -357,13 +315,13 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
         print(f"internal error: {type(exc).__name__}: {exc}", file=err)
         traceback.print_exc(file=err)
         return 3
-    text = dumps_report(_document(config, checks))
-    if config.output:
+    text = dumps_report(_document(args, checks))
+    if args.output:
         try:
-            with open(config.output, "w", encoding="utf-8") as handle:
+            with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            print(f"error: cannot write report to {config.output!r}: {exc}", file=err)
+            print(f"error: cannot write report to {args.output!r}: {exc}", file=err)
             return 2
     else:
         out.write(text)

@@ -51,8 +51,8 @@ from .gradedla import GradedBasis, MatFp
 # ideal_slice is not called here: perfbench/selftest.py checks its binding
 from .invariants import finite_difference, ideal_slice, invariant_slice, transfer_slice
 from .poly import Poly, render
-from .rep import CpRep, is_invariant, norm, top_norms
-from .report import CheckReport, timed
+from .rep import CpRep, check_ideal_generator, is_invariant, norm, top_norms
+from .report import CheckReport
 
 DEFAULT_MAX_DEGREE = 10
 
@@ -376,9 +376,9 @@ def _failures(view: GradedModuleView, f: Poly, e: int) -> Iterator[tuple[int, Ma
 
 
 def _regular_report(view: GradedModuleView, f: Poly, e: int) -> CheckReport:
-    """The regular-element report over degrees 0..D-e, checked inside the
-    timing, with one witness per failing degree.  A passing check leaves
-    the RREFs its quotient step reads in the memo."""
+    """The regular-element report over degrees 0..D-e, with one witness
+    per failing degree.  A passing check leaves the RREFs its quotient step
+    reads in the memo."""
     rep = view.rep
     bound = view.max_degree
     degrees = list(range(0, bound - e + 1))
@@ -393,22 +393,21 @@ def _regular_report(view: GradedModuleView, f: Poly, e: int) -> CheckReport:
         passed=True,
         degrees_checked=degrees,
     )
-    with timed(report):
-        for d, left in _failures(view, f, e):
-            report.passed = False
-            report.witnesses.append({
-                "degree": d,
-                "annihilated": render(_witness(view, left, d), rep.varnames),
-                "product_in_denominator": True,
-            })
-        if not degrees:
-            report.notes.append(
-                f"element degree {e} exceeds the bound {bound}; nothing was checkable")
-        elif not any(view.dim(d) for d in degrees):
-            report.notes.append("vacuous: the module is zero in every checked degree")
-        if degrees and report.passed:
-            report.notes.append(
-                f"regular on degrees 0..{degrees[-1]}; higher degrees are outside the bound")
+    for d, left in _failures(view, f, e):
+        report.passed = False
+        report.witnesses.append({
+            "degree": d,
+            "annihilated": render(_witness(view, left, d), rep.varnames),
+            "product_in_denominator": True,
+        })
+    if not degrees:
+        report.notes.append(
+            f"element degree {e} exceeds the bound {bound}; nothing was checkable")
+    elif not any(view.dim(d) for d in degrees):
+        report.notes.append("vacuous: the module is zero in every checked degree")
+    if degrees and report.passed:
+        report.notes.append(
+            f"regular on degrees 0..{degrees[-1]}; higher degrees are outside the bound")
     return report
 
 
@@ -542,26 +541,25 @@ def socle_search(view: GradedModuleView) -> tuple[SocleWitness | None, CheckRepo
         params={"module": view.label, "witness_degree_cap": cap, "max_degree": view.max_degree},
         passed=True,
     )
-    with timed(report):
-        if view._memo.socle is None:
-            view._memo.socle = (_socle_witness(view, cap),)
-        witness, = view._memo.socle
-        if witness is None:
-            report.degrees_checked.extend(range(cap + 1))
-            report.notes.append(
-                f"inconclusive: no socle element found for witness degrees 0..{cap}; "
-                "maximality evidence is missing")
-        else:
-            ann_degrees = witness.annihilator_degrees
-            report.degrees_checked.extend(range(witness.degree + 1))
-            report.witnesses.append({
-                "degree": witness.degree,
-                "element": witness.rendered,
-                "annihilator_degrees": list(ann_degrees),
-            })
-            report.notes.append(
-                f"witness killed by all invariants of degree 1..{ann_degrees[-1]}; "
-                "evidence is bounded, not a proof")
+    if view._memo.socle is None:
+        view._memo.socle = (_socle_witness(view, cap),)
+    witness, = view._memo.socle
+    if witness is None:
+        report.degrees_checked.extend(range(cap + 1))
+        report.notes.append(
+            f"inconclusive: no socle element found for witness degrees 0..{cap}; "
+            "maximality evidence is missing")
+    else:
+        ann_degrees = witness.annihilator_degrees
+        report.degrees_checked.extend(range(witness.degree + 1))
+        report.witnesses.append({
+            "degree": witness.degree,
+            "element": witness.rendered,
+            "annihilator_degrees": list(ann_degrees),
+        })
+        report.notes.append(
+            f"witness killed by all invariants of degree 1..{ann_degrees[-1]}; "
+            "evidence is bounded, not a proof")
     return witness, report
 
 
@@ -797,11 +795,7 @@ def _prefix_modules(rep: CpRep, gens: Sequence[Poly], max_degree: int,
     quotient = ring_module(rep, max_degree) if ring is None else ring
     names = []
     for g in gens:
-        rep.check_poly(g)
-        if not g.is_homogeneous():
-            raise ValueError("ideal generators must be homogeneous")
-        if not is_invariant(rep, g):
-            raise ValueError("ideal generators must be invariant")
+        check_ideal_generator(rep, g)
         names.append(render(g, rep.varnames))
         label = ", ".join(names)
         quotient = quotient._quotient_by(g, f"invariant ring mod ({label})")
@@ -852,6 +846,9 @@ def transfer_quotient_check(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE) ->
         degrees_checked=window,
         witnesses=[{"degree": d, "dim": final_dims[d]} for d in offenders],
     )
+    if not window:
+        vanishing.notes.append(f"vacuous: no degree above blocks*p = {blocks * p} lies inside "
+                               f"the bound {max_degree}")
     if not passed:
         vanishing.notes.append("norm sequence failed; vanishing not evaluated on the full quotient")
     reports.append(vanishing)
@@ -1063,45 +1060,44 @@ def depth_inequality_audit(instances: Sequence[DepthInstance]) -> CheckReport:
     Every interval endpoint holds only up to the degree bound, so a
     violated relation is a note and the audit never fails."""
     report = CheckReport(name="depth-inequality-audit", params={"instances": []}, passed=True)
-    with timed(report):
-        for inst in instances:
-            r = inst.ring.interval()
-            i = inst.ideal.interval()
-            q = inst.quotient.interval()
-            report.params["instances"].append({
-                "label": inst.label,
-                "depth_ring": _fmt_interval(r),
-                "depth_ideal": _fmt_interval(i),
-                "depth_quotient": _fmt_interval(q),
-            })
-            (r_lo, r_hi), (i_lo, i_hi), (q_lo, q_hi) = r, i, q
-            checks: list[tuple[str, str]] = [
-                ("depth(R) >= min(depth(I), depth(R/I))",
-                 _interval_ge(r, (min(i_lo, q_lo), min(i_hi, q_hi)))),
-                ("depth(I) >= min(depth(R), depth(R/I) + 1)",
-                 _interval_ge(i, (min(r_lo, q_lo + 1), min(r_hi, q_hi + 1)))),
-                ("depth(R/I) >= min(depth(I) - 1, depth(R))",
-                 _interval_ge(q, (min(i_lo - 1, r_lo), min(i_hi - 1, r_hi)))),
-            ]
-            # "definitely greater": the lower end passes the other's upper end
-            if r_lo > i_hi or r_lo > q_hi or inst.ring_cm_domain:
-                checks.append(("depth(I) = depth(R/I) + 1", _interval_eq(i, (q_lo + 1, q_hi + 1))))
-            if i_lo > r_hi:
-                checks.append(("depth(R/I) = depth(R)", _interval_eq(q, r)))
-            if q_lo > r_hi:
-                checks.append(("depth(I) = depth(R)", _interval_eq(i, r)))
-            if inst.ideal_regseq_length is not None:
-                k = 1 - inst.ideal_regseq_length
-                checks.append((
-                    f"depth(I) = depth(R) + 1 - {inst.ideal_regseq_length} (regular-sequence ideal)",
-                    _interval_eq(i, (r_lo + k, r_hi + k))))
-            for statement, status in checks:
-                if status == "violated":
-                    report.notes.append(f"{inst.label}: {statement}: violated on bounded evidence; "
-                                        "inconclusive")
-                elif status == "inconclusive":
-                    report.notes.append(f"{inst.label}: {statement}: inconclusive on bounded evidence")
-                else:
-                    report.params.setdefault("verified", []).append(
-                        {"instance": inst.label, "check": statement, "status": status})
+    for inst in instances:
+        r = inst.ring.interval()
+        i = inst.ideal.interval()
+        q = inst.quotient.interval()
+        report.params["instances"].append({
+            "label": inst.label,
+            "depth_ring": _fmt_interval(r),
+            "depth_ideal": _fmt_interval(i),
+            "depth_quotient": _fmt_interval(q),
+        })
+        (r_lo, r_hi), (i_lo, i_hi), (q_lo, q_hi) = r, i, q
+        checks: list[tuple[str, str]] = [
+            ("depth(R) >= min(depth(I), depth(R/I))",
+             _interval_ge(r, (min(i_lo, q_lo), min(i_hi, q_hi)))),
+            ("depth(I) >= min(depth(R), depth(R/I) + 1)",
+             _interval_ge(i, (min(r_lo, q_lo + 1), min(r_hi, q_hi + 1)))),
+            ("depth(R/I) >= min(depth(I) - 1, depth(R))",
+             _interval_ge(q, (min(i_lo - 1, r_lo), min(i_hi - 1, r_hi)))),
+        ]
+        # "definitely greater": the lower end passes the other's upper end
+        if r_lo > i_hi or r_lo > q_hi or inst.ring_cm_domain:
+            checks.append(("depth(I) = depth(R/I) + 1", _interval_eq(i, (q_lo + 1, q_hi + 1))))
+        if i_lo > r_hi:
+            checks.append(("depth(R/I) = depth(R)", _interval_eq(q, r)))
+        if q_lo > r_hi:
+            checks.append(("depth(I) = depth(R)", _interval_eq(i, r)))
+        if inst.ideal_regseq_length is not None:
+            k = 1 - inst.ideal_regseq_length
+            checks.append((
+                f"depth(I) = depth(R) + 1 - {inst.ideal_regseq_length} (regular-sequence ideal)",
+                _interval_eq(i, (r_lo + k, r_hi + k))))
+        for statement, status in checks:
+            if status == "violated":
+                report.notes.append(f"{inst.label}: {statement}: violated on bounded evidence; "
+                                    "inconclusive")
+            elif status == "inconclusive":
+                report.notes.append(f"{inst.label}: {statement}: inconclusive on bounded evidence")
+            else:
+                report.params.setdefault("verified", []).append(
+                    {"instance": inst.label, "check": statement, "status": status})
     return report

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .report import CheckReport, timed
+from .report import CheckReport
 
 Mono2 = tuple[int, int]
 
@@ -168,59 +168,58 @@ def verify_free_decomp(alg: MonoAlgebra, decomp: FreeDecomp,
         },
         passed=True,
     )
-    with timed(report):
-        collisions = [
-            {"pair": [mono2_str(a), mono2_str(b)], "problem": "same class modulo the hsop lattice"}
-            for i, a in enumerate(module_gens) for b in module_gens[i + 1:]
-            if lattice.congruent(a, b)
-        ]
-        if collisions:
+    collisions = [
+        {"pair": [mono2_str(a), mono2_str(b)], "problem": "same class modulo the hsop lattice"}
+        for i, a in enumerate(module_gens) for b in module_gens[i + 1:]
+        if lattice.congruent(a, b)
+    ]
+    if collisions:
+        report.passed = False
+        report.witnesses.extend(collisions)
+    report.notes.append("module generator classes are pairwise distinct: sum is direct"
+                        if not collisions else "directness fails")
+
+    def summand_of(m: Mono2) -> tuple[int | None, Mono2 | None, str | None]:
+        targets = [k for k, g in enumerate(module_gens) if lattice.congruent(m, g)]
+        if len(targets) != 1:
+            return None, None, f"{len(targets)} compatible summands"
+        k = targets[0]
+        cofactor = mono2_div(m, module_gens[k])
+        if cofactor is None:
+            return k, None, "does not divide the summand generator"
+        if not sub.is_member(cofactor):
+            return k, None, "cofactor is outside the hsop subalgebra"
+        return k, cofactor, None
+
+    for g in gens:
+        k, cofactor, problem = summand_of(g)
+        entry = {"ideal_generator": mono2_str(g)}
+        if problem is not None:
+            entry["problem"] = problem
             report.passed = False
-            report.witnesses.extend(collisions)
-        report.notes.append("module generator classes are pairwise distinct: sum is direct"
-                            if not collisions else "directness fails")
+        else:
+            entry["summand"] = mono2_str(module_gens[k])
+            entry["cofactor"] = mono2_str(cofactor)
+        report.witnesses.append(entry)
 
-        def summand_of(m: Mono2) -> tuple[int | None, Mono2 | None, str | None]:
-            targets = [k for k, g in enumerate(module_gens) if lattice.congruent(m, g)]
-            if len(targets) != 1:
-                return None, None, f"{len(targets)} compatible summands"
-            k = targets[0]
-            cofactor = mono2_div(m, module_gens[k])
-            if cofactor is None:
-                return k, None, "does not divide the summand generator"
-            if not sub.is_member(cofactor):
-                return k, None, "cofactor is outside the hsop subalgebra"
-            return k, cofactor, None
-
-        for g in gens:
-            k, cofactor, problem = summand_of(g)
-            entry = {"ideal_generator": mono2_str(g)}
+    table = []
+    for r in alg.generators:
+        for g in module_gens:
+            product = mono2_mul(r, g)
+            k, cofactor, problem = summand_of(product)
+            row = {
+                "factor": mono2_str(r),
+                "summand_generator": mono2_str(g),
+                "product": mono2_str(product),
+            }
             if problem is not None:
-                entry["problem"] = problem
+                row["problem"] = problem
                 report.passed = False
             else:
-                entry["summand"] = mono2_str(module_gens[k])
-                entry["cofactor"] = mono2_str(cofactor)
-            report.witnesses.append(entry)
-
-        table = []
-        for r in alg.generators:
-            for g in module_gens:
-                product = mono2_mul(r, g)
-                k, cofactor, problem = summand_of(product)
-                row = {
-                    "factor": mono2_str(r),
-                    "summand_generator": mono2_str(g),
-                    "product": mono2_str(product),
-                }
-                if problem is not None:
-                    row["problem"] = problem
-                    report.passed = False
-                else:
-                    row["target_summand"] = mono2_str(module_gens[k])
-                    row["cofactor"] = mono2_str(cofactor)
-                table.append(row)
-        report.witnesses.append({"closure_table": table})
+                row["target_summand"] = mono2_str(module_gens[k])
+                row["cofactor"] = mono2_str(cofactor)
+            table.append(row)
+    report.witnesses.append({"closure_table": table})
     return report
 
 
@@ -245,23 +244,22 @@ def verify_height_witness(alg: MonoAlgebra, ideal_gens: Sequence[Sequence[int]],
         passed=True,
         notes=["each generator power falls into the principal ideal of the element"],
     )
-    with timed(report):
-        for g, k in zip(gens, powers):
-            if k < 1:
-                raise ValueError("powers must be positive")
-            power = (g[0] * k, g[1] * k)
-            cofactor = mono2_div(power, f)
-            entry = {"generator": mono2_str(g), "power": int(k), "generator_power": mono2_str(power)}
-            if cofactor is None:
-                entry["problem"] = "the element does not divide the generator power"
-                report.passed = False
-            elif not alg.is_member(cofactor):
-                entry["problem"] = "cofactor is outside the algebra"
-                entry["cofactor"] = mono2_str(cofactor)
-                report.passed = False
-            else:
-                entry["cofactor"] = mono2_str(cofactor)
-            report.witnesses.append(entry)
+    for g, k in zip(gens, powers):
+        if k < 1:
+            raise ValueError("powers must be positive")
+        power = (g[0] * k, g[1] * k)
+        cofactor = mono2_div(power, f)
+        entry = {"generator": mono2_str(g), "power": int(k), "generator_power": mono2_str(power)}
+        if cofactor is None:
+            entry["problem"] = "the element does not divide the generator power"
+            report.passed = False
+        elif not alg.is_member(cofactor):
+            entry["problem"] = "cofactor is outside the algebra"
+            entry["cofactor"] = mono2_str(cofactor)
+            report.passed = False
+        else:
+            entry["cofactor"] = mono2_str(cofactor)
+        report.witnesses.append(entry)
     return report
 
 
@@ -275,28 +273,27 @@ def non_factorial_witness(alg: MonoAlgebra,
         params={"left": [mono2_str(m1), mono2_str(m2)], "right": [mono2_str(m3), mono2_str(m4)]},
         passed=True,
     )
-    with timed(report):
-        product_left = mono2_mul(m1, m2)
-        product_right = mono2_mul(m3, m4)
-        if product_left != product_right:
+    product_left = mono2_mul(m1, m2)
+    product_right = mono2_mul(m3, m4)
+    if product_left != product_right:
+        report.passed = False
+        report.witnesses.append({
+            "problem": "the two sides are different monomials",
+            "left_product": mono2_str(product_left),
+            "right_product": mono2_str(product_right),
+        })
+    for m in (m1, m2, m3, m4):
+        if not alg.is_atom(m):
             report.passed = False
-            report.witnesses.append({
-                "problem": "the two sides are different monomials",
-                "left_product": mono2_str(product_left),
-                "right_product": mono2_str(product_right),
-            })
-        for m in (m1, m2, m3, m4):
-            if not alg.is_atom(m):
-                report.passed = False
-                report.witnesses.append({"problem": "factor is not an atom of the algebra",
-                                         "factor": mono2_str(m)})
-        distinct = sorted([m1, m2]) != sorted([m3, m4])
-        report.params["distinct_factorizations"] = distinct
-        if distinct:
-            report.notes.append("two different atom factorizations of "
-                                f"{mono2_str(product_left)}: the algebra is not factorial")
-        else:
-            report.notes.append("both sides are the same factorization; no non-uniqueness exhibited")
+            report.witnesses.append({"problem": "factor is not an atom of the algebra",
+                                     "factor": mono2_str(m)})
+    distinct = sorted([m1, m2]) != sorted([m3, m4])
+    report.params["distinct_factorizations"] = distinct
+    if distinct:
+        report.notes.append("two different atom factorizations of "
+                            f"{mono2_str(product_left)}: the algebra is not factorial")
+    else:
+        report.notes.append("both sides are the same factorization; no non-uniqueness exhibited")
     return report
 
 

@@ -148,6 +148,16 @@ def is_invariant(rep: CpRep, f: Poly) -> bool:
     return sigma(rep, f, 1) == f
 
 
+def check_ideal_generator(rep: CpRep, g: Poly) -> None:
+    """Refuse a generator of an ideal of the invariant ring that is not a
+    homogeneous invariant of this representation."""
+    rep.check_poly(g)
+    if not g.is_homogeneous():
+        raise ValueError("ideal generators must be homogeneous")
+    if not is_invariant(rep, g):
+        raise ValueError("ideal generators must be invariant")
+
+
 @lru_cache(maxsize=None)
 def norm(rep: CpRep, row: int, block: int) -> Poly:
     """Product of one variable's orbit; monic of degree p in that variable."""

@@ -1,17 +1,15 @@
 """Check reports: the single result currency of every verification step.
 
 A report either passes, or carries a concrete witness for the failure.
-Serialization is deterministic: fixed key order and, by default, a zeroed
-timing field so identical runs produce identical bytes.
+Serialization is deterministic: fixed key order and no wall-clock field,
+so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 
 @dataclass
@@ -29,9 +27,8 @@ class CheckReport:
     degrees_checked: list[int] = field(default_factory=list)
     witnesses: list[Any] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    millis: float = 0.0
 
-    def to_json_dict(self, include_timings: bool = False) -> dict[str, Any]:
+    def to_json_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,
             "params": self.params,
@@ -39,18 +36,9 @@ class CheckReport:
             "degrees_checked": list(self.degrees_checked),
             "witnesses": self.witnesses,
             "notes": list(self.notes),
-            "millis": round(self.millis, 3) if include_timings else 0,
+            # a pinned-format constant; it goes when a benchmark change re-pins the hashes
+            "millis": 0,
         }
-
-
-@contextmanager
-def timed(report: CheckReport) -> Iterator[CheckReport]:
-    """Record wall-clock duration on the report (serialized only on request)."""
-    start = time.perf_counter()
-    try:
-        yield report
-    finally:
-        report.millis = (time.perf_counter() - start) * 1000.0
 
 
 def dumps_report(document: dict[str, Any]) -> str:

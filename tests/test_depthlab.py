@@ -1039,6 +1039,13 @@ def test_transfer_quotient_check_passes_on_regular_block():
     depth = next(r for r in reports if r.name == "transfer-ideal-depth")
     assert depth.params["lower_bound"] == 2
     assert depth.params["maximal"]
+    # at D = blocks*p = 2 the vanishing window is empty, and the report says so
+    for bound, window, notes in (
+            (2, [], ["vacuous: no degree above blocks*p = 2 lies inside the bound 2"]),
+            (3, [3], [])):
+        vanishing = next(r for r in transfer_quotient_check(rep, bound)
+                         if r.name == "transfer-quotient-vanishing")
+        assert (vanishing.passed, vanishing.degrees_checked, vanishing.notes) == (True, window, notes)
 
 
 def test_norm_reduction_on_regular_block():
