@@ -297,7 +297,7 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()  # argparse wrote usage to the real stderr; swallow it
 
 
-def test_no_timings_flag_and_no_thread_variable(monkeypatch, capsys):
+def test_timings_flag_is_refused(capsys):
     # every subcommand refuses --timings before computing anything
     rep = ["--p", "2", "--blocks", "2,2", "--max-degree", "4"]
     for argv in (["hilbert", *rep], ["regseq", *rep], ["transfer-quotient", *rep],
@@ -305,7 +305,20 @@ def test_no_timings_flag_and_no_thread_variable(monkeypatch, capsys):
                  ["depth-report", *rep], ["monomial-example", "--name", "example-2"]):
         assert invoke([*argv, "--timings"])[:2] == (2, ""), argv[0]
         assert "unrecognized arguments: --timings" in capsys.readouterr().err
-    # MODINV_THREADS is read by nothing: no value changes the bytes or the exit code
+
+
+def test_thread_env_validation(monkeypatch):
+    # MODINV_THREADS is read by nothing, so no value of it is refused
+    # and the report echoes the constant worker count
+    for value in ("3", "zero", "0"):
+        monkeypatch.setenv("MODINV_THREADS", value)
+        code, out, _ = invoke(["hilbert", "--p", "2", "--blocks", "2", "--max-degree", "4"])
+        assert code == 0, value
+        assert json.loads(out)["config"]["workers"] == 1, value
+
+
+def test_workers_do_not_change_output(monkeypatch):
+    # no value of MODINV_THREADS changes the bytes or the exit code
     argv = ["regseq", "--p", "2", "--blocks", "2,2", "--max-degree", "8"]
     monkeypatch.delenv("MODINV_THREADS", raising=False)
     unset = invoke(argv)
