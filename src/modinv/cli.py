@@ -114,7 +114,7 @@ def _cmd_regseq(args: argparse.Namespace) -> list[CheckReport]:
         },
         passed=cert.passed,
         notes=["every step regular up to the degree bound" if cert.passed
-               else "a step failed; its report carries the witness"],
+               else "a step failed; its report carries the witness", *cert.vacuity_notes],
     ))
     if args.socle:
         reports.append(depthlab.socle_search(cert.final_view)[1])

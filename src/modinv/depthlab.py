@@ -437,6 +437,16 @@ class RegSeqCert:
     def verified_length(self) -> int:
         return sum(1 for s in self.steps if s.passed)
 
+    @property
+    def vacuity_notes(self) -> list[str]:
+        """The summary's note on the steps that checked no degree, whose
+        passes count in ``verified_length``; empty when there are none."""
+        unchecked = [r for r, s in zip(self.rendered, self.steps) if not s.degrees_checked]
+        if not unchecked:
+            return []
+        return [f"vacuous: nothing was checkable up to the bound {self.final_view.max_degree} "
+                f"for {', '.join(unchecked)}"]
+
 
 def _accept_step(current: GradedModuleView, f: Poly, e: int, rpt: CheckReport) -> GradedModuleView:
     """Quotient by a validated f of degree e that passed every degree, from
@@ -970,7 +980,8 @@ def depth_report(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
             "expected_length": expected_depth(rep),
         },
         passed=cert.passed and cert.verified_length == expected_depth(rep),
-        notes=["fixed variables and top norms; length should be min(blocks + 2, dim)"],
+        notes=["fixed variables and top norms; length should be min(blocks + 2, dim)",
+               *cert.vacuity_notes],
     ))
 
     ring_ev = bounded_depth(ring, search_degree_cap=search_degree_cap)

@@ -36,10 +36,10 @@ import numpy as np
 
 from . import gradedla as la
 from .gradedla import GradedBasis, MatFp
-from .poly import Poly, num_monomials, var_mono
+from .poly import Poly, num_monomials
 # is_invariant stays bound by name here: perfbench/selftest.py checks that
 # the tracer rebinds it in this module
-from .rep import CpRep, _generator_power_images, check_ideal_generator, is_invariant
+from .rep import CpRep, check_ideal_generator, is_invariant, variable_images
 
 
 @lru_cache(maxsize=None)
@@ -62,10 +62,9 @@ def _next_degree_matrix(rep: CpRep, degree: int, prev: np.ndarray, power: int) -
     width = num_monomials(n, degree)
     var_of, parent = _mono_parents(n, degree)
     out = np.zeros((width, width), dtype=np.uint8)
-    for v, terms in enumerate(_generator_power_images(rep, power)):
+    for v, image in enumerate(variable_images(rep, power)):
         rows_v = np.nonzero(var_of == v)[0]
         if rows_v.size:
-            image = Poly(p, n, {var_mono(n, target): c for target, c in terms})
             out[rows_v] = la.mult_map(MatFp(p, prev[parent[rows_v]]), image, degree - 1).a
     return out
 

@@ -146,18 +146,7 @@ class Poly:
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
-    def scale(self, value: int) -> Poly:
-        c = value % self.p
-        if c == 0:
-            return Poly.zero(self.p, self.nvars)
-        if c == 1:
-            return self
-        p = self.p
-        return Poly._raw(p, self.nvars, {m: (k * c) % p for m, k in self._terms.items()})
-
-    def __mul__(self, other: Poly | int) -> Poly:
-        if isinstance(other, int):
-            return self.scale(other)
+    def __mul__(self, other: Poly) -> Poly:
         self._check(other)
         p = self.p
         out: dict[Mono, int] = {}
@@ -170,9 +159,6 @@ class Poly:
                 else:
                     out.pop(mono, None)
         return Poly._raw(p, self.nvars, out)
-
-    def __rmul__(self, other: int) -> Poly:
-        return self.scale(other)
 
     def __pow__(self, exponent: int) -> Poly:
         if exponent < 0:

@@ -59,16 +59,6 @@ class CpRep:
             raise ValueError(f"row {row} outside 1..{self.blocks[block - 1]} in block {block}")
         return sum(self.blocks[: block - 1]) + row - 1
 
-    def var_position(self, index: int) -> tuple[int, int]:
-        """Inverse of :meth:`var_index`: (row, block), 1-based."""
-        if not 0 <= index < self.nvars:
-            raise ValueError(f"variable index {index} outside 0..{self.nvars - 1}")
-        block = 1
-        while index >= self.blocks[block - 1]:
-            index -= self.blocks[block - 1]
-            block += 1
-        return index + 1, block
-
     @property
     def varnames(self) -> list[str]:
         return [f"x[{i},{j}]" for j in range(1, self.num_blocks + 1)
@@ -97,20 +87,16 @@ class CpRep:
 
 
 @lru_cache(maxsize=None)
-def _generator_power_images(rep: CpRep, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Image of each variable under the k-th power of the generator, as
-    tuples of (variable index, coefficient).  Row i goes to the sum of
-    binomial(k, m) times row i - m over 0 <= m < i within its block."""
-    p = rep.p.value
-    images = []
-    for index in range(rep.nvars):
-        row, block = rep.var_position(index)
-        terms = []
-        for m in range(row):
-            c = math.comb(k, m) % p
-            if c:
-                terms.append((rep.var_index(row - m, block), c))
-        images.append(tuple(terms))
+def variable_images(rep: CpRep, k: int) -> tuple[Poly, ...]:
+    """Image of each variable under the k-th power of the generator, a
+    linear form: row i goes to the sum of binomial(k, m) times row i - m
+    over 0 <= m < i within its block."""
+    p, n = rep.p.value, rep.nvars
+    images: list[Poly] = []
+    for size in rep.blocks:
+        start = len(images)  # the index of the block's x[1,j]
+        images += [Poly(p, n, {var_mono(n, start + row - m): math.comb(k, m) for m in range(row + 1)})
+                   for row in range(size)]
     return tuple(images)
 
 
@@ -121,16 +107,14 @@ def sigma(rep: CpRep, f: Poly, k: int = 1) -> Poly:
         raise ValueError(f"generator power {k} outside 0..{rep.p.value - 1}")
     if k == 0 or f.is_zero():
         return f
-    images = _generator_power_images(rep, k)
+    images = variable_images(rep, k)
     p, nvars = f.p, f.nvars
-    image_polys = [Poly(p, nvars, {var_mono(nvars, v): c for v, c in terms})
-                   for terms in images]
     power_cache: dict[tuple[int, int], Poly] = {}
 
     def var_power(v: int, e: int) -> Poly:
         got = power_cache.get((v, e))
         if got is None:
-            got = image_polys[v] ** e
+            got = images[v] ** e
             power_cache[(v, e)] = got
         return got
 
@@ -161,10 +145,10 @@ def check_ideal_generator(rep: CpRep, g: Poly) -> None:
 @lru_cache(maxsize=None)
 def norm(rep: CpRep, row: int, block: int) -> Poly:
     """Product of one variable's orbit; monic of degree p in that variable."""
-    x = rep.variable(row, block)
-    out = x
+    index = rep.var_index(row, block)
+    out = rep.variable(row, block)
     for k in range(1, rep.p.value):
-        out = out * sigma(rep, x, k)
+        out = out * variable_images(rep, k)[index]
     return out
 
 

@@ -375,6 +375,18 @@ def test_depth_report_command():
     doc = json.loads(out)
     assert doc["checks"][-1]["name"] == "depth-inequality-audit"
     assert doc["summary"]["all_passed"]
+    # below D = p the norms check no degree, yet count as verified steps, and
+    # the sequence summary says so; at D = p every step checks a degree
+    for command, name, p, bound in (("depth-report", "canonical-sequence", 3, 2),
+                                    ("regseq", "regular-sequence", 5, 4),
+                                    ("regseq", "regular-sequence", 5, 5)):
+        code, out, _ = invoke([command, "--p", str(p), "--blocks", "2,2", "--max-degree", str(bound)])
+        assert code == 0
+        summary = next(c for c in json.loads(out)["checks"] if c["name"] == name)
+        assert summary["pass"] and summary["params"]["verified_length"] == 4
+        norms = ", ".join(f"{p - 1}*x[1,{j}]^{p - 1}*x[2,{j}] + x[2,{j}]^{p}" for j in (1, 2))
+        vacuous = [f"vacuous: nothing was checkable up to the bound {bound} for {norms}"]
+        assert [n for n in summary["notes"] if n.startswith("vacuous:")] == (vacuous if bound < p else [])
 
 
 def test_regular_sequence_longer_than_dimension_exits_two():

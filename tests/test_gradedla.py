@@ -503,7 +503,7 @@ def test_mult_map_rows_match_polynomial_products(p):
     x = [Poly.variable(p, nvars, i) for i in range(nvars)]
     # the terms x0 and x1 send the basis monomials x1*x2 and x0*x2 to the
     # same product x0*x1*x2, so over GF(2) the row x0*x2 + x1*x2 cancels there
-    f = x[0] + x[1] + (p - 1) * x[2]
+    f = x[0] + x[1] + Poly.constant(p, nvars, p - 1) * x[2]
     crossing = x[0] * x[2] + x[1] * x[2]
     rows = [poly_to_vec(crossing, degree)]
     rows += [random_matrix(rng, p, 1, num_monomials(nvars, degree))[0] for _ in range(6)]
@@ -514,7 +514,7 @@ def test_mult_map_rows_match_polynomial_products(p):
     if p == 2:
         assert (1, 1, 1) not in la.vec_to_poly(p, nvars, degree + 1, out.a[0]).terms
     # a degree-2 multiplier with several terms on the same rows
-    g = x[0] * x[0] + 2 * x[0] * x[1] + x[1] * x[2]
+    g = x[0] * x[0] + Poly.constant(p, nvars, 2) * x[0] * x[1] + x[1] * x[2]
     assert la.mult_map(basis, g, degree).a.tolist() == product_rows(basis.a.tolist(), g, degree)
 
 
@@ -526,7 +526,8 @@ def test_mult_map_on_columns_is_the_full_product_there(p):
     x = [Poly.variable(p, nvars, i) for i in range(nvars)]
     wide = num_monomials(nvars, degree + 2)
     basis = MatFp(p, random_matrix(rng, p, 5, num_monomials(nvars, degree)))
-    for f in (x[0] * x[1], x[0] * x[0] + (p - 1) * x[1] * x[2], x[2] * x[2] + x[0] * x[2] + x[1] * x[1]):
+    for f in (x[0] * x[1], x[0] * x[0] + Poly.constant(p, nvars, p - 1) * x[1] * x[2],
+              x[2] * x[2] + x[0] * x[2] + x[1] * x[1]):
         full = la.mult_map(basis, f, degree)
         assert full.pivots is None
         for cols in (np.arange(wide), np.array([], dtype=np.intp), np.array([0, wide - 1]),
@@ -556,7 +557,7 @@ def test_monic_monomial_product_of_a_canonical_basis_is_canonical(p):
     # not canonical: the basis, a coefficient other than 1, or two terms
     assert la.mult_map(MatFp(p, canon.a), x[0], degree).pivots is None
     if p > 2:
-        assert la.mult_map(canon, 2 * x[0], degree).pivots is None
+        assert la.mult_map(canon, Poly.constant(p, nvars, 2) * x[0], degree).pivots is None
     assert la.mult_map(canon, x[0] + x[1], degree).pivots is None
 
 
@@ -639,8 +640,8 @@ def test_products_and_reduced_products_match_the_pure_oracle(p):
     nvars, degree = 3, 3
     x = [Poly.variable(p, nvars, i) for i in range(nvars)]
     width = num_monomials(nvars, degree)
-    for f in (x[0] * x[1], x[0] + x[1] + (p - 1) * x[2], x[0] * x[0] + x[1] * x[2] + x[2] * x[2],
-              Poly.zero(p, nvars)):
+    for f in (x[0] * x[1], x[0] + x[1] + Poly.constant(p, nvars, p - 1) * x[2],
+              x[0] * x[0] + x[1] * x[2] + x[2] * x[2], Poly.zero(p, nvars)):
         wide = num_monomials(nvars, degree + f.homogeneous_degree())
         for k in (0, 1, 7):
             rows = random_matrix(rng, p, k, width).reshape(k, width)

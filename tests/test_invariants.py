@@ -10,8 +10,8 @@ from modinv import invariants
 from modinv.invariants import (_block_sigma, _merge_pieces, _mono_parents, _peel, _pieces,
                                _slab_power, _slab_transfer, dimension_growth_check,
                                finite_difference, ideal_slice, invariant_slice, transfer_slice)
-from modinv.poly import Poly, num_monomials, var_mono
-from modinv.rep import CpRep, _generator_power_images, is_invariant, sigma, top_norms
+from modinv.poly import Poly, num_monomials
+from modinv.rep import CpRep, is_invariant, sigma, top_norms, variable_images
 
 from oracle import graded_le, kernel, monomial_index, monomials_of_degree, poly_to_vec, transfer
 
@@ -48,7 +48,7 @@ def dense_power_matrix(rep: CpRep, k: int, degree: int, prev: np.ndarray) -> np.
     p, n = rep.p.value, rep.nvars
     width = num_monomials(n, degree)
     var_of, parent = _mono_parents(n, degree)
-    images = _generator_power_images(rep, k)
+    images = variable_images(rep, k)
     acc = np.zeros((width, width), dtype=np.int64)
     prev64 = prev.astype(np.int64)
     for v in range(n):
@@ -56,8 +56,8 @@ def dense_power_matrix(rep: CpRep, k: int, degree: int, prev: np.ndarray) -> np.
         if rows_v.size == 0:
             continue
         block = prev64[parent[rows_v]]
-        for target, coeff in images[v]:
-            colmap = la._mult_colmap(n, degree - 1, var_mono(n, target))
+        for mono, coeff in images[v].terms.items():
+            colmap = la._mult_colmap(n, degree - 1, mono)
             acc[np.ix_(rows_v, colmap)] += coeff * block
     return (acc % p).astype(np.uint8)
 

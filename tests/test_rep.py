@@ -137,7 +137,7 @@ def test_transfer_lands_in_invariants_and_is_linear():
 
 
 def test_norm_is_the_orbit_product():
-    for p, blocks in [(2, (2, 2)), (3, (3,)), (5, (3,))]:
+    for p, blocks in [(2, (2, 2)), (3, (3,)), (5, (3,)), (7, (4,))]:
         rep = CpRep.make(p, blocks)
         for row in range(2, blocks[0] + 1):
             x = rep.variable(row, 1)
