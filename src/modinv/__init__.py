@@ -14,7 +14,7 @@ from .invariants import (dimension_growth_check, finite_difference, ideal_slice,
 from .monoalg import (FreeDecomp, Lattice2, MonoAlgebra, MonoPreset, PRESETS,
                       hilbert_enumeration_check, non_factorial_witness, run_preset,
                       verify_free_decomp, verify_height_witness)
-from .poly import Poly, PolyParseError, PrimeP, parse, render
+from .poly import Poly, PolyParseError, parse, render
 from .rep import (CpRep, DecompResult, TrivialSummandError, is_invariant, norm,
                   norm_decompose, sigma, top_norms)
 from .report import CheckReport, dumps_report
@@ -25,7 +25,7 @@ __all__ = [
     "BoundTooSmallError", "CheckReport", "CpRep", "DecompResult",
     "DEFAULT_MAX_DEGREE", "DepthEvidence", "DepthInstance", "FreeDecomp",
     "GradedModuleView", "Lattice2", "MonoAlgebra", "MonoPreset", "PRESETS",
-    "Poly", "PolyParseError", "PrimeP", "RegSeqCert", "TrivialSummandError",
+    "Poly", "PolyParseError", "RegSeqCert", "TrivialSummandError",
     "ZeroModuleError", "bounded_depth", "bounded_grade", "canonical_sequence",
     "depth_inequality_audit", "depth_report", "dimension_growth_check",
     "dumps_report", "expected_depth", "finite_difference",

@@ -63,7 +63,7 @@ def _load_sequence(rep: CpRep, source: str) -> list[Poly]:
         if not line:
             continue
         try:
-            seq.append(parse(line, rep.varnames, rep.p.value))
+            seq.append(parse(line, rep.varnames, rep.p))
         except PolyParseError as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}")
     if not seq:
@@ -74,20 +74,23 @@ def _load_sequence(rep: CpRep, source: str) -> list[Poly]:
 def _cmd_hilbert(args: argparse.Namespace) -> list[CheckReport]:
     rep = _make_rep(args)
     bound = args.max_degree
+    # the differences exist only from degree p*dim on
+    start = rep.p * rep.nvars
     report = CheckReport(
         name="hilbert-dimensions",
         params={"max_degree": bound},
         passed=True,
-        degrees_checked=list(range(bound + 1)),
+        degrees_checked=list(range(start, bound + 1)),
         notes=["invariant ring, transfer ideal, and quotient dimensions per degree",
                "pass means the p-step finite differences of order dim vanish "
                "inside the bound (quasi-polynomial growth)"],
     )
+    if start > bound:
+        report.notes.append(f"vacuous: no degree from p*dim = {start} on lies inside the bound {bound}")
     inv = invariant_slice(rep, bound)
     tra = transfer_slice(rep, bound)
     growth_ok, offenders = dimension_growth_check(
-        inv.dims(), order=rep.dim, step=rep.p.value,
-        window_start=rep.p.value * rep.dim)
+        inv.dims(), order=rep.nvars, step=rep.p, window_start=start)
     report.params["invariant_dims"] = inv.dims()
     report.params["transfer_ideal_dims"] = tra.dims()
     # the transfer ideal lies in the invariants, degree by degree
@@ -145,12 +148,12 @@ def _cmd_norm_decompose(args: argparse.Namespace) -> list[CheckReport]:
     reports = []
     for text in texts:
         try:
-            f = parse(text, rep.varnames, rep.p.value)
+            f = parse(text, rep.varnames, rep.p)
         except PolyParseError as exc:
             raise ConfigError(f"bad polynomial {text!r}: {exc}")
         result = norm_decompose(rep, f, block_indices)
         ok = result.reconstruct(rep) == f
-        p = rep.p.value
+        p = rep.p
         bound_ok = all(
             result.remainder.degree_in(rep.var_index(rep.blocks[j - 1], j)) < p
             for j in result.block_indices)
@@ -201,8 +204,6 @@ def _add_rep_arguments(sub: argparse.ArgumentParser) -> None:
                      help="comma-separated block sizes, e.g. 2,2, each between 1 and p; "
                           "depth-report, grade, transfer-quotient and canonical regseq "
                           "need sizes of at least 2")
-    sub.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE,
-                     help=f"degree bound for all slices (default {DEFAULT_MAX_DEGREE})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,14 +214,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {TOOL_VERSION}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the JSON report to this path instead of stdout")
+    bounded = argparse.ArgumentParser(add_help=False)
+    bounded.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE,
+                         help=f"degree bound for all slices (default {DEFAULT_MAX_DEGREE})")
     commands = parser.add_subparsers(dest="subcommand", required=True)
 
-    sub = commands.add_parser("hilbert", parents=[common],
+    sub = commands.add_parser("hilbert", parents=[common, bounded],
                               help="dimension tables for invariants, transfer ideal, quotient")
     _add_rep_arguments(sub)
     sub.set_defaults(handler=_cmd_hilbert)
 
-    sub = commands.add_parser("regseq", parents=[common],
+    sub = commands.add_parser("regseq", parents=[common, bounded],
                               help="verify a regular sequence on the invariant ring")
     _add_rep_arguments(sub)
     sub.add_argument("--sequence", default="canonical",
@@ -229,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="after the sequence, search the quotient for a socle witness")
     sub.set_defaults(handler=_cmd_regseq)
 
-    sub = commands.add_parser("transfer-quotient", parents=[common],
+    sub = commands.add_parser("transfer-quotient", parents=[common, bounded],
                               help="norm sequence, vanishing, and series checks on "
                                    "invariants mod the transfer ideal")
     _add_rep_arguments(sub)
@@ -245,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
                                            "(default: all)")
     sub.set_defaults(handler=_cmd_norm_decompose)
 
-    sub = commands.add_parser("grade", parents=[common],
+    sub = commands.add_parser("grade", parents=[common, bounded],
                               help="depth vs grade-plus-blocks comparison on the invariant ring")
     _add_rep_arguments(sub)
     sub.add_argument("--search-cap", type=int, default=None,
                      help="degree cap for candidate search pools, at least 1 (default: p)")
     sub.set_defaults(handler=_cmd_grade)
 
-    sub = commands.add_parser("depth-report", parents=[common],
+    sub = commands.add_parser("depth-report", parents=[common, bounded],
                               help="canonical sequence, prefix ideal depths, transfer ideal "
                                    "depth, and the inequality audit in one run")
     _add_rep_arguments(sub)
@@ -264,9 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="verify a bundled two-variable monomial algebra example")
     sub.add_argument("--name", required=True, choices=sorted(monoalg.PRESETS),
                      help="which bundled example to run")
-    sub.add_argument("--degree-cap", type=int, default=24,
+    sub.add_argument("--degree-cap", type=int, default=monoalg.DEFAULT_DEGREE_CAP,
                      help="bound for the brute-force enumeration identity, at least 0 "
-                          "(default 24)")
+                          f"(default {monoalg.DEFAULT_DEGREE_CAP})")
     sub.set_defaults(handler=_cmd_monomial_example)
     return parser
 

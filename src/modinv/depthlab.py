@@ -51,7 +51,9 @@ from .gradedla import GradedBasis, MatFp
 # ideal_slice is not called here: perfbench/selftest.py checks its binding
 from .invariants import finite_difference, ideal_slice, invariant_slice, transfer_slice
 from .poly import Poly, render
-from .rep import CpRep, check_ideal_generator, is_invariant, norm, top_norms
+# is_invariant stays bound by name here: perfbench/selftest.py checks that
+# the tracer rebinds it in this module
+from .rep import CpRep, invariant_degree, is_invariant, norm, top_norms
 from .report import CheckReport
 
 DEFAULT_MAX_DEGREE = 10
@@ -171,7 +173,7 @@ class GradedModuleView:
     """
 
     def __init__(self, rep: CpRep, num: GradedBasis, den: GradedBasis, label: str):
-        if num.p != rep.p.value or num.nvars != rep.nvars:
+        if num.p != rep.p or num.nvars != rep.nvars:
             raise ValueError("numerator does not match the representation")
         if num.p != den.p or num.nvars != den.nvars or num.max_degree != den.max_degree:
             raise ValueError("numerator and denominator gradings differ")
@@ -249,9 +251,7 @@ class GradedModuleView:
         the degree-(d - e) quotient rows: f times the old denominator adds
         nothing, as the denominator is closed under invariants.  Degrees
         where the module is zero keep their denominator."""
-        self.rep.check_poly(f)
-        if not is_invariant(self.rep, f):
-            raise ValueError("can only quotient by an invariant element")
+        invariant_degree(self.rep, f)
         return self._quotient_by(f, label)
 
     def _quotient_by(self, f: Poly, label: str | None = None) -> GradedModuleView:
@@ -293,18 +293,15 @@ class GradedModuleView:
 
 def ring_module(rep: CpRep, max_degree: int) -> GradedModuleView:
     """The invariant ring as a module over itself, up to a degree bound."""
-    zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
+    zero = GradedBasis.zero(rep.p, rep.nvars, max_degree)
     return GradedModuleView(rep, invariant_slice(rep, max_degree), zero, "invariant ring")
 
 
 def _regular_candidate_degree(rep: CpRep, f: Poly) -> int:
     """Validate a regularity candidate and return its degree."""
-    rep.check_poly(f)
-    e = f.homogeneous_degree()
+    e = invariant_degree(rep, f)
     if f.is_zero() or e < 1:
-        raise ValueError("regularity candidate must be nonzero, homogeneous, of positive degree")
-    if not is_invariant(rep, f):
-        raise ValueError("regularity candidate must be invariant")
+        raise ValueError("regularity candidate must be nonzero, of positive degree")
     return e
 
 
@@ -684,7 +681,7 @@ def _greedy_regular(view: GradedModuleView,
         else:
             record["skipped"] = "no checkable degree"
         last_failures.append(record)
-    n = view.rep.dim
+    n = view.rep.nvars
     if len(found) > n:
         raise BoundTooSmallError(
             f"module {view.label!r}: a regular sequence of length {len(found)} was "
@@ -722,7 +719,7 @@ def bounded_depth(view: GradedModuleView, search_degree_cap: int | None = None) 
     greedy search never empties the module, so the quotient always has a
     class to search."""
     rep = view.rep
-    cap = rep.p.value if search_degree_cap is None else search_degree_cap
+    cap = rep.p if search_degree_cap is None else search_degree_cap
     cap = min(cap, view.max_degree)
     cert, failures = _greedy_regular(view, _candidate_pool(rep, view.max_degree, cap))
     witness, socle_report = socle_search(cert.final_view)
@@ -788,7 +785,7 @@ def canonical_sequence(rep: CpRep) -> list[Poly]:
 def expected_depth(rep: CpRep) -> int:
     """min(number of blocks + 2, dimension), the known depth of the
     invariant ring when no block is trivial."""
-    return min(rep.num_blocks + 2, rep.dim)
+    return min(rep.num_blocks + 2, rep.nvars)
 
 
 def _prefix_modules(rep: CpRep, gens: Sequence[Poly], max_degree: int,
@@ -801,11 +798,11 @@ def _prefix_modules(rep: CpRep, gens: Sequence[Poly], max_degree: int,
     at ``ring``, the invariant ring's view up to max_degree, when given, so
     that its memo serves the chain; else at a new one.  Each generator is
     validated once.  The ideal views have zero denominators."""
-    zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
+    zero = GradedBasis.zero(rep.p, rep.nvars, max_degree)
     quotient = ring_module(rep, max_degree) if ring is None else ring
     names = []
     for g in gens:
-        check_ideal_generator(rep, g)
+        invariant_degree(rep, g)
         names.append(render(g, rep.varnames))
         label = ", ".join(names)
         quotient = quotient._quotient_by(g, f"invariant ring mod ({label})")
@@ -822,7 +819,7 @@ def transfer_quotient_module(rep: CpRep, max_degree: int) -> GradedModuleView:
 
 def transfer_ideal_module(rep: CpRep, max_degree: int) -> GradedModuleView:
     """The transfer ideal as a module over the invariant ring."""
-    zero = GradedBasis.zero(rep.p.value, rep.nvars, max_degree)
+    zero = GradedBasis.zero(rep.p, rep.nvars, max_degree)
     return GradedModuleView(rep, transfer_slice(rep, max_degree), zero, "transfer ideal")
 
 
@@ -833,7 +830,7 @@ def transfer_quotient_check(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE) ->
     quotient's Hilbert series times (1 - t^p)^blocks stays non-negative,
     and the transfer ideal itself has depth evidence blocks + 1."""
     rep.require_nontrivial()
-    p = rep.p.value
+    p = rep.p
     blocks = rep.num_blocks
     if max_degree < blocks * p:
         raise BoundTooSmallError(
@@ -925,7 +922,7 @@ def norm_reduction_check(view: GradedModuleView, search_degree_cap: int | None =
 
     reduced = cert.final_view
     tra = transfer_slice(rep, view.max_degree)
-    cap = rep.p.value if search_degree_cap is None else search_degree_cap
+    cap = rep.p if search_degree_cap is None else search_degree_cap
     pool = [f for e in range(1, min(cap, view.max_degree) + 1)
             for f in tra.row_polys(e)]
     grade_cert, grade_report = bounded_grade(reduced, pool, "transfer-image basis elements")
@@ -988,7 +985,7 @@ def depth_report(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
     reports.extend(ring_ev.reports)
     # the invariant ring is a subring of a polynomial ring, so a domain;
     # Cohen-Macaulayness is taken from the evidence, not assumed
-    ring_cm_domain = ring_ev.maximal and ring_ev.lower == rep.dim
+    ring_cm_domain = ring_ev.maximal and ring_ev.lower == rep.nvars
 
     instances = []
     for k, (ideal, quotient) in enumerate(_prefix_modules(rep, seq, max_degree, ring), 1):

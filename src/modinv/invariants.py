@@ -39,7 +39,7 @@ from .gradedla import GradedBasis, MatFp
 from .poly import Poly, num_monomials
 # is_invariant stays bound by name here: perfbench/selftest.py checks that
 # the tracer rebinds it in this module
-from .rep import CpRep, check_ideal_generator, is_invariant, variable_images
+from .rep import CpRep, invariant_degree, is_invariant, variable_images
 
 
 @lru_cache(maxsize=None)
@@ -58,7 +58,7 @@ def _next_degree_matrix(rep: CpRep, degree: int, prev: np.ndarray, power: int) -
     (rows act: image of monomial i is row i), built from its degree-(d-1)
     matrix: the image of a monomial is the image of its parent times the
     image of the variable divided out, a linear form."""
-    p, n = rep.p.value, rep.nvars
+    p, n = rep.p, rep.nvars
     width = num_monomials(n, degree)
     var_of, parent = _mono_parents(n, degree)
     out = np.zeros((width, width), dtype=np.uint8)
@@ -183,7 +183,7 @@ def _slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
     proved one degree down, they span the piece.  RuntimeError names a
     piece that fails.  Both bases are merged onto the same columns, so the
     slices' inclusion holds with no full-width check."""
-    p, n, blocks = rep.p.value, rep.nvars, rep.blocks
+    p, n, blocks = rep.p, rep.nvars, rep.blocks
     inv_mats, tra_mats = [], []
     prev: dict[tuple[int, ...], tuple[MatFp, MatFp]] = {}
     for d in range(max_degree + 1):
@@ -247,18 +247,13 @@ def ideal_slice(rep: CpRep, max_degree: int, gens: Sequence[Poly]) -> GradedBasi
     invariant ring: each slice is spanned by generator times invariant
     basis elements of the complementary degree."""
     inv = invariant_slice(rep, max_degree)
-    checked = []
-    for g in gens:
-        check_ideal_generator(rep, g)
-        if not g.is_zero():
-            checked.append(g)
-    p, n = rep.p.value, rep.nvars
+    checked = [(g, invariant_degree(rep, g)) for g in gens]
+    p, n = rep.p, rep.nvars
     mats = []
     for d in range(max_degree + 1):
         pieces = []
-        for g in checked:
-            e = g.homogeneous_degree()
-            if e <= d and inv.dim(d - e):
+        for g, e in checked:
+            if not g.is_zero() and e <= d and inv.dim(d - e):
                 pieces.append(la.mult_map(inv.mat(d - e), g, d - e).a)
         if pieces:
             mats.append(la.rref(MatFp(p, np.vstack(pieces))))

@@ -20,6 +20,8 @@ Mono2 = tuple[int, int]
 
 UNIT: Mono2 = (0, 0)
 
+DEFAULT_DEGREE_CAP = 24
+
 
 def mono2_degree(m: Mono2) -> int:
     return m[0] + m[1]
@@ -299,7 +301,7 @@ def non_factorial_witness(alg: MonoAlgebra,
 
 def hilbert_enumeration_check(alg: MonoAlgebra, decomp: FreeDecomp,
                               ideal_gens: Sequence[Sequence[int]],
-                              degree_cap: int = 24) -> CheckReport:
+                              degree_cap: int = DEFAULT_DEGREE_CAP) -> CheckReport:
     """Compare brute-force monomial counts of the ideal against the counts
     the free decomposition predicts, degree by degree."""
     gens = tuple(_as_mono2(g) for g in ideal_gens)
@@ -373,7 +375,7 @@ PRESETS: dict[str, MonoPreset] = {
 }
 
 
-def run_preset(name: str, degree_cap: int = 24) -> list[CheckReport]:
+def run_preset(name: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> list[CheckReport]:
     """All checks for one bundled example: the free decompositions with
     their Hilbert cross-checks, the height witness, and the factoriality
     relation."""

@@ -9,24 +9,18 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 Mono = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PrimeP:
-    """A prime modulus, validated on construction."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        n = self.value
-        if not isinstance(n, int) or n < 2:
-            raise ValueError(f"modulus must be an integer >= 2, got {n!r}")
-        if any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
-            raise ValueError(f"modulus {n} is not prime")
+def check_prime(n: int) -> int:
+    """Return ``n`` if it is a prime modulus; refuse anything else."""
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"modulus must be an integer >= 2, got {n!r}")
+    if any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        raise ValueError(f"modulus {n} is not prime")
+    return n
 
 
 def var_mono(nvars: int, index: int) -> Mono:
@@ -48,8 +42,8 @@ class Poly:
 
     __slots__ = ("p", "nvars", "_terms")
 
-    def __init__(self, p: int | PrimeP, nvars: int, terms: Mapping[Mono, int] | None = None):
-        pv = p.value if isinstance(p, PrimeP) else PrimeP(p).value
+    def __init__(self, p: int, nvars: int, terms: Mapping[Mono, int] | None = None):
+        pv = check_prime(p)
         if nvars < 1:
             raise ValueError("need at least one variable")
         clean: dict[Mono, int] = {}
@@ -102,15 +96,11 @@ class Poly:
         """Largest exponent of one variable; 0 for the zero polynomial."""
         return max((m[index] for m in self._terms), default=0)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(m) for m in self._terms}
-        return len(degrees) <= 1
-
     def homogeneous_degree(self) -> int:
         """Common degree of all terms.  Zero polynomial counts as degree 0."""
         degrees = {sum(m) for m in self._terms}
         if len(degrees) > 1:
-            raise ValueError(f"polynomial is not homogeneous (term degrees {sorted(degrees)})")
+            raise ValueError(f"polynomial must be homogeneous, has term degrees {sorted(degrees)}")
         return degrees.pop() if degrees else 0
 
     def _check(self, other: Poly) -> None:
@@ -222,7 +212,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def parse(text: str, varnames: Sequence[str], p: int | PrimeP) -> Poly:
+def parse(text: str, varnames: Sequence[str], p: int) -> Poly:
     """Parse polynomial text.
 
     Grammar: an expression is terms joined by ``+`` or ``-``; a term is an
@@ -231,7 +221,7 @@ def parse(text: str, varnames: Sequence[str], p: int | PrimeP) -> Poly:
     Whitespace is insignificant.  Raises :class:`PolyParseError` with the
     offending position on malformed text or unknown variable names.
     """
-    pv = p.value if isinstance(p, PrimeP) else PrimeP(p).value
+    pv = check_prime(p)
     nvars = len(varnames)
     index_of = {name: i for i, name in enumerate(varnames)}
     tokens = _tokenize(text)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly import Poly, PrimeP, var_mono
+from .poly import Poly, check_prime, render, var_mono
 
 
 class TrivialSummandError(ValueError):
@@ -25,31 +25,28 @@ class CpRep:
     """A representation of the cyclic group of prime order: one Jordan
     block of size ``blocks[j]`` per summand, each with 1 <= size <= p."""
 
-    p: PrimeP
+    p: int
     blocks: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        check_prime(self.p)
         if not self.blocks:
             raise ValueError("need at least one block")
         for n in self.blocks:
-            if not 1 <= n <= self.p.value:
-                raise ValueError(f"block size {n} outside 1..{self.p.value}")
+            if not 1 <= n <= self.p:
+                raise ValueError(f"block size {n} outside 1..{self.p}")
 
     @classmethod
     def make(cls, p: int, blocks: tuple[int, ...] | list[int]) -> CpRep:
-        return cls(PrimeP(p), tuple(blocks))
+        return cls(p, tuple(blocks))
 
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
 
     @property
-    def dim(self) -> int:
-        return sum(self.blocks)
-
-    @property
     def nvars(self) -> int:
-        return self.dim
+        return sum(self.blocks)
 
     def var_index(self, row: int, block: int) -> int:
         """Flat 0-based index of ``x[row,block]`` (arguments 1-based)."""
@@ -65,24 +62,20 @@ class CpRep:
                 for i in range(1, self.blocks[j - 1] + 1)]
 
     def variable(self, row: int, block: int) -> Poly:
-        return Poly.variable(self.p.value, self.nvars, self.var_index(row, block))
-
-    @property
-    def has_trivial_summand(self) -> bool:
-        return any(n == 1 for n in self.blocks)
+        return Poly.variable(self.p, self.nvars, self.var_index(row, block))
 
     def require_nontrivial(self) -> None:
-        if self.has_trivial_summand:
+        if 1 in self.blocks:
             raise TrivialSummandError(
                 f"blocks {self.blocks} contain a size-1 summand; "
                 "this operation needs every block size >= 2"
             )
 
     def check_poly(self, f: Poly) -> None:
-        if f.p != self.p.value or f.nvars != self.nvars:
+        if f.p != self.p or f.nvars != self.nvars:
             raise ValueError(
                 f"polynomial over (p={f.p}, nvars={f.nvars}) does not match "
-                f"representation (p={self.p.value}, nvars={self.nvars})"
+                f"representation (p={self.p}, nvars={self.nvars})"
             )
 
 
@@ -91,7 +84,7 @@ def variable_images(rep: CpRep, k: int) -> tuple[Poly, ...]:
     """Image of each variable under the k-th power of the generator, a
     linear form: row i goes to the sum of binomial(k, m) times row i - m
     over 0 <= m < i within its block."""
-    p, n = rep.p.value, rep.nvars
+    p, n = rep.p, rep.nvars
     images: list[Poly] = []
     for size in rep.blocks:
         start = len(images)  # the index of the block's x[1,j]
@@ -103,8 +96,8 @@ def variable_images(rep: CpRep, k: int) -> tuple[Poly, ...]:
 def sigma(rep: CpRep, f: Poly, k: int = 1) -> Poly:
     """Apply the k-th power of the group generator, 0 <= k < p."""
     rep.check_poly(f)
-    if not 0 <= k < rep.p.value:
-        raise ValueError(f"generator power {k} outside 0..{rep.p.value - 1}")
+    if not 0 <= k < rep.p:
+        raise ValueError(f"generator power {k} outside 0..{rep.p - 1}")
     if k == 0 or f.is_zero():
         return f
     images = variable_images(rep, k)
@@ -132,14 +125,14 @@ def is_invariant(rep: CpRep, f: Poly) -> bool:
     return sigma(rep, f, 1) == f
 
 
-def check_ideal_generator(rep: CpRep, g: Poly) -> None:
-    """Refuse a generator of an ideal of the invariant ring that is not a
-    homogeneous invariant of this representation."""
-    rep.check_poly(g)
-    if not g.is_homogeneous():
-        raise ValueError("ideal generators must be homogeneous")
-    if not is_invariant(rep, g):
-        raise ValueError("ideal generators must be invariant")
+def invariant_degree(rep: CpRep, f: Poly) -> int:
+    """The degree of f, refusing an f that is not a homogeneous invariant
+    of this representation; the zero polynomial has degree 0."""
+    rep.check_poly(f)
+    e = f.homogeneous_degree()
+    if not is_invariant(rep, f):
+        raise ValueError(f"{render(f, rep.varnames)} must be invariant")
+    return e
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +140,7 @@ def norm(rep: CpRep, row: int, block: int) -> Poly:
     """Product of one variable's orbit; monic of degree p in that variable."""
     index = rep.var_index(row, block)
     out = rep.variable(row, block)
-    for k in range(1, rep.p.value):
+    for k in range(1, rep.p):
         out = out * variable_images(rep, k)[index]
     return out
 
@@ -210,6 +203,6 @@ def norm_decompose(rep: CpRep, f: Poly, block_indices: tuple[int, ...] | list[in
     rem = f
     for j in blocks:
         top_var = rep.var_index(rep.blocks[j - 1], j)
-        q, rem = _divide_monic_in_var(rem, norm(rep, rep.blocks[j - 1], j), top_var, rep.p.value)
+        q, rem = _divide_monic_in_var(rem, norm(rep, rep.blocks[j - 1], j), top_var, rep.p)
         quotients.append(q)
     return DecompResult(tuple(quotients), rem, blocks)

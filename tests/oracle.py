@@ -109,7 +109,7 @@ def transfer(rep, f: Poly) -> Poly:
     polynomial-level reference for the transfer slices."""
     rep.check_poly(f)
     out = f
-    for k in range(1, rep.p.value):
+    for k in range(1, rep.p):
         out = out + sigma(rep, f, k)
     return out
 

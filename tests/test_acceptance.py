@@ -84,7 +84,7 @@ def depth_audit_22():
             ring=ring_ev,
             ideal=ideal_ev,
             quotient=quot_ev,
-            ring_cm_domain=ring_ev.maximal and ring_ev.lower == rep.dim,
+            ring_cm_domain=ring_ev.maximal and ring_ev.lower == rep.nvars,
             ideal_regseq_length=k,
         ))
     return rep, ring_ev, triples, depth_inequality_audit(instances)
@@ -101,7 +101,7 @@ def test_criterion_01_canonical_sequences(canonical_results):
     results, elapsed = canonical_results
     for (p, blocks), (rep, cert) in results.items():
         assert cert.passed, (p, blocks)
-        want = min(rep.num_blocks + 2, rep.dim)
+        want = min(rep.num_blocks + 2, rep.nvars)
         assert len(cert.elements) == want and cert.verified_length == want, (p, blocks)
         assert want == expected_depth(rep)
     assert elapsed < 180.0
@@ -143,7 +143,7 @@ def test_criterion_03_transfer_quotient(transfer_results):
 def test_criterion_04_socle_witness(canonical_results):
     rep, cert = canonical_results[0][(2, (2, 2, 2))]
     assert cert.passed and cert.verified_length == 5
-    assert rep.dim == 6 and expected_depth(rep) == 5
+    assert rep.nvars == 6 and expected_depth(rep) == 5
     witness, report = socle_search(cert.final_view)
     assert report.passed and witness is not None
     assert set(range(1, 9)) <= set(witness.annihilator_degrees)
@@ -178,7 +178,7 @@ def test_criterion_05_grade_identity(norm_reduction_22):
 
 
 def random_poly(rng, rep, max_deg, max_terms):
-    p, n = rep.p.value, rep.nvars
+    p, n = rep.p, rep.nvars
     out = Poly.zero(p, n)
     for _ in range(rng.randrange(1, max_terms + 1)):
         mono = [0] * n
@@ -189,7 +189,7 @@ def random_poly(rng, rep, max_deg, max_terms):
 
 
 def random_invariant(rng, rep, max_deg):
-    p = rep.p.value
+    p = rep.p
     pieces = [rep.variable(1, j + 1) for j in range(rep.num_blocks)]
     pieces += list(top_norms(rep))
     pieces.append(transfer(rep, random_poly(rng, rep, max_deg - 1, 3)))
@@ -206,7 +206,7 @@ def random_invariant(rng, rep, max_deg):
 def oracle_remainder(rep, f, order):
     """Independent re-division: peel leading slices by hand, blocks visited
     in the given order."""
-    p = rep.p.value
+    p = rep.p
     rem = f
     for j in order:
         top = rep.var_index(rep.blocks[j - 1], j)

@@ -24,19 +24,27 @@ def invoke(argv):
 
 
 def test_document_schema():
-    code, out, err = invoke(["hilbert", "--p", "2", "--blocks", "2", "--max-degree", "6"])
-    assert code == 0
-    doc = json.loads(out)
-    assert list(doc.keys()) == DOCUMENT_KEYS
-    assert doc["tool"] == "modinv"
-    for check in doc["checks"]:
-        assert list(check.keys()) == CHECK_KEYS
-        assert check["millis"] == 0
-    assert doc["summary"]["total"] == len(doc["checks"])
-    assert doc["summary"]["all_passed"]
-    assert doc["config"]["p"] == 2
-    assert doc["config"]["blocks"] == "2"
-    assert doc["config"]["workers"] == 1
+    # hilbert checks the growth window from p*dim on, which is empty above the bound
+    for p, blocks, bound, checked, vacuous in (
+        (2, "2", 6, [4, 5, 6], []),
+        (3, "2,3", 8, [], ["vacuous: no degree from p*dim = 15 on lies inside the bound 8"]),
+        (2, "2,2", 12, [8, 9, 10, 11, 12], []),
+    ):
+        code, out, err = invoke(["hilbert", "--p", str(p), "--blocks", blocks, "--max-degree", str(bound)])
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc.keys()) == DOCUMENT_KEYS
+        assert doc["tool"] == "modinv"
+        for check in doc["checks"]:
+            assert list(check.keys()) == CHECK_KEYS
+            assert check["millis"] == 0
+        assert doc["summary"]["total"] == len(doc["checks"])
+        assert doc["summary"]["all_passed"]
+        assert doc["config"]["p"] == p
+        assert doc["config"]["blocks"] == blocks
+        assert doc["config"]["workers"] == 1
+        assert doc["checks"][0]["degrees_checked"] == checked
+        assert [n for n in doc["checks"][0]["notes"] if n.startswith("vacuous:")] == vacuous
 
 
 def test_reports_are_byte_identical():
@@ -59,7 +67,7 @@ PINNED_REPORTS = {
     "transfer-quotient --p 2 --blocks 2,2,2 --max-degree 8":
         "bbe7827f8f4de0af2b53c48baebd4d42bc05c9ccb1e0220265a3d2ce561658a1",
     "hilbert --p 3 --blocks 2,3 --max-degree 8":
-        "e8fb43a253253725ec2dcc078d07fa57ce1d6421f9f4269c26c85b4974773478",
+        "1d881b8a89bd7aa9b18fef3783f2e123a0ddae60624bf9560ea9401a18cf3a49",
     "grade --p 3 --blocks 2,2 --max-degree 8":
         "43d85ec6f4b9a6c07a6579b74612a014f6c33d4ed80fd413f8e18cb20a78b218",
     "depth-report --p 2 --blocks 2,2 --max-degree 6":
@@ -72,16 +80,16 @@ PINNED_REPORTS = {
     "transfer-quotient --p 5 --blocks 2,2 --max-degree 10":
         "ebcdfe500d79b7933e336031768ba86b77d5f7853ef1dac4c0179985c376df4c",
     "hilbert --p 7 --blocks 3,4 --max-degree 6":
-        "8645c4935f92f418028113cb280c467515a12e032412254964a6b7e6a989f39f",
+        "6c065eb4c802dfaa7b8c5cbcc172122c86b3bcaea8b8d9cf6eac8a6f732c401e",
     # odd p with several blocks: the prefix-ideal quotient chain at odd p
     "depth-report --p 3 --blocks 2,2 --max-degree 8":
         "a98b918ae25ad88e03de841df60f09e576fea46891dbf5e8927db014ee3857e5",
     # a size-1 block, whose positions are ranked over one variable
     "hilbert --p 3 --blocks 1,2 --max-degree 8":
-        "c4c31834f504236063feda7766106acbaebd424b9c9b6281eede6207a35fae1f",
+        "e98da7967e40cee5555bb470ab8b02db7b240836fbb4843abecc01f9d9766b03",
     # slice pieces built along a block of size 1 and along one of size 3
     "hilbert --p 5 --blocks 1,3,2 --max-degree 7":
-        "8a7c0f2a31a68b704f5505dcac7e07a2575880cbffcfa862cd7c53e215182e37",
+        "ccbcf582f8d20c5ab77746fe9ba6a2736b4ac9d9ddd78c66a4db6dd18c28cf6c",
     # odd p, three blocks: the longest prefix chain, shared by the most jobs
     "depth-report --p 3 --blocks 2,2,2 --max-degree 7":
         "fd89a26de8804292cebae399614c30aa9c5698cf60e2edf25783751bb241e86b",
@@ -93,10 +101,10 @@ PINNED_REPORTS = {
         "5056b0f647a8ea4dba77e7b59bcd93e207db7ce8a6091e28672fe114f246a6b7",
     # four blocks at p = 2: the widest merged slices
     "hilbert --p 2 --blocks 2,2,2,2 --max-degree 7":
-        "7d29b281bebbb547a0d5dac868c37ce9065dc71926dc8ff7cffb53a780d56840",
+        "652915401adeab358adc272e26f8089af194aa750acd87a67358e9c99fe47d7d",
     # the largest supported prime: products and reductions of uint8 entries up to 250
     "hilbert --p 251 --blocks 3 --max-degree 3":
-        "f5a7929562c1291894638d0d08338db6b22a11838c01a2e001f920eee6b02674",
+        "060431cd4fa90000b62fba3ac8efe9ac885cce60e2cb3e6a5fa4422d43bdde35",
     # an audit that mixes open bounds (>=2) with closed ones, 16 notes inconclusive
     "depth-report --p 2 --blocks 2,2 --max-degree 8 --search-cap 1":
         "1427b0c0e5029f6db83e1eba658a729fe6872acbadf6e35c44b42644238d0433",
@@ -295,13 +303,17 @@ def test_usage_errors_exit_two(capsys):
     assert invoke(["regseq"])[0] == 2  # missing required flags
     assert invoke([])[0] == 2
     capsys.readouterr()  # argparse wrote usage to the real stderr; swallow it
+    # norm-decompose builds no slices, so it takes no degree bound
+    argv = ["norm-decompose", "--p", "2", "--blocks", "2", "--poly", "x[1,1]", "--max-degree", "4"]
+    assert invoke(argv)[:2] == (2, "")
+    assert "unrecognized arguments: --max-degree 4" in capsys.readouterr().err
 
 
 def test_timings_flag_is_refused(capsys):
     # every subcommand refuses --timings before computing anything
     rep = ["--p", "2", "--blocks", "2,2", "--max-degree", "4"]
     for argv in (["hilbert", *rep], ["regseq", *rep], ["transfer-quotient", *rep],
-                 ["norm-decompose", *rep, "--poly", "x[1,1]"], ["grade", *rep],
+                 ["norm-decompose", *rep[:4], "--poly", "x[1,1]"], ["grade", *rep],
                  ["depth-report", *rep], ["monomial-example", "--name", "example-2"]):
         assert invoke([*argv, "--timings"])[:2] == (2, ""), argv[0]
         assert "unrecognized arguments: --timings" in capsys.readouterr().err

@@ -58,8 +58,11 @@ def test_module_view_of_a_callers_bases():
 def test_quotient_by_requires_invariance():
     rep = CpRep.make(2, (2,))
     ring = ring_module(rep, 6)
-    with pytest.raises(ValueError):
+    x11 = rep.variable(1, 1)
+    with pytest.raises(ValueError, match=r"^x\[2,1\] must be invariant$"):
         ring.quotient_by(rep.variable(2, 1))
+    with pytest.raises(ValueError, match="must be homogeneous"):
+        ring.quotient_by(x11 + x11 * x11)
 
 
 def test_regular_element_pass_and_hilbert_drop():
@@ -277,7 +280,7 @@ def full_width_regular_step(view, f, e, d):
 def coordinate_modules(rep, bound):
     seq = canonical_sequence(rep)
     ideal = ideal_slice(rep, bound, seq[:2])
-    zero = GradedBasis.zero(rep.p.value, rep.nvars, bound)
+    zero = GradedBasis.zero(rep.p, rep.nvars, bound)
     return {
         "ring": ring_module(rep, bound),
         "ideal": GradedModuleView(rep, ideal, zero, "ideal"),
@@ -705,7 +708,7 @@ def test_validated_elements_are_not_checked_again(monkeypatch):
         calls.append(f)
         return is_invariant(rep, f)
 
-    monkeypatch.setattr(depthlab, "is_invariant", counting)
+    monkeypatch.setattr("modinv.rep.is_invariant", counting)
     ring = ring_module(rep, 8)
     seq = canonical_sequence(rep)
     # one check per element, as it is validated, none in the quotient step
@@ -867,7 +870,7 @@ def assert_same_search(view, pool, search):
     n must make the greedy search refuse the bound, naming the length the
     reference found."""
     found, steps, records = reference_greedy(view, pool)
-    if len(found) > view.rep.dim:
+    if len(found) > view.rep.nvars:
         with pytest.raises(BoundTooSmallError, match=f"length {len(found)} was verified"):
             search()
         return records
@@ -960,7 +963,7 @@ def test_ideal_modules_match_the_from_scratch_ideal_slice(p, blocks, bound):
 def test_ideal_modules_validate_and_skip_zero_generators():
     rep = CpRep.make(2, (2, 2))
     x11 = rep.variable(1, 1)
-    with pytest.raises(ValueError, match="must be invariant"):
+    with pytest.raises(ValueError, match=r"^x\[2,1\] must be invariant$"):
         ideal_modules(rep, [rep.variable(2, 1)], 6)
     with pytest.raises(ValueError, match="must be homogeneous"):
         ideal_modules(rep, [x11 + x11 * x11], 6)

@@ -19,7 +19,7 @@ from oracle import graded_le, kernel, monomial_index, monomials_of_degree, poly_
 def oracle_invariant_dim(rep: CpRep, degree: int) -> int:
     """dim ker(sigma - id) on the degree slice, built by applying the group
     generator to every monomial directly (no recursive degree matrices)."""
-    p, n = rep.p.value, rep.nvars
+    p, n = rep.p, rep.nvars
     monos = monomials_of_degree(n, degree)
     rows = []
     for m in monos:
@@ -32,7 +32,7 @@ def oracle_invariant_dim(rep: CpRep, degree: int) -> int:
 
 def oracle_transfer_dim(rep: CpRep, degree: int) -> int:
     """Rank of the transfer image on the degree slice, monomial by monomial."""
-    p, n = rep.p.value, rep.nvars
+    p, n = rep.p, rep.nvars
     monos = monomials_of_degree(n, degree)
     rows = []
     for m in monos:
@@ -45,7 +45,7 @@ def oracle_transfer_dim(rep: CpRep, degree: int) -> int:
 def dense_power_matrix(rep: CpRep, k: int, degree: int, prev: np.ndarray) -> np.ndarray:
     """Matrix of the k-th generator power on the whole degree-d slice (rows
     act), built from the degree-(d-1) matrix, width x width and dense."""
-    p, n = rep.p.value, rep.nvars
+    p, n = rep.p, rep.nvars
     width = num_monomials(n, degree)
     var_of, parent = _mono_parents(n, degree)
     images = variable_images(rep, k)
@@ -132,7 +132,7 @@ def dense_slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]
     """Reference slices on the full degree slice: invariants are the kernel
     of sigma^T - 1, the transfer image is the row space of the sum of all
     p - 1 nontrivial generator powers plus the identity."""
-    p, n = rep.p.value, rep.nvars
+    p, n = rep.p, rep.nvars
     inv_mats = [MatFp(p, np.ones((1, 1), dtype=np.uint8), (0,))]
     tra_mats = [MatFp(p, np.zeros((0, 1), dtype=np.uint8), ())]
     prev = {k: np.ones((1, 1), dtype=np.uint8) for k in range(1, p)}
@@ -379,11 +379,11 @@ def test_transfer_ideal_of_v2_is_principal():
 def test_ideal_slice_validation_and_monotonicity():
     rep = CpRep.make(2, (2, 2))
     inv = invariant_slice(rep, 6)
-    with pytest.raises(ValueError):
-        ideal_slice(rep, 6, [rep.variable(2, 1)])  # not invariant
+    with pytest.raises(ValueError, match=r"^x\[2,1\] must be invariant$"):
+        ideal_slice(rep, 6, [rep.variable(2, 1)])
     x11 = rep.variable(1, 1)
-    with pytest.raises(ValueError):
-        ideal_slice(rep, 6, [x11 + x11 * x11])  # not homogeneous
+    with pytest.raises(ValueError, match="must be homogeneous"):
+        ideal_slice(rep, 6, [x11 + x11 * x11])
     ideal = ideal_slice(rep, 6, [x11])
     assert ideal.max_degree == 6
     assert graded_le(ideal, inv)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from modinv.poly import Poly, PolyParseError, PrimeP, num_monomials, parse, render
+from modinv.poly import Poly, PolyParseError, check_prime, num_monomials, parse, render
 
 from oracle import monomial_index, monomials_of_degree
 
@@ -42,10 +42,10 @@ def random_poly(rng: random.Random, p: int, nvars: int, max_deg: int, terms: int
 
 def test_prime_validation():
     for good in (2, 3, 5, 7, 11, 97):
-        assert PrimeP(good).value == good
+        assert check_prime(good) == good
     for bad in (-3, 0, 1, 4, 9, 91):
         with pytest.raises(ValueError):
-            PrimeP(bad)
+            check_prime(bad)
 
 
 @pytest.mark.parametrize("nvars,degree", [(1, 5), (2, 4), (3, 6), (4, 3)])
@@ -101,7 +101,8 @@ def test_degree_bookkeeping():
     f = parse("x[1,1]^3 * x[2,1] + 2*x[2,1]^2", VARS2, p)
     assert f.degree_in(0) == 3
     assert f.degree_in(1) == 2
-    assert not f.is_homogeneous()
+    with pytest.raises(ValueError, match="must be homogeneous"):
+        f.homogeneous_degree()
     # zero polynomial: degree 0 by convention
     assert Poly.zero(p, 2).homogeneous_degree() == 0
 

@@ -10,7 +10,7 @@ from oracle import transfer
 
 
 def random_poly(rng: random.Random, rep: CpRep, max_deg: int, terms: int) -> Poly:
-    p, n = rep.p.value, rep.nvars
+    p, n = rep.p, rep.nvars
     out = Poly.zero(p, n)
     for _ in range(terms):
         mono = [0] * n
@@ -22,7 +22,7 @@ def random_poly(rng: random.Random, rep: CpRep, max_deg: int, terms: int) -> Pol
 
 def random_invariant(rng: random.Random, rep: CpRep, max_deg: int) -> Poly:
     """Invariant by construction: fixed variables, norms, and transfers."""
-    p = rep.p.value
+    p = rep.p
     pieces = [rep.variable(1, j + 1) for j in range(rep.num_blocks)]
     pieces += list(top_norms(rep))
     pieces.append(transfer(rep, random_poly(rng, rep, max(1, max_deg - 1), 3)))
@@ -39,7 +39,6 @@ def random_invariant(rng: random.Random, rep: CpRep, max_deg: int) -> Poly:
 def test_rep_construction_and_indexing():
     rep = CpRep.make(3, (3, 2))
     assert rep.nvars == 5
-    assert rep.dim == 5
     assert rep.num_blocks == 2
     assert rep.varnames == ["x[1,1]", "x[2,1]", "x[3,1]", "x[1,2]", "x[2,2]"]
     assert rep.var_index(1, 1) == 0
@@ -51,8 +50,9 @@ def test_rep_construction_and_indexing():
         CpRep.make(3, (4,))
     with pytest.raises(ValueError):
         CpRep.make(3, ())
-    with pytest.raises(ValueError):
-        CpRep.make(4, (2,))
+    for p, blocks in ((4, (2,)), (1, (1,))):
+        with pytest.raises(ValueError):
+            CpRep.make(p, blocks)
 
 
 def test_require_nontrivial():
@@ -148,7 +148,7 @@ def test_norm_is_the_orbit_product():
             assert got == product
             assert is_invariant(rep, got)
             assert got.degree_in(rep.var_index(row, 1)) == p
-            assert got.is_homogeneous() and got.homogeneous_degree() == p
+            assert got.homogeneous_degree() == p
 
 
 def test_second_row_norm_closed_form():
@@ -180,7 +180,7 @@ def test_top_norms_cover_every_block():
 def oracle_divide(rep: CpRep, f: Poly, order: list[int]) -> Poly:
     """Remainder after dividing by the top norms in the given block order,
     reimplemented with repeated single-variable division."""
-    p = rep.p.value
+    p = rep.p
     rem = f
     for j in order:
         top = rep.var_index(rep.blocks[j - 1], j)
