@@ -108,6 +108,11 @@ PINNED_REPORTS = {
     # an audit that mixes open bounds (>=2) with closed ones, 16 notes inconclusive
     "depth-report --p 2 --blocks 2,2 --max-degree 8 --search-cap 1":
         "1427b0c0e5029f6db83e1eba658a729fe6872acbadf6e35c44b42644238d0433",
+    # the monomial examples: free decompositions, Hilbert counts, height and atoms
+    "monomial-example --name example-1":
+        "b797eae4504aed7be52a9a7d9f261fa86cf4b65734b3ce1f63310b3a291e0ade",
+    "monomial-example --name example-2":
+        "15a3c3192afc0e5614869eb01d85ee0f47786b6e1631d8cc7a7f9857a908267b",
 }
 
 
