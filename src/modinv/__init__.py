@@ -11,7 +11,7 @@ from .depthlab import (DEFAULT_MAX_DEGREE, BoundTooSmallError, DepthEvidence,
                        transfer_quotient_module, verify_regular_sequence)
 from .invariants import (dimension_growth_check, finite_difference, ideal_slice,
                          invariant_slice, transfer_slice)
-from .monoalg import (FreeDecomp, Lattice2, MonoAlgebra, MonoPreset, PRESETS,
+from .monoalg import (FreeDecomp, MonoAlgebra, MonoPreset, PRESETS,
                       hilbert_enumeration_check, non_factorial_witness, run_preset,
                       verify_free_decomp, verify_height_witness)
 from .poly import Poly, PolyParseError, parse, render
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundTooSmallError", "CheckReport", "CpRep", "DecompResult",
     "DEFAULT_MAX_DEGREE", "DepthEvidence", "DepthInstance", "FreeDecomp",
-    "GradedModuleView", "Lattice2", "MonoAlgebra", "MonoPreset", "PRESETS",
+    "GradedModuleView", "MonoAlgebra", "MonoPreset", "PRESETS",
     "Poly", "PolyParseError", "RegSeqCert", "TrivialSummandError",
     "ZeroModuleError", "bounded_depth", "bounded_grade", "canonical_sequence",
     "depth_inequality_audit", "depth_report", "dimension_growth_check",

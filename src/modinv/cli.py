@@ -48,27 +48,25 @@ def _make_rep(args: argparse.Namespace) -> CpRep:
     return CpRep.make(args.p, _parse_blocks(args.blocks))
 
 
-def _load_sequence(rep: CpRep, source: str) -> list[Poly]:
-    """Either the built-in canonical sequence or one polynomial per
-    nonempty line of a file, in the normal polynomial grammar."""
-    if source == "canonical":
-        return depthlab.canonical_sequence(rep)
+def _read_polys(rep: CpRep, path: str) -> list[Poly]:
+    """The polynomials of a file, one per nonempty line, in the normal
+    polynomial grammar; a bad line is named by file and line number."""
     try:
-        with open(source, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = [line.strip() for line in handle]
     except OSError as exc:
-        raise ConfigError(f"cannot read sequence file {source!r}: {exc}")
-    seq = []
+        raise ConfigError(f"cannot read polynomial file {path!r}: {exc}")
+    polys = []
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         try:
-            seq.append(parse(line, rep.varnames, rep.p))
+            polys.append(parse(line, rep.varnames, rep.p))
         except PolyParseError as exc:
-            raise ConfigError(f"{source}:{lineno}: {exc}")
-    if not seq:
-        raise ConfigError(f"sequence file {source!r} contains no polynomials")
-    return seq
+            raise ConfigError(f"{path}:{lineno}: {exc}")
+    if not polys:
+        raise ConfigError(f"polynomial file {path!r} contains no polynomials")
+    return polys
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> list[CheckReport]:
@@ -89,8 +87,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> list[CheckReport]:
         report.notes.append(f"vacuous: no degree from p*dim = {start} on lies inside the bound {bound}")
     inv = invariant_slice(rep, bound)
     tra = transfer_slice(rep, bound)
-    growth_ok, offenders = dimension_growth_check(
-        inv.dims(), order=rep.nvars, step=rep.p, window_start=start)
+    growth_ok, offenders = dimension_growth_check(inv.dims(), order=rep.nvars, step=rep.p)
     report.params["invariant_dims"] = inv.dims()
     report.params["transfer_ideal_dims"] = tra.dims()
     # the transfer ideal lies in the invariants, degree by degree
@@ -103,7 +100,8 @@ def _cmd_hilbert(args: argparse.Namespace) -> list[CheckReport]:
 
 def _cmd_regseq(args: argparse.Namespace) -> list[CheckReport]:
     rep = _make_rep(args)
-    seq = _load_sequence(rep, args.sequence)
+    seq = (depthlab.canonical_sequence(rep) if args.sequence == "canonical"
+           else _read_polys(rep, args.sequence))
     ring = depthlab.ring_module(rep, args.max_degree)
     cert = depthlab.verify_regular_sequence(ring, seq)
     reports = list(cert.steps)
@@ -131,26 +129,21 @@ def _cmd_transfer_quotient(args: argparse.Namespace) -> list[CheckReport]:
 
 def _cmd_norm_decompose(args: argparse.Namespace) -> list[CheckReport]:
     rep = _make_rep(args)
-    texts: list[str] = []
-    if args.poly:
-        texts.extend(args.poly)
-    if args.input:
-        try:
-            with open(args.input, encoding="utf-8") as handle:
-                texts.extend(line.strip() for line in handle if line.strip())
-        except OSError as exc:
-            raise ConfigError(f"cannot read input file {args.input!r}: {exc}")
-    if not texts:
+    if not args.poly and not args.input:
         raise ConfigError("norm-decompose needs --poly or --input")
+    polys = []
+    for text in args.poly or ():
+        try:
+            polys.append(parse(text, rep.varnames, rep.p))
+        except PolyParseError as exc:
+            raise ConfigError(f"bad polynomial {text!r}: {exc}")
+    if args.input:
+        polys.extend(_read_polys(rep, args.input))
     block_indices = None
     if args.blocks_used:
         block_indices = _parse_blocks(args.blocks_used)
     reports = []
-    for text in texts:
-        try:
-            f = parse(text, rep.varnames, rep.p)
-        except PolyParseError as exc:
-            raise ConfigError(f"bad polynomial {text!r}: {exc}")
+    for f in polys:
         result = norm_decompose(rep, f, block_indices)
         ok = result.reconstruct(rep) == f
         p = rep.p

@@ -271,11 +271,11 @@ def finite_difference(values: Sequence[int], step: int, order: int) -> list[int]
     return seq
 
 
-def dimension_growth_check(dims: Sequence[int], order: int, step: int, window_start: int) -> tuple[bool, list[int]]:
+def dimension_growth_check(dims: Sequence[int], order: int, step: int) -> tuple[bool, list[int]]:
     """Evidence that the dimension sequence is eventually a quasi-polynomial
-    of degree < order with period ``step``: the order-fold step-difference
-    must vanish from ``window_start`` on.  Returns (ok, offending degrees)."""
+    of degree < order with period ``step``: the order-fold step-difference,
+    which exists from degree step*order on, must vanish.  Returns (ok,
+    offending degrees)."""
     diffs = finite_difference(dims, step, order)
-    offset = step * order
-    bad = [i + offset for i, v in enumerate(diffs) if v != 0 and i + offset >= window_start]
+    bad = [d for d, v in enumerate(diffs, start=step * order) if v != 0]
     return not bad, bad

@@ -2,11 +2,12 @@
 free decompositions over an hsop pair, height and factoriality witnesses,
 and brute-force Hilbert enumeration cross-checks.
 
-Monomials are exponent pairs.  Freeness is certified combinatorially: the
-exponent map sends the candidate summands into distinct congruence classes
-modulo the lattice the hsop spans (directness), and a full multiplication
-table pushes every product of an algebra generator with a summand
-generator into the uniquely compatible summand (closure).
+Monomials are exponent pairs.  Freeness is certified combinatorially: every
+summand generator lies in the ideal (the span is inside it); every ideal
+generator, and every product of an algebra generator with a summand
+generator, falls into the uniquely compatible summand (the ideal is inside
+the span); and the summand generators lie in distinct congruence classes
+modulo the lattice the hsop spans (the sum is direct).
 """
 
 from __future__ import annotations
@@ -68,30 +69,42 @@ class MonoAlgebra:
         self._member: dict[Mono2, bool] = {UNIT: True}
 
     def is_member(self, mono: Sequence[int]) -> bool:
-        """Whether the monomial is a product of generators."""
+        """Whether the monomial is a product of generators: a member is the
+        unit or a member times a generator.  Undecided quotients wait on an
+        explicit stack, so no exponent is too large for the walk."""
         m = _as_mono2(mono)
-        got = self._member.get(m)
-        if got is None:
-            got = any(mono2_div(m, g) is not None and self.is_member(mono2_div(m, g))
-                      for g in self.generators)
-            self._member[m] = got
-        return got
+        memo = self._member
+        stack = [m]
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            quotients = [q for g in self.generators if (q := mono2_div(top, g)) is not None]
+            if any(memo.get(q, False) for q in quotients):
+                memo[top] = True
+                continue
+            undecided = [q for q in quotients if q not in memo]
+            if undecided:
+                stack.extend(undecided)
+            else:
+                memo[top] = False
+        return memo[m]
 
     def is_atom(self, mono: Sequence[int]) -> bool:
         """Whether the monomial is a non-unit member with no factorization
-        into two non-unit members."""
+        into two non-unit members.
+
+        Only the quotients m / g by the generators g need a test.  If
+        m = a * b with a and b non-unit members, some generator g divides
+        a with a / g a member, and then m / g = (a / g) * b is a non-unit
+        member; conversely a non-unit member m / g splits m as g * (m / g).
+        """
         m = _as_mono2(mono)
         if m == UNIT or not self.is_member(m):
             return False
-        for i in range(m[0] + 1):
-            for j in range(m[1] + 1):
-                part = (i, j)
-                if part in (UNIT, m):
-                    continue
-                rest = (m[0] - i, m[1] - j)
-                if self.is_member(part) and self.is_member(rest):
-                    return False
-        return True
+        return not any(q is not None and q != UNIT and self.is_member(q)
+                       for q in (mono2_div(m, g) for g in self.generators))
 
     def members_of_degree(self, degree: int) -> list[Mono2]:
         return [(i, degree - i) for i in range(degree + 1) if self.is_member((i, degree - i))]
@@ -100,30 +113,21 @@ class MonoAlgebra:
         return f"MonoAlgebra({', '.join(mono2_str(g) for g in self.generators)})"
 
 
-@dataclass(frozen=True)
-class Lattice2:
-    """The subgroup of the exponent plane spanned by two independent
-    vectors; membership by Cramer's rule with divisibility checks."""
+def _congruent(hsop: Sequence[Mono2], a: Mono2, b: Mono2) -> bool:
+    """Whether a - b lies in the lattice the two hsop exponent vectors
+    span: Cramer's rule with divisibility checks."""
+    (p, q), (r, s) = hsop
+    det = p * s - r * q
+    if det == 0:
+        raise ValueError("hsop exponents are linearly dependent")
+    u, v = a[0] - b[0], a[1] - b[1]
+    return (u * s - r * v) % det == 0 and (p * v - u * q) % det == 0
 
-    v1: Mono2
-    v2: Mono2
 
-    def __post_init__(self) -> None:
-        if self.det == 0:
-            raise ValueError("lattice generators are linearly dependent")
-
-    @property
-    def det(self) -> int:
-        return self.v1[0] * self.v2[1] - self.v2[0] * self.v1[1]
-
-    def contains(self, u: tuple[int, int]) -> bool:
-        d = self.det
-        alpha = u[0] * self.v2[1] - self.v2[0] * u[1]
-        beta = self.v1[0] * u[1] - u[0] * self.v1[1]
-        return alpha % d == 0 and beta % d == 0
-
-    def congruent(self, a: Mono2, b: Mono2) -> bool:
-        return self.contains((a[0] - b[0], a[1] - b[1]))
+def _in_ideal(alg: MonoAlgebra, gens: Sequence[Mono2], m: Mono2) -> bool:
+    """Whether the monomial lies in the ideal of the algebra that the
+    generators span: some generator divides it with a member cofactor."""
+    return any((q := mono2_div(m, g)) is not None and alg.is_member(q) for g in gens)
 
 
 @dataclass(frozen=True)
@@ -140,26 +144,31 @@ def verify_free_decomp(alg: MonoAlgebra, decomp: FreeDecomp,
     """Certify that the span of the decomposition equals the ideal the
     given generators cut out of the algebra, and that the sum is direct.
 
-    Directness: exponent classes of the module generators are pairwise
-    distinct modulo the hsop lattice.  Generation: every ideal generator
-    lands in its unique compatible summand.  Closure: every product of an
-    algebra generator with a module generator divides back, with the
-    cofactor a member of the hsop subalgebra; the full table is reported.
+    Span inside the ideal: every module generator is in the ideal.  Ideal
+    inside the span: every ideal generator lands in its unique compatible
+    summand, and so does every product of an algebra generator with a
+    module generator, with the cofactor a member of the hsop subalgebra
+    (closure; the full table is reported).  Directness: the exponent
+    classes of the module generators are pairwise distinct modulo the hsop
+    lattice.
     """
     hsop = tuple(_as_mono2(h) for h in decomp.hsop)
     module_gens = tuple(_as_mono2(g) for g in decomp.module_gens)
     gens = tuple(_as_mono2(g) for g in ideal_gens)
-    for h in hsop:
-        if not alg.is_member(h):
-            raise ValueError(f"hsop element {mono2_str(h)} is not in the algebra")
-    for g in module_gens:
-        if not alg.is_member(g):
-            raise ValueError(f"module generator {mono2_str(g)} is not in the algebra")
-    for g in gens:
-        if g != UNIT and not alg.is_member(g):
-            raise ValueError(f"ideal generator {mono2_str(g)} is not in the algebra")
-    lattice = Lattice2(*hsop)
+    for role, monos in (("hsop element", hsop), ("module generator", module_gens),
+                        ("ideal generator", gens)):
+        for m in monos:
+            if not alg.is_member(m):
+                raise ValueError(f"{role} {mono2_str(m)} is not in the algebra")
+    _congruent(hsop, UNIT, UNIT)  # refuses dependent hsop exponents before any check
     sub = MonoAlgebra(hsop)
+    collisions = [
+        {"pair": [mono2_str(a), mono2_str(b)], "problem": "same class modulo the hsop lattice"}
+        for i, a in enumerate(module_gens) for b in module_gens[i + 1:]
+        if _congruent(hsop, a, b)
+    ]
+    outside = [{"module_generator": mono2_str(g), "problem": "not in the ideal"}
+               for g in module_gens if not _in_ideal(alg, gens, g)]
     report = CheckReport(
         name="free-decomposition",
         params={
@@ -168,59 +177,37 @@ def verify_free_decomp(alg: MonoAlgebra, decomp: FreeDecomp,
             "module_generators": [mono2_str(g) for g in module_gens],
             "ideal_generators": [mono2_str(g) for g in gens],
         },
-        passed=True,
+        passed=not (collisions or outside),
+        witnesses=collisions + outside,
+        notes=["module generator classes are pairwise distinct: sum is direct"
+               if not collisions else "directness fails"],
     )
-    collisions = [
-        {"pair": [mono2_str(a), mono2_str(b)], "problem": "same class modulo the hsop lattice"}
-        for i, a in enumerate(module_gens) for b in module_gens[i + 1:]
-        if lattice.congruent(a, b)
-    ]
-    if collisions:
-        report.passed = False
-        report.witnesses.extend(collisions)
-    report.notes.append("module generator classes are pairwise distinct: sum is direct"
-                        if not collisions else "directness fails")
 
-    def summand_of(m: Mono2) -> tuple[int | None, Mono2 | None, str | None]:
-        targets = [k for k, g in enumerate(module_gens) if lattice.congruent(m, g)]
+    def place(m: Mono2, entry: dict, summand_key: str) -> dict:
+        """Record the one summand m falls into, with its cofactor, or why
+        there is none."""
+        targets = [g for g in module_gens if _congruent(hsop, m, g)]
+        cofactor = mono2_div(m, targets[0]) if len(targets) == 1 else None
         if len(targets) != 1:
-            return None, None, f"{len(targets)} compatible summands"
-        k = targets[0]
-        cofactor = mono2_div(m, module_gens[k])
-        if cofactor is None:
-            return k, None, "does not divide the summand generator"
-        if not sub.is_member(cofactor):
-            return k, None, "cofactor is outside the hsop subalgebra"
-        return k, cofactor, None
-
-    for g in gens:
-        k, cofactor, problem = summand_of(g)
-        entry = {"ideal_generator": mono2_str(g)}
-        if problem is not None:
-            entry["problem"] = problem
-            report.passed = False
+            entry["problem"] = f"{len(targets)} compatible summands"
+        elif cofactor is None:
+            entry["problem"] = "does not divide the summand generator"
+        elif not sub.is_member(cofactor):
+            entry["problem"] = "cofactor is outside the hsop subalgebra"
         else:
-            entry["summand"] = mono2_str(module_gens[k])
+            entry[summand_key] = mono2_str(targets[0])
             entry["cofactor"] = mono2_str(cofactor)
-        report.witnesses.append(entry)
+        report.passed = report.passed and "problem" not in entry
+        return entry
 
+    report.witnesses.extend(place(g, {"ideal_generator": mono2_str(g)}, "summand")
+                            for g in gens)
     table = []
     for r in alg.generators:
         for g in module_gens:
             product = mono2_mul(r, g)
-            k, cofactor, problem = summand_of(product)
-            row = {
-                "factor": mono2_str(r),
-                "summand_generator": mono2_str(g),
-                "product": mono2_str(product),
-            }
-            if problem is not None:
-                row["problem"] = problem
-                report.passed = False
-            else:
-                row["target_summand"] = mono2_str(module_gens[k])
-                row["cofactor"] = mono2_str(cofactor)
-            table.append(row)
+            table.append(place(product, {"factor": mono2_str(r), "summand_generator": mono2_str(g),
+                                         "product": mono2_str(product)}, "target_summand"))
     report.witnesses.append({"closure_table": table})
     return report
 
@@ -307,15 +294,10 @@ def hilbert_enumeration_check(alg: MonoAlgebra, decomp: FreeDecomp,
     gens = tuple(_as_mono2(g) for g in ideal_gens)
     module_gens = tuple(_as_mono2(g) for g in decomp.module_gens)
     sub = MonoAlgebra(tuple(_as_mono2(h) for h in decomp.hsop))
-
-    def in_ideal(m: Mono2) -> bool:
-        return any(mono2_div(m, g) is not None and alg.is_member(mono2_div(m, g))
-                   for g in gens)
-
     counted = []
     predicted = []
     for d in range(degree_cap + 1):
-        counted.append(sum(1 for i in range(d + 1) if in_ideal((i, d - i))))
+        counted.append(sum(1 for i in range(d + 1) if _in_ideal(alg, gens, (i, d - i))))
         predicted.append(sum(len(sub.members_of_degree(d - mono2_degree(g)))
                              for g in module_gens if mono2_degree(g) <= d))
     mismatches = [d for d in range(degree_cap + 1) if counted[d] != predicted[d]]
@@ -340,7 +322,6 @@ class MonoPreset:
     """A bundled example: algebra, a candidate Cohen-Macaulay ideal with
     its free decomposition, a height witness, and a factoriality relation."""
 
-    name: str
     algebra: tuple[Mono2, ...]
     ring_decomp: FreeDecomp | None
     ideal_gens: tuple[Mono2, ...]
@@ -352,7 +333,6 @@ class MonoPreset:
 
 PRESETS: dict[str, MonoPreset] = {
     "example-1": MonoPreset(
-        name="example-1",
         algebra=((2, 0), (1, 1), (0, 2)),
         ring_decomp=FreeDecomp(hsop=((2, 0), (0, 2)), module_gens=((0, 0), (1, 1))),
         ideal_gens=((2, 0), (1, 1)),
@@ -362,7 +342,6 @@ PRESETS: dict[str, MonoPreset] = {
         relation=((2, 0), (0, 2), (1, 1), (1, 1)),
     ),
     "example-2": MonoPreset(
-        name="example-2",
         algebra=((4, 0), (3, 1), (1, 3), (0, 4)),
         ring_decomp=None,
         ideal_gens=((4, 0), (3, 1)),

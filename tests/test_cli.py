@@ -365,6 +365,25 @@ def test_norm_decompose_command(tmp_path):
     assert all(c["params"]["block_indices"] == [1] for c in doc["checks"])
 
 
+def test_polynomial_files_are_refused_by_file_and_line(tmp_path):
+    # regseq --sequence and norm-decompose --input read files the same way
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n  \n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("x[1,1]\nx[1,1] +\n")
+    for command in (["regseq", "--max-degree", "4", "--sequence"], ["norm-decompose", "--input"]):
+        base = [command[0], "--p", "3", "--blocks", "2,2", *command[1:]]
+        code, out, err = invoke(base + [str(empty)])
+        assert (code, out) == (2, ""), command
+        assert f"{str(empty)!r} contains no polynomials" in err, command
+        code, out, err = invoke(base + [str(bad)])
+        assert (code, out) == (2, ""), command
+        assert f"{bad}:2: " in err, command
+        code, out, err = invoke(base + [str(tmp_path / "missing.txt")])
+        assert (code, out) == (2, ""), command
+        assert "cannot read polynomial file" in err, command
+
+
 def test_grade_command():
     code, out, _ = invoke(["grade", "--p", "2", "--blocks", "2", "--max-degree", "8"])
     assert code == 0

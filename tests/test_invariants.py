@@ -405,15 +405,15 @@ def test_finite_difference():
 def test_dimension_growth_check():
     # a quasi-polynomial of period 2 and degree 1: d for even, 0 for odd
     values = [d if d % 2 == 0 else 0 for d in range(14)]
-    ok, bad = dimension_growth_check(values, order=2, step=2, window_start=4)
+    ok, bad = dimension_growth_check(values, order=2, step=2)
     assert ok and bad == []
-    ok, bad = dimension_growth_check(values, order=1, step=2, window_start=4)
+    ok, bad = dimension_growth_check(values, order=1, step=2)
     assert not ok
     assert bad
     # genuine invariant ring dims pass their own growth check
     rep = CpRep.make(2, (2,))
     dims = invariant_slice(rep, 12).dims()
-    ok, bad = dimension_growth_check(dims, order=2, step=2, window_start=4)
+    ok, bad = dimension_growth_check(dims, order=2, step=2)
     assert ok
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from modinv.monoalg import (PRESETS, FreeDecomp, Lattice2, MonoAlgebra,
+from modinv.monoalg import (PRESETS, FreeDecomp, MonoAlgebra, _congruent,
                             hilbert_enumeration_check, mono2_str,
                             non_factorial_witness, run_preset,
                             verify_free_decomp, verify_height_witness)
@@ -94,6 +94,29 @@ def test_atoms():
     assert not EX2.is_atom((4, 4))  # x^4 y^4 splits two ways
 
 
+def test_membership_far_from_the_origin():
+    # a fresh algebra, so no smaller degree is memoized: the walk from
+    # x^4000 down to the unit is 2000 steps deep
+    alg = MonoAlgebra([(2, 0), (1, 1), (0, 2)])
+    assert alg.is_member((4000, 0))
+    assert not alg.is_member((4001, 0))
+
+
+FIVE = [(3, 0), (2, 1), (0, 3), (1, 4), (4, 2)]  # x^4 y^2 = (x^2 y)^2 is no atom
+
+
+@pytest.mark.parametrize("alg", [EX1, EX2, SQUARES, MonoAlgebra(FIVE)])
+def test_atoms_match_brute_force_splits(alg):
+    cap = 14
+    members = bfs_members(alg.generators, cap)
+    nonunit = members - {(0, 0)}
+    for i in range(cap + 1):
+        for j in range(cap + 1 - i):
+            m = (i, j)
+            splits = any((i - a[0], j - a[1]) in nonunit for a in nonunit)
+            assert alg.is_atom(m) == (m in nonunit and not splits), m
+
+
 def test_generator_validation():
     with pytest.raises(ValueError):
         MonoAlgebra([])
@@ -113,17 +136,18 @@ def test_mono2_str():
 
 
 def test_lattice_membership_by_brute_force():
-    lattice = Lattice2((4, 0), (0, 4))
+    square = ((4, 0), (0, 4))
     for u in range(-8, 9):
         for v in range(-8, 9):
-            assert lattice.contains((u, v)) == (u % 4 == 0 and v % 4 == 0)
-    skew = Lattice2((2, 1), (1, 2))
+            # congruence to the origin is membership in the lattice
+            assert _congruent(square, (u + 8, v + 8), (8, 8)) == (u % 4 == 0 and v % 4 == 0)
+    skew = ((2, 1), (1, 2))
     spanned = {(a * 2 + b, a + b * 2) for a in range(-10, 11) for b in range(-10, 11)}
     for u in range(-6, 7):
         for v in range(-6, 7):
-            assert skew.contains((u, v)) == ((u, v) in spanned)
-    with pytest.raises(ValueError):
-        Lattice2((2, 1), (4, 2))
+            assert _congruent(skew, (u, v), (0, 0)) == ((u, v) in spanned)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        _congruent(((2, 1), (4, 2)), (0, 0), (0, 0))
 
 
 def test_free_decomposition_of_bundled_examples():
@@ -154,6 +178,20 @@ def test_free_decomposition_detects_missing_summand():
     assert any("compatible summands" in w.get("problem", "") for w in report.witnesses)
 
 
+@pytest.mark.parametrize("module_gens,ideal_gens,outside", [
+    # (x^2, xy) claimed as k[x^2, y^2]*1 + k[x^2, y^2]*xy: 1 is no element of the ideal
+    (((0, 0), (1, 1)), [(2, 0), (1, 1)], "1"),
+    # (x^2) claimed as k[x^2, y^2]*x^2 + k[x^2, y^2]*xy: xy is not a multiple of x^2
+    (((2, 0), (1, 1)), [(2, 0)], "x*y"),
+])
+def test_free_decomposition_detects_summand_outside_the_ideal(module_gens, ideal_gens, outside):
+    decomp = FreeDecomp(hsop=((2, 0), (0, 2)), module_gens=module_gens)
+    report = verify_free_decomp(EX1, decomp, ideal_gens)
+    assert not report.passed
+    problems = [w for w in report.witnesses if "problem" in w]
+    assert problems == [{"module_generator": outside, "problem": "not in the ideal"}]
+
+
 def test_free_decomposition_input_validation():
     with pytest.raises(ValueError):
         verify_free_decomp(EX1, FreeDecomp(hsop=((1, 0), (0, 2)), module_gens=((1, 1),)),
@@ -161,6 +199,9 @@ def test_free_decomposition_input_validation():
     with pytest.raises(ValueError):
         verify_free_decomp(EX1, FreeDecomp(hsop=((2, 0), (0, 2)), module_gens=((1, 0),)),
                            [(1, 1)])  # module generator outside the algebra
+    with pytest.raises(ValueError, match="linearly dependent"):
+        verify_free_decomp(EX1, FreeDecomp(hsop=((2, 0), (4, 0)), module_gens=((1, 1),)),
+                           [(1, 1)])
 
 
 def test_height_witness_paths():
