@@ -2,6 +2,16 @@
 groups in modular characteristic, with bounded depth/grade evidence and
 two-variable monomial algebra examples."""
 
+import os
+
+# OpenBLAS fixes its threads as numpy loads, so load numpy here, on one thread: a worker only spins.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .depthlab import (DEFAULT_MAX_DEGREE, BoundTooSmallError, DepthEvidence,
                        DepthInstance, GradedModuleView, RegSeqCert, ZeroModuleError,
                        bounded_depth, bounded_grade, canonical_sequence,

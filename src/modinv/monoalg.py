@@ -69,10 +69,13 @@ class MonoAlgebra:
         self._member: dict[Mono2, bool] = {UNIT: True}
 
     def is_member(self, mono: Sequence[int]) -> bool:
-        """Whether the monomial is a product of generators: a member is the
-        unit or a member times a generator.  Undecided quotients wait on an
-        explicit stack, so no exponent is too large for the walk."""
-        m = _as_mono2(mono)
+        """Whether the monomial is a product of generators."""
+        return self._is_member(_as_mono2(mono))
+
+    def _is_member(self, m: Mono2) -> bool:
+        """`is_member` of a validated exponent pair: a member is the unit or
+        a member times a generator.  Undecided quotients wait on an explicit
+        stack, so no exponent is too large for the walk."""
         memo = self._member
         stack = [m]
         while stack:
@@ -101,13 +104,13 @@ class MonoAlgebra:
         member; conversely a non-unit member m / g splits m as g * (m / g).
         """
         m = _as_mono2(mono)
-        if m == UNIT or not self.is_member(m):
+        if m == UNIT or not self._is_member(m):
             return False
-        return not any(q is not None and q != UNIT and self.is_member(q)
+        return not any(q is not None and q != UNIT and self._is_member(q)
                        for q in (mono2_div(m, g) for g in self.generators))
 
     def members_of_degree(self, degree: int) -> list[Mono2]:
-        return [(i, degree - i) for i in range(degree + 1) if self.is_member((i, degree - i))]
+        return [(i, degree - i) for i in range(degree + 1) if self._is_member((i, degree - i))]
 
     def __repr__(self) -> str:
         return f"MonoAlgebra({', '.join(mono2_str(g) for g in self.generators)})"
@@ -127,7 +130,7 @@ def _congruent(hsop: Sequence[Mono2], a: Mono2, b: Mono2) -> bool:
 def _in_ideal(alg: MonoAlgebra, gens: Sequence[Mono2], m: Mono2) -> bool:
     """Whether the monomial lies in the ideal of the algebra that the
     generators span: some generator divides it with a member cofactor."""
-    return any((q := mono2_div(m, g)) is not None and alg.is_member(q) for g in gens)
+    return any((q := mono2_div(m, g)) is not None and alg._is_member(q) for g in gens)
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ def verify_free_decomp(alg: MonoAlgebra, decomp: FreeDecomp,
     for role, monos in (("hsop element", hsop), ("module generator", module_gens),
                         ("ideal generator", gens)):
         for m in monos:
-            if not alg.is_member(m):
+            if not alg._is_member(m):
                 raise ValueError(f"{role} {mono2_str(m)} is not in the algebra")
     _congruent(hsop, UNIT, UNIT)  # refuses dependent hsop exponents before any check
     sub = MonoAlgebra(hsop)
@@ -192,7 +195,7 @@ def verify_free_decomp(alg: MonoAlgebra, decomp: FreeDecomp,
             entry["problem"] = f"{len(targets)} compatible summands"
         elif cofactor is None:
             entry["problem"] = "does not divide the summand generator"
-        elif not sub.is_member(cofactor):
+        elif not sub._is_member(cofactor):
             entry["problem"] = "cofactor is outside the hsop subalgebra"
         else:
             entry[summand_key] = mono2_str(targets[0])
@@ -219,7 +222,7 @@ def verify_height_witness(alg: MonoAlgebra, ideal_gens: Sequence[Sequence[int]],
     radical of a principal ideal (height at most one)."""
     f = _as_mono2(element)
     gens = tuple(_as_mono2(g) for g in ideal_gens)
-    if not alg.is_member(f):
+    if not alg._is_member(f):
         raise ValueError(f"witness element {mono2_str(f)} is not in the algebra")
     if len(powers) != len(gens):
         raise ValueError("need exactly one power per ideal generator")
@@ -242,7 +245,7 @@ def verify_height_witness(alg: MonoAlgebra, ideal_gens: Sequence[Sequence[int]],
         if cofactor is None:
             entry["problem"] = "the element does not divide the generator power"
             report.passed = False
-        elif not alg.is_member(cofactor):
+        elif not alg._is_member(cofactor):
             entry["problem"] = "cofactor is outside the algebra"
             entry["cofactor"] = mono2_str(cofactor)
             report.passed = False
@@ -293,14 +296,13 @@ def hilbert_enumeration_check(alg: MonoAlgebra, decomp: FreeDecomp,
     the free decomposition predicts, degree by degree."""
     gens = tuple(_as_mono2(g) for g in ideal_gens)
     module_gens = tuple(_as_mono2(g) for g in decomp.module_gens)
-    sub = MonoAlgebra(tuple(_as_mono2(h) for h in decomp.hsop))
-    counted = []
-    predicted = []
-    for d in range(degree_cap + 1):
-        counted.append(sum(1 for i in range(d + 1) if _in_ideal(alg, gens, (i, d - i))))
-        predicted.append(sum(len(sub.members_of_degree(d - mono2_degree(g)))
-                             for g in module_gens if mono2_degree(g) <= d))
-    mismatches = [d for d in range(degree_cap + 1) if counted[d] != predicted[d]]
+    sub = MonoAlgebra(decomp.hsop)
+    degrees = range(degree_cap + 1)
+    counted = [sum(1 for i in range(d + 1) if _in_ideal(alg, gens, (i, d - i))) for d in degrees]
+    sub_counts = [len(sub.members_of_degree(d)) for d in degrees]
+    predicted = [sum(sub_counts[d - mono2_degree(g)] for g in module_gens if mono2_degree(g) <= d)
+                 for d in degrees]
+    mismatches = [d for d in degrees if counted[d] != predicted[d]]
     return CheckReport(
         name="hilbert-enumeration",
         params={
@@ -310,7 +312,7 @@ def hilbert_enumeration_check(alg: MonoAlgebra, decomp: FreeDecomp,
             "ideal_generators": [mono2_str(g) for g in gens],
         },
         passed=not mismatches,
-        degrees_checked=list(range(degree_cap + 1)),
+        degrees_checked=list(degrees),
         witnesses=[{"degree": d, "counted": counted[d], "predicted": predicted[d]}
                    for d in mismatches],
         notes=["counts from raw membership tests vs the free decomposition"],

@@ -2,6 +2,9 @@ import ast
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +145,46 @@ def test_benchmark_workload_reports_are_pinned():
         code, out, _ = invoke(list(argv))
         assert code == 0, name
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
+
+
+def python_in_src(args, blas_threads):
+    """Run the interpreter on ``args`` with ``src`` on the path and
+    OPENBLAS_NUM_THREADS set to ``blas_threads``, or removed when None:
+    OpenBLAS reads it once per process, when numpy loads."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True).stdout
+
+
+# the process's thread count after `import modinv`, the variable as it
+# then reads, and whether the environment is what it was before the import
+THREAD_PROBE = ("import os; before = dict(os.environ); import modinv; "
+                "print(len(os.listdir('/proc/self/task')), "
+                "os.environ.get('OPENBLAS_NUM_THREADS'), dict(os.environ) == before)")
+needs_proc_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                      reason="counts threads through /proc/self/task")
+
+
+@needs_proc_tasks
+def test_openblas_loads_with_one_thread_unless_the_user_chooses():
+    assert python_in_src(["-c", THREAD_PROBE], None).split() == [b"1", b"None", b"True"]
+
+
+@needs_proc_tasks
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="a second BLAS thread needs a second core")
+def test_a_chosen_openblas_thread_count_is_kept():
+    assert python_in_src(["-c", THREAD_PROBE], "2").split() == [b"2", b"2", b"True"]
+
+
+def test_workload_reports_do_not_depend_on_blas_threads():
+    for name, (argv, digest) in benchmark_workloads().items():
+        out = python_in_src(["-m", "modinv", *argv], "2")
+        assert hashlib.sha256(out).hexdigest() == digest, name
 
 
 def test_output_file(tmp_path):

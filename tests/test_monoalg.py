@@ -126,6 +126,12 @@ def test_generator_validation():
         MonoAlgebra([(1, -1)])
     with pytest.raises(ValueError):
         MonoAlgebra([(1, 2, 3)])
+    # the public membership tests validate their argument
+    for bad in ((1, -1), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            EX1.is_member(bad)
+        with pytest.raises(ValueError):
+            EX1.is_atom(bad)
 
 
 def test_mono2_str():
@@ -248,14 +254,22 @@ def test_non_factorial_witnesses():
     assert not report.passed
 
 
-def test_hilbert_enumeration_identity():
+def test_hilbert_enumeration_identity(monkeypatch):
+    # each degree of the hsop subalgebra is counted once, not once per
+    # module generator
+    counted_degrees = []
+    members_of_degree = MonoAlgebra.members_of_degree
+    monkeypatch.setattr(MonoAlgebra, "members_of_degree",
+                        lambda self, d: counted_degrees.append(d) or members_of_degree(self, d))
     for name in PRESETS:
         preset = PRESETS[name]
         alg = MonoAlgebra(preset.algebra)
+        counted_degrees.clear()
         report = hilbert_enumeration_check(alg, preset.ideal_decomp,
                                            preset.ideal_gens, 24)
         assert report.passed
         assert report.params["counted"] == report.params["predicted"]
+        assert counted_degrees == list(range(25)), name
 
 
 def test_hilbert_enumeration_catches_wrong_decomposition():
