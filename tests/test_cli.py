@@ -108,6 +108,9 @@ PINNED_REPORTS = {
     # the largest supported prime: products and reductions of uint8 entries up to 250
     "hilbert --p 251 --blocks 3 --max-degree 3":
         "060431cd4fa90000b62fba3ac8efe9ac885cce60e2cb3e6a5fa4422d43bdde35",
+    # p = 251 over two blocks: more block matrices than a bounded cache would hold
+    "hilbert --p 251 --blocks 2,3 --max-degree 6":
+        "2a65b892ff034579714d9f99eeb17b3504c34af0a82be05f08242387489a69c6",
     # an audit that mixes open bounds (>=2) with closed ones, 16 notes inconclusive
     "depth-report --p 2 --blocks 2,2 --max-degree 8 --search-cap 1":
         "1427b0c0e5029f6db83e1eba658a729fe6872acbadf6e35c44b42644238d0433",
