@@ -69,12 +69,14 @@ def _next_degree_matrix(rep: CpRep, degree: int, prev: np.ndarray, power: int) -
     return out
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=None)
 def _block_sigma(p: int, size: int, degree: int, power: int) -> np.ndarray:
     """Matrix of the generator's ``power``-th power, 1 <= power < p, on
     S^degree of one Jordan block of ``size``.  ``power`` has no default and
     is always passed positionally, so each matrix has one cache key; power 0,
-    the identity, is never asked for."""
+    the identity, is never asked for.  The cache is unbounded: a slice build
+    reads every power of every block at each degree, and a bounded one
+    evicts, at large p, the matrices the next piece reads."""
     if degree == 0:
         mat = np.ones((1, 1), dtype=np.uint8)
     else:

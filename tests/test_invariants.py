@@ -417,6 +417,28 @@ def test_dimension_growth_check():
     assert ok
 
 
+def test_slices_build_each_block_matrix_once(monkeypatch):
+    """At p = 251 over blocks (2, 3) up to degree 6, a slice build reads
+    2 sizes x 6 degrees x 250 powers = 3,000 distinct block matrices, and
+    each is built once however often the pieces read it."""
+    calls = []
+    real = invariants._next_degree_matrix
+
+    def counted(rep, degree, prev, power):
+        calls.append((rep.blocks, degree, power))
+        return real(rep, degree, prev, power)
+
+    monkeypatch.setattr(invariants, "_next_degree_matrix", counted)
+    invariants._slices.cache_clear()
+    _block_sigma.cache_clear()
+    try:
+        invariants._slices(CpRep.make(251, (2, 3)), 6)
+    finally:
+        invariants._slices.cache_clear()
+        _block_sigma.cache_clear()
+    assert len(calls) == len(set(calls)) == 3000
+
+
 def test_slices_are_cached_and_consistent_across_bounds():
     rep = CpRep.make(2, (2, 2))
     small = invariant_slice(rep, 4)
