@@ -29,14 +29,11 @@ class ConfigError(ValueError):
     """Bad configuration that was caught before any computation ran."""
 
 
-def _parse_blocks(text: str) -> tuple[int, ...]:
+def _parse_blocks(option: str, text: str) -> tuple[int, ...]:
     try:
-        blocks = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ConfigError(f"blocks must be comma-separated integers, got {text!r}")
-    if not blocks:
-        raise ConfigError("blocks must be nonempty")
-    return blocks
+        raise ConfigError(f"{option} must be comma-separated integers, got {text!r}")
 
 
 def _require_at_least(option: str, value: int | None, least: int) -> None:
@@ -45,7 +42,16 @@ def _require_at_least(option: str, value: int | None, least: int) -> None:
 
 
 def _make_rep(args: argparse.Namespace) -> CpRep:
-    return CpRep.make(args.p, _parse_blocks(args.blocks))
+    return CpRep.make(args.p, _parse_blocks("--blocks", args.blocks))
+
+
+def _parse_poly(rep: CpRep, text: str, where: str) -> Poly:
+    """One polynomial of the representation; a refusal is a ConfigError
+    whose message begins with ``where``."""
+    try:
+        return parse(text, rep.varnames, rep.p)
+    except PolyParseError as exc:
+        raise ConfigError(f"{where}: {exc}")
 
 
 def _read_polys(rep: CpRep, path: str) -> list[Poly]:
@@ -56,14 +62,8 @@ def _read_polys(rep: CpRep, path: str) -> list[Poly]:
             lines = [line.strip() for line in handle]
     except OSError as exc:
         raise ConfigError(f"cannot read polynomial file {path!r}: {exc}")
-    polys = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        try:
-            polys.append(parse(line, rep.varnames, rep.p))
-        except PolyParseError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}")
+    polys = [_parse_poly(rep, line, f"{path}:{lineno}")
+             for lineno, line in enumerate(lines, start=1) if line]
     if not polys:
         raise ConfigError(f"polynomial file {path!r} contains no polynomials")
     return polys
@@ -131,17 +131,12 @@ def _cmd_norm_decompose(args: argparse.Namespace) -> list[CheckReport]:
     rep = _make_rep(args)
     if not args.poly and not args.input:
         raise ConfigError("norm-decompose needs --poly or --input")
-    polys = []
-    for text in args.poly or ():
-        try:
-            polys.append(parse(text, rep.varnames, rep.p))
-        except PolyParseError as exc:
-            raise ConfigError(f"bad polynomial {text!r}: {exc}")
+    polys = [_parse_poly(rep, text, f"bad polynomial {text!r}") for text in args.poly or ()]
     if args.input:
         polys.extend(_read_polys(rep, args.input))
     block_indices = None
-    if args.blocks_used:
-        block_indices = _parse_blocks(args.blocks_used)
+    if args.blocks_used is not None:
+        block_indices = _parse_blocks("--blocks-used", args.blocks_used)
     reports = []
     for f in polys:
         result = norm_decompose(rep, f, block_indices)

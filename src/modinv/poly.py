@@ -181,35 +181,23 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(
-    r"""
-    (?P<ws>\s+)
-    | (?P<int>\d+)
-    | (?P<var>x\s*\[\s*(?P<vi>\d+)\s*,\s*(?P<vj>\d+)\s*\])
-    | (?P<op>[+\-*^])
-    """,
-    re.VERBOSE,
-)
+def _longest_beginning(first: str, *rest: str) -> str:
+    """A pattern for ``first`` followed by as many of ``rest``, in order, as
+    the text goes on with, whitespace allowed before each: on text that
+    breaks off, a match ends where the text stops beginning the whole."""
+    pattern = ""
+    for part in reversed(rest):
+        pattern = rf"(?:\s*{part}{pattern})?"
+    return first + pattern
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            if m.lastgroup == "var":
-                canonical = f"x[{m.group('vi')},{m.group('vj')}]"
-                tokens.append(("var", canonical, pos))
-            elif m.lastgroup == "int":
-                tokens.append(("int", m.group(), pos))
-            else:
-                tokens.append(("op", m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+# a variable power x[i,j]^e; it is whole when "]" matched and "^", if
+# present, has its exponent
+_POWER = _longest_beginning(r"(?P<x>x)", r"\[", r"(?P<i>\d+)", ",", r"(?P<j>\d+)", r"(?P<close>\])",
+                            r"(?P<caret>\^)", r"(?P<exp>\d+)")
+_FIRST = re.compile(rf"\s*(?:(?P<coeff>\d+)|{_POWER})")  # a term's first item
+_MORE = re.compile(rf"\s*\*(?:\s*{_POWER})?")  # a further factor
+_NEXT = re.compile(r"\s*(?:(?P<sign>[+-])|\Z)")  # a sign or the end
 
 
 def parse(text: str, varnames: Sequence[str], p: int) -> Poly:
@@ -218,82 +206,58 @@ def parse(text: str, varnames: Sequence[str], p: int) -> Poly:
     Grammar: an expression is terms joined by ``+`` or ``-``; a term is an
     optional integer coefficient followed by ``*``-separated variable powers
     ``x[i,j]^e``; ``-`` means adding ``p - 1`` times the following term.
-    Whitespace is insignificant.  Raises :class:`PolyParseError` with the
-    offending position on malformed text or unknown variable names.
+    Whitespace is insignificant.  Raises :class:`PolyParseError`: text
+    outside the grammar at the end of its longest prefix that can still
+    begin a text of the grammar, naming what was expected there; text of
+    the grammar with an unknown variable or a zero exponent at the first
+    such variable or exponent.
     """
-    pv = check_prime(p)
+    check_prime(p)
     nvars = len(varnames)
     index_of = {name: i for i, name in enumerate(varnames)}
-    tokens = _tokenize(text)
-    cursor = 0
+    terms: dict[Mono, int] = {}  # reduced mod p by the constructor
+    naming: list[PolyParseError] = []  # raised only once the text is in the grammar
 
-    def peek() -> tuple[str, str, int]:
-        return tokens[cursor]
+    def refuse(expected: str, end: int) -> PolyParseError:
+        pos = len(text) - len(text[end:].lstrip())
+        got = f", got {text[pos]!r}" if pos < len(text) else ""
+        return PolyParseError(f"expected {expected}{got}", pos)
 
-    def advance() -> tuple[str, str, int]:
-        nonlocal cursor
-        tok = tokens[cursor]
-        cursor += 1
-        return tok
-
-    def parse_factor() -> tuple[int, int]:
-        kind, value, pos = advance()
-        if kind != "var":
-            raise PolyParseError(f"expected a variable, got {value!r}" if value else "expected a variable", pos)
-        if value not in index_of:
-            raise PolyParseError(f"unknown variable {value!r}", pos)
-        var = index_of[value]
-        exponent = 1
-        if peek()[:2] == ("op", "^"):
-            advance()
-            kind, value, pos = advance()
-            if kind != "int":
-                raise PolyParseError("expected an exponent after '^'", pos)
-            exponent = int(value)
-            if exponent < 1:
-                raise PolyParseError("exponent must be a positive integer", pos)
-        return var, exponent
-
-    def parse_term(sign: int) -> tuple[Mono, int]:
-        exps = [0] * nvars
-        kind, value, pos = peek()
-        if kind == "int":
-            advance()
-            coeff = int(value) % pv
-        elif kind == "var":
-            coeff = 1
-            var, e = parse_factor()
-            exps[var] += e
+    def multiply(m: re.Match, exps: list[int]) -> None:
+        if not m["close"]:
+            raise refuse("a variable", m.end())
+        if m["caret"] and not m["exp"]:
+            raise refuse("an exponent after '^'", m.end())
+        name, exponent = f"x[{m['i']},{m['j']}]", int(m["exp"] or 1)
+        if name not in index_of:
+            naming.append(PolyParseError(f"unknown variable {name!r}", m.start("x")))
+        elif exponent < 1:
+            naming.append(PolyParseError("exponent must be a positive integer", m.start("exp")))
         else:
-            raise PolyParseError(
-                f"expected a term, got {value!r}" if value else "expected a term", pos
-            )
-        while peek()[:2] == ("op", "*"):
-            advance()
-            var, e = parse_factor()
-            exps[var] += e
-        return tuple(exps), (coeff * sign) % pv
+            exps[index_of[name]] += exponent
 
-    terms: dict[Mono, int] = {}
-
-    def accumulate(mono: Mono, coeff: int) -> None:
-        s = (terms.get(mono, 0) + coeff) % pv
-        if s:
-            terms[mono] = s
-        else:
-            terms.pop(mono, None)
-
-    accumulate(*parse_term(1))
+    pos, sign = 0, 1
     while True:
-        kind, value, pos = peek()
-        if kind == "end":
+        m = _FIRST.match(text, pos)
+        if m is None:
+            raise refuse("a term", pos)
+        exps = [0] * nvars
+        if not m["coeff"]:
+            multiply(m, exps)
+        coeff = int(m["coeff"] or 1) * sign
+        while more := _MORE.match(text, m.end()):
+            multiply(more, exps)
+            m = more
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
+        end = _NEXT.match(text, m.end())
+        if end is None:
+            raise refuse("'+', '-' or end of input", m.end())
+        if not end["sign"]:
             break
-        if kind == "op" and value in "+-":
-            advance()
-            accumulate(*parse_term(1 if value == "+" else pv - 1))
-        else:
-            raise PolyParseError(f"expected '+', '-' or end of input, got {value!r}", pos)
-    return Poly._raw(pv, nvars, terms)
+        pos, sign = end.end(), 1 if end["sign"] == "+" else -1
+    if naming:
+        raise naming[0]
+    return Poly(p, nvars, terms)
 
 
 def render(f: Poly, varnames: Sequence[str]) -> str:

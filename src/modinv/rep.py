@@ -93,14 +93,12 @@ def variable_images(rep: CpRep, k: int) -> tuple[Poly, ...]:
     return tuple(images)
 
 
-def sigma(rep: CpRep, f: Poly, k: int = 1) -> Poly:
-    """Apply the k-th power of the group generator, 0 <= k < p."""
+def sigma(rep: CpRep, f: Poly) -> Poly:
+    """Apply the group generator."""
     rep.check_poly(f)
-    if not 0 <= k < rep.p:
-        raise ValueError(f"generator power {k} outside 0..{rep.p - 1}")
-    if k == 0 or f.is_zero():
+    if f.is_zero():
         return f
-    images = variable_images(rep, k)
+    images = variable_images(rep, 1)
     p, nvars = f.p, f.nvars
     power_cache: dict[tuple[int, int], Poly] = {}
 
@@ -122,7 +120,7 @@ def sigma(rep: CpRep, f: Poly, k: int = 1) -> Poly:
 
 
 def is_invariant(rep: CpRep, f: Poly) -> bool:
-    return sigma(rep, f, 1) == f
+    return sigma(rep, f) == f
 
 
 def invariant_degree(rep: CpRep, f: Poly) -> int:

@@ -104,13 +104,21 @@ def product_rows(rows: list[list[int]], f: Poly, degree: int) -> list[list[int]]
             for row in rows]
 
 
+def sigma_power(rep, f: Poly, k: int) -> Poly:
+    """The generator applied k times: the reference for its k-th power."""
+    for _ in range(k):
+        f = sigma(rep, f)
+    return f
+
+
 def transfer(rep, f: Poly) -> Poly:
     """Sum of f over the whole group orbit of generator powers: the
     polynomial-level reference for the transfer slices."""
     rep.check_poly(f)
-    out = f
-    for k in range(1, rep.p):
-        out = out + sigma(rep, f, k)
+    out = image = f
+    for _ in range(1, rep.p):
+        image = sigma(rep, image)
+        out = out + image
     return out
 
 

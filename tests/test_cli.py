@@ -430,6 +430,35 @@ def test_polynomial_files_are_refused_by_file_and_line(tmp_path):
         assert "cannot read polynomial file" in err, command
 
 
+def test_polynomial_refusals_read_the_same_from_option_and_file(tmp_path):
+    # --poly and a file line name the same refusal after their own location
+    source = tmp_path / "polys.txt"
+    base = ["--p", "3", "--blocks", "2,2"]
+    for text in ("3*4", "x[1,1] +", "x[9,9]", "x[1,1]^0"):
+        source.write_text(f"x[1,1]\n{text}\n")
+        code, out, by_option = invoke(["norm-decompose", *base, "--poly", text])
+        assert (code, out) == (2, ""), text
+        assert by_option.startswith(f"error: bad polynomial {text!r}: "), text
+        message = by_option[len(f"error: bad polynomial {text!r}: "):]
+        assert "(at position" in message, text
+        for command in (["norm-decompose", *base, "--input"],
+                        ["regseq", *base, "--max-degree", "4", "--sequence"]):
+            code, out, by_file = invoke(command + [str(source)])
+            assert (code, out) == (2, ""), (text, command)
+            assert by_file == f"error: {source}:2: {message}", (text, command)
+
+
+def test_block_lists_are_refused_by_option_name():
+    base = ["norm-decompose", "--p", "3", "--blocks", "2,2", "--poly", "x[1,1]"]
+    for value in ("", "a", "1,"):
+        code, out, err = invoke(base + [f"--blocks-used={value}"])
+        assert (code, out) == (2, ""), value
+        assert err == f"error: --blocks-used must be comma-separated integers, got {value!r}\n"
+    code, out, err = invoke(["hilbert", "--p", "3", "--blocks", "2,", "--max-degree", "4"])
+    assert (code, out) == (2, "")
+    assert err == "error: --blocks must be comma-separated integers, got '2,'\n"
+
+
 def test_grade_command():
     code, out, _ = invoke(["grade", "--p", "2", "--blocks", "2", "--max-degree", "8"])
     assert code == 0

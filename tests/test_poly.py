@@ -139,13 +139,38 @@ def test_parse_accepts_spec_forms():
     assert as_dict(parse("7", VARS2, p)) == {(0, 0): 2}
 
 
-@pytest.mark.parametrize("text", [
-    "", "x[3,1]", "x[1,1] +", "* x[1,1]", "x[1,1]^0", "x[1,1]^-2",
-    "-x[1,1]", "2 x[1,1]", "x[1,1]**2",
-])
-def test_parse_rejections(text):
-    with pytest.raises(PolyParseError):
+# each kind of refusal, with its message and position: text outside the
+# grammar at the end of its longest prefix that can still begin a text of
+# the grammar, a naming error at its variable or exponent
+REFUSALS = [
+    ("", "expected a term", 0),
+    ("x[1,1] +", "expected a term", 8),
+    ("-x[1,1]", "expected a term, got '-'", 0),
+    ("* x[1,1]", "expected a term, got '*'", 0),
+    ("x[1,1]^0", "exponent must be a positive integer", 7),
+    ("x[1,1]^", "expected an exponent after '^'", 7),
+    ("x[1,1]^-2", "expected an exponent after '^', got '-'", 7),
+    ("x[1,1]**2", "expected a variable, got '*'", 7),
+    ("2 x[1,1]", "expected '+', '-' or end of input, got 'x'", 2),
+    ("3*4", "expected a variable, got '4'", 2),
+    ("x[1;1]", "expected a variable, got ';'", 3),
+    ("x[3,1]", "unknown variable 'x[3,1]'", 0),
+    ("x[9,9]", "unknown variable 'x[9,9]'", 0),
+    ("x[1,1] $", "expected '+', '-' or end of input, got '$'", 7),
+    # a bad character further on no longer comes first
+    ("12x[2,1]1]- ", "expected '+', '-' or end of input, got 'x'", 2),
+    # a naming error is raised only for text of the grammar
+    ("x[9,9] + x[1,1]^", "expected an exponent after '^'", 16),
+]
+
+
+@pytest.mark.parametrize("text,message,position",
+                         [pytest.param(*refusal, id=refusal[0]) for refusal in REFUSALS])
+def test_parse_rejections(text, message, position):
+    with pytest.raises(PolyParseError) as info:
         parse(text, VARS2, 5)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
 
 
 def test_parse_error_reports_position():
