@@ -55,15 +55,15 @@ def _parse_poly(rep: CpRep, text: str, where: str) -> Poly:
 
 
 def _read_polys(rep: CpRep, path: str) -> list[Poly]:
-    """The polynomials of a file, one per nonempty line, in the normal
-    polynomial grammar; a bad line is named by file and line number."""
+    """The polynomials of a file, one per line that is not blank, each parsed
+    as written; a bad line is named by file and line number."""
     try:
         with open(path, encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
+            lines = [line.rstrip("\n") for line in handle]
     except OSError as exc:
         raise ConfigError(f"cannot read polynomial file {path!r}: {exc}")
     polys = [_parse_poly(rep, line, f"{path}:{lineno}")
-             for lineno, line in enumerate(lines, start=1) if line]
+             for lineno, line in enumerate(lines, start=1) if line.strip()]
     if not polys:
         raise ConfigError(f"polynomial file {path!r} contains no polynomials")
     return polys

@@ -23,7 +23,8 @@ A module's denominator is held in numerator coordinates
 (``GradedModuleView``), so a quotient step adds only the classes of f times
 the quotient rows, never eliminating the whole denominator again, and the
 RREF of their coordinates is the one a passing regularity check of f
-already computed, so the step eliminates nothing more.
+already computed, so the step eliminates nothing more.  A state stores
+quotient positions into the numerator its chain shares, never its rows.
 
 Each module state carries one memo (``_Memo``), so a run checks and
 quotients each (state, element) pair once, however many searches walk the
@@ -72,39 +73,33 @@ class _Slice(NamedTuple):
     """One degree of a view in numerator coordinates, built once: ``cols``,
     the numerator's pivot columns; ``local``, the canonical denominator on
     those columns (den_d[:, cols], so den_d = local @ num_d), of width
-    dim num_d; ``keep``, the quotient positions, the numerator pivots that
-    are not denominator pivots, as indices into ``cols``; and ``quotient``,
-    the numerator rows at ``keep``, the canonical basis of the quotient."""
+    dim num_d; and ``keep``, the quotient positions, the numerator pivots
+    that are not denominator pivots, as indices into ``cols``, whose rows
+    are the quotient's canonical basis (``GradedModuleView.quotient_mat``)."""
 
     cols: np.ndarray
     local: MatFp
     keep: np.ndarray
-    quotient: MatFp
 
     @classmethod
     def of(cls, num: MatFp, den: MatFp) -> _Slice | None:
         """The record of canonical ``den`` inside canonical ``num``; None
         when a pivot of ``den`` is no pivot of ``num``, so ``den`` is not
-        inside it.  With nothing to divide by, the quotient basis is
-        ``num`` itself."""
+        inside it."""
         where = {c: i for i, c in enumerate(num.pivots)}
         if not where.keys() >= set(den.pivots):
             return None
         cols = np.asarray(num.pivots, dtype=np.intp)
         piv = tuple(where[c] for c in den.pivots)
         keep = np.delete(np.arange(len(cols)), piv)
-        quotient = MatFp(num.p, num.a[keep], tuple(cols[keep].tolist())) if piv else num
-        return cls(cols, MatFp(num.p, den.a.take(cols, axis=1), piv), keep, quotient)
+        return cls(cols, MatFp(num.p, den.a.take(cols, axis=1), piv), keep)
 
     def extended(self, r: MatFp) -> _Slice:
         """The slice with the new classes added, r being the canonical RREF
         of their coordinates on ``keep`` (``la.merge_residues``).  The new
-        quotient positions are the old ones but r's pivots, so the new
-        quotient basis is the old one without the rows at r's pivots."""
-        drop = list(r.pivots)
-        keep = np.delete(self.keep, drop)
-        quotient = MatFp(r.p, np.delete(self.quotient.a, drop, axis=0), tuple(self.cols[keep].tolist()))
-        return _Slice(self.cols, la.merge_residues(self.local, self.keep, r), keep, quotient)
+        quotient positions are the old ones but r's pivots."""
+        return _Slice(self.cols, la.merge_residues(self.local, self.keep, r),
+                      np.delete(self.keep, list(r.pivots)))
 
 
 @dataclass
@@ -145,15 +140,14 @@ class GradedModuleView:
     The view holds one record per degree (``_Slice``), all built by the
     constructor: the denominator in numerator coordinates, its canonical
     echelon matrix on the numerator's pivot columns, of width dim num_d;
-    the quotient positions, the numerator pivots it leaves; and the
-    quotient basis, the numerator rows there, which is the numerator's own
-    matrix where the denominator is zero.  The constructor's one inclusion
-    guard is that pivot test: a denominator pivot that is no numerator
-    pivot means the denominator left the numerator, and it raises
-    RuntimeError.  Every caller has proved the inclusion already, so no
-    full-width test runs.  A quotient step derives its records from these;
-    the full-width ``den`` of a quotient step is built only when something
-    reads it.
+    and the quotient positions, the numerator pivots it leaves, whose rows,
+    the quotient basis, are read off the numerator and never stored.  The
+    constructor's one inclusion guard is that pivot test: a denominator
+    pivot that is no numerator pivot means the denominator left the
+    numerator, and it raises RuntimeError.  Every caller has proved the
+    inclusion already, so no full-width test runs.  A quotient step derives
+    its records from these; the full-width ``den`` of a quotient step is
+    built only when something reads it.
 
     The numerator must be closed under multiplication by the invariants
     that get applied to it, and the denominator under multiplication by
@@ -209,7 +203,7 @@ class GradedModuleView:
                 entries, at = s.local.a[:, s.keep], s.cols[s.keep]
                 rows = num.a[list(s.local.pivots)]
                 rows[:, at] = (p - entries) % p
-                rows = la.reduce_rows(rows, s.quotient)
+                rows = la.reduce_rows(rows, self.quotient_mat(d))
                 rows[:, at] = entries
                 mats.append(MatFp(p, rows, tuple(num.pivots[i] for i in s.local.pivots)))
             self._den = GradedBasis(p, self.num.nvars, mats)
@@ -231,10 +225,12 @@ class GradedModuleView:
 
     def quotient_mat(self, degree: int) -> MatFp:
         """Canonical echelon basis of the degree slice's classes modulo the
-        denominator: the numerator rows at the quotient positions, with no
-        elimination.  With nothing to divide by, this is the numerator's own
-        basis."""
-        return self._at(degree).quotient
+        denominator: the numerator rows at the quotient positions, gathered
+        with no elimination, or the numerator itself where none is dropped."""
+        s, num = self._at(degree), self.num.mat(degree)
+        if len(s.keep) == num.nrows:
+            return num
+        return MatFp(num.p, num.a[s.keep], tuple(s.cols[s.keep].tolist()))
 
     def _step(self, f: Poly) -> _Step:
         """The memo's record of f on this state, made empty on first use."""
@@ -520,8 +516,8 @@ def _generators(rep: CpRep, bound: int, degree: int) -> tuple[Poly, ...]:
         block = la.reduced_product(m, g, d, s.cols, s.local, s.keep)
         coords[at:at + len(block)] = block
         at += len(block)
-    fresh = s.extended(la.rref(MatFp(p, coords))).quotient
-    return tuple(la.vec_to_poly(p, rep.nvars, degree, row) for row in fresh.a)
+    keep = s.extended(la.rref(MatFp(p, coords))).keep
+    return tuple(la.vec_to_poly(p, rep.nvars, degree, row) for row in here.a[keep])
 
 
 def socle_search(view: GradedModuleView) -> tuple[SocleWitness | None, CheckReport]:

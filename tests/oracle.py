@@ -138,7 +138,8 @@ def rows_off_pivots(num: MatFp, sub: MatFp) -> MatFp | None:
     inside ``num``.  Otherwise each such row is zero on every pivot of
     ``sub``, so the rows are their own residues modulo ``sub`` and equal the
     RREF of the reduced ``num``, with no elimination: the quotient rows the
-    package's module views (``depthlab._Slice``) are checked against."""
+    package's module views (``GradedModuleView.quotient_mat``) are checked
+    against."""
     sub_pivots = set(sub.pivots)
     if not sub_pivots.issubset(num.pivots):
         return None

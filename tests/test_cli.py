@@ -431,10 +431,11 @@ def test_polynomial_files_are_refused_by_file_and_line(tmp_path):
 
 
 def test_polynomial_refusals_read_the_same_from_option_and_file(tmp_path):
-    # --poly and a file line name the same refusal after their own location
+    # --poly and a file line name the same refusal after their own location;
+    # a file line is parsed as written, so leading blanks count in both
     source = tmp_path / "polys.txt"
     base = ["--p", "3", "--blocks", "2,2"]
-    for text in ("3*4", "x[1,1] +", "x[9,9]", "x[1,1]^0"):
+    for text in ("3*4", "x[1,1] +", "x[9,9]", "x[1,1]^0", "   3*4", "  x[1,1] + x[9,9]"):
         source.write_text(f"x[1,1]\n{text}\n")
         code, out, by_option = invoke(["norm-decompose", *base, "--poly", text])
         assert (code, out) == (2, ""), text

@@ -495,12 +495,18 @@ def test_quotient_mat_refuses_a_denominator_outside_the_numerator():
 
 @pytest.mark.parametrize("p", [2, 5])
 def test_slice_of_selects_the_quotient_rows_or_refuses(p):
+    # num and its subspaces as degree 1 of four variables, under a unit degree 0
+    rep = CpRep.make(p, (2, 2))
     num = la.rref(MatFp(p, np.array([[1, 2, 0, 0], [0, 0, 1, 3], [0, 0, 0, 1]], dtype=np.uint8) % p))
+    one = la.rref(MatFp(p, np.ones((1, 1), dtype=np.uint8)))
     for sub in (num.a[:0], num.a[1:2], num.a[[0, 2]], num.a):
         sub = la.rref(MatFp(p, sub))
         s = depthlab._Slice.of(num, sub)
+        view = GradedModuleView(rep, GradedBasis(p, 4, [one, num]), GradedBasis(p, 4, [one, sub]), "sub")
         want = rows_off_pivots(num, sub)
-        assert same_echelon(s.quotient, want) and s.cols.tolist() == list(num.pivots)
+        assert same_echelon(view.quotient_mat(1), want) and s.cols.tolist() == list(num.pivots)
+        # with nothing divided out, the quotient basis is the numerator itself
+        assert (view.quotient_mat(1) is num) == (sub.nrows == 0)
         assert s.cols[s.keep].tolist() == list(want.pivots)
         # the denominator on the numerator's pivot columns, canonical there
         assert same_echelon(s.local, la.rref(MatFp(p, sub.a[:, s.cols])))
@@ -595,8 +601,9 @@ def test_depth_report_builds_only_the_reports_it_prints(monkeypatch):
 
 def same_slices(a, b):
     return all((s.cols.tobytes(), s.keep.tobytes()) == (t.cols.tobytes(), t.keep.tobytes())
-               and same_echelon(s.local, t.local) and same_echelon(s.quotient, t.quotient)
-               for s, t in zip(a._slices, b._slices, strict=True))
+               and same_echelon(s.local, t.local)
+               and same_echelon(a.quotient_mat(d), b.quotient_mat(d))
+               for d, (s, t) in enumerate(zip(a._slices, b._slices, strict=True)))
 
 
 @pytest.mark.parametrize("p, blocks", [(2, (2, 2)), (3, (2, 3))])
@@ -1171,3 +1178,40 @@ def test_depth_report_composition():
     labels = [entry["label"] for entry in audit.params["instances"]]
     assert labels == ["first 1 canonical elements", "first 2 canonical elements",
                       "transfer ideal"]
+
+
+# Sigma dims of the ring and of the transfer ideal modulo the hsop h, at
+# D = sigma = (n - r)(p - 1), and whether the ring is Cohen-Macaulay
+HSOP_QUOTIENTS = [
+    (2, (2, 2), 2, 3, True),
+    (3, (2, 2), 3, 6, True),
+    (5, (2, 2), 5, 15, True),
+    (3, (3,), 3, 4, True),
+    (2, (2, 2, 2), 5, 7, False),
+    (3, (2, 3), 11, 13, False),
+]
+
+
+@pytest.mark.parametrize("p, blocks, ring_sum, ideal_sum, cm", HSOP_QUOTIENTS)
+def test_quotients_by_the_hsop_count_the_rank(p, blocks, ring_sum, ideal_sum, cm):
+    # h: each block's fixed variable x[1,j], then the norms N(x[i,j]) for
+    # i >= 2; on a ring that is not CM, h is no regular sequence, so some
+    # steps divide by an element that is not regular
+    rep = CpRep.make(p, blocks)
+    n, r = rep.nvars, rep.num_blocks
+    sigma = (n - r) * (p - 1)
+    h = [rep.variable(1, j) for j in range(1, r + 1)]
+    h += [norm(rep, i, j) for j in range(1, r + 1) for i in range(2, blocks[j - 1] + 1)]
+    sums = []
+    for module in (ring_module(rep, sigma), transfer_ideal_module(rep, sigma)):
+        for f in h:
+            module = module.quotient_by(f)
+        sums.append(sum(module.dims()))
+    assert sums == [ring_sum, ideal_sum]
+    # the same count from scratch: the ring less the ideal h generates
+    reference = ideal_slice(rep, sigma, h)
+    assert ring_sum == sum(invariant_slice(rep, sigma).dims()) - sum(reference.dims())
+    # the rank over k[h] is prod(deg h) / p = p^(n - r - 1); a CM ring is
+    # free, so its count is the rank, and a larger count proves it is not CM
+    rank = p ** (n - r - 1)
+    assert ring_sum == rank if cm else ring_sum > rank
