@@ -5,12 +5,14 @@ sends ``v`` to ``v @ A``.  Coordinates in degree ``d`` are indexed by the
 rows of ``exponents``, the one monomial enumeration (descending
 lexicographic order).  This is the only layer that branches on the
 characteristic.  Mod-2 elimination keeps each row as one Python integer;
-odd primes use one classic elimination on int32 (exact for p <= 251:
+odd primes use one Gauss-Jordan loop on int32 (exact for p <= 251:
 entries stay below p and each update term is at most (p-1)**2) that
-updates only the columns from the pivot on.  A left kernel comes from the
-same elimination as the RREF, of the matrix beside an identity block
-(``rref_left_kernel``); mod 2 the identity bits are set in the rows'
-integers as they are read, so no wider matrix is formed.  One reduction
+reads each pivot column once, updates only the columns from the pivot on
+and passes a run of columns that are zero below the pivot rows in one
+scan.  A left kernel comes from the same elimination as the RREF, of the
+matrix beside an identity block (``rref_left_kernel``); the block is set
+as the rows are read, mod 2 as one bit of each row's integer and odd p in
+the int32 working matrix, so no stacked copy is formed.  One reduction
 kernel, ``_subtract``, takes coefficients times basis rows off vectors on
 the columns a caller asks for: mod 2 in one gathered XOR, odd p in one
 float64 product of the basis rows the vectors need, on those columns where
@@ -130,34 +132,60 @@ def _rref_p2(a: np.ndarray, identity: bool = False) -> tuple[np.ndarray, tuple[i
     return out, tuple([8 * width - 1 - top for top in order])
 
 
-def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Gauss-Jordan over F_p for odd p.  The pivot row is zero left of its
-    pivot column, so scaling it and clearing the other rows touch only the
-    columns from the pivot on."""
+def _rref_modp(a: np.ndarray, p: int, identity: bool = False) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Gauss-Jordan over F_p for odd p, on an int32 copy of ``a`` reduced
+    mod p.  With ``identity`` it is the RREF of [a | I_k], k the number of
+    rows, built straight into that copy.
+
+    Rows from ``rank`` down are zero left of the current column: each
+    earlier column was a pivot column, cleared, or zero from ``rank`` down,
+    and every later pivot row comes from those rows, so it stays zero.
+    Hence one read of a column gives both its pivot (its first nonzero row
+    from ``rank``) and the rows to clear (all of them: the pivot row clears
+    to zero, and the old ``rank`` row that the swap puts in its place is
+    zero there too), scaling and clearing touch only the columns from the
+    pivot on, and a run of columns that are zero from ``rank`` down is
+    passed by one ``any`` per window of 32 of them.  int32 is exact: entries
+    stay below p <= 251, so an update term is at most (p-1)**2 and a
+    difference at least -(p-1)**2.  The cleared rows are reduced as
+    x - (x // p) * p, not x % p: numpy floor-divides by a scalar with a
+    multiply and a shift, but takes each remainder with a division."""
     nrows, ncols = a.shape
-    if nrows == 0 or ncols == 0:
-        return np.zeros((0, ncols), dtype=np.uint8), ()
-    m = a.astype(np.int32) % p
-    rank = 0
+    wide = ncols + nrows if identity else ncols
+    if nrows == 0 or wide == 0:
+        return np.zeros((0, wide), dtype=np.uint8), ()
+    m = np.zeros((nrows, wide), dtype=np.int32)
+    m[:, :ncols] = a % p
+    if identity:
+        m[np.arange(nrows), ncols + np.arange(nrows)] = 1
+    rank, col = 0, 0
     pivots: list[int] = []
-    for col in range(ncols):
-        below = np.nonzero(m[rank:, col])[0]
-        if below.size == 0:
+    while rank < nrows and col < wide:
+        hits = m[:, col].nonzero()[0]
+        k = hits.searchsorted(rank)
+        if k == hits.size:
+            ahead = m[rank:, col + 1:col + 33].any(axis=0).nonzero()[0]
+            col += 1 + (int(ahead[0]) if ahead.size else 32)
             continue
-        piv = rank + int(below[0])
+        piv = hits.item(k)
+        inv = pow(m.item(piv, col), p - 2, p)
+        row = m[piv, col:] * inv % p if inv != 1 else m[piv, col:].copy()
+        if hits.size > 1:
+            # the pivot row is among the hits and clears to zero; one
+            # buffer holds the update and then the quotients by p
+            sub = m[hits, col:]
+            tmp = sub[:, :1] * row
+            sub -= tmp
+            np.floor_divide(sub, p, out=tmp)
+            tmp *= p
+            sub -= tmp
+            m[hits, col:] = sub
         if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, col]), p - 2, p)
-        if inv != 1:
-            m[rank, col:] = (m[rank, col:] * inv) % p
-        hits = np.nonzero(m[:, col])[0]
-        hits = hits[hits != rank]
-        if hits.size:
-            m[hits, col:] = (m[hits, col:] - np.outer(m[hits, col], m[rank, col:])) % p
+            m[piv, col:] = m[rank, col:]
+        m[rank, col:] = row
         pivots.append(col)
         rank += 1
-        if rank == nrows:
-            break
+        col += 1
     return m[:rank].astype(np.uint8), tuple(pivots)
 
 
@@ -278,12 +306,13 @@ def rref_left_kernel(mat: MatFp) -> tuple[MatFp, MatFp]:
     of ``mat`` are rref(mat), each beside the combination of rows that
     gives it; the others are zero on those columns, so their identity part
     is the canonical left kernel.  Mod 2 the identity bits go straight into
-    the rows the elimination holds; odd p eliminates the stacked block."""
-    k, n = mat.a.shape
+    the rows the elimination holds; odd p builds the block straight into
+    its int32 working matrix."""
+    n = mat.ncols
     if mat.p == 2:
         r, pivots = _rref_p2(mat.a, identity=True)
     else:
-        r, pivots = _rref_modp(np.hstack([mat.a, np.eye(k, dtype=np.uint8)]), mat.p)
+        r, pivots = _rref_modp(mat.a, mat.p, identity=True)
     split = bisect_left(pivots, n)
     return (MatFp(mat.p, r[:split, :n], pivots[:split]),
             MatFp(mat.p, r[split:, n:], tuple(c - n for c in pivots[split:])))

@@ -385,17 +385,17 @@ def unchecked(view):
 
 
 def record_eliminations(monkeypatch, shapes):
-    """Record the shape of every matrix the elimination kernels reduce, a
-    mod-2 elimination's identity bits counted as the columns they are."""
+    """Record the shape of every matrix the elimination kernels reduce, an
+    identity block counted as the columns it is."""
     real_p2, real_modp = la._rref_p2, la._rref_modp
 
     def rref_p2(a, identity=False):
         shapes.append((a.shape[0], a.shape[1] + a.shape[0] * identity))
         return real_p2(a, identity)
 
-    def rref_modp(a, p):
-        shapes.append(a.shape)
-        return real_modp(a, p)
+    def rref_modp(a, p, identity=False):
+        shapes.append((a.shape[0], a.shape[1] + a.shape[0] * identity))
+        return real_modp(a, p, identity)
 
     monkeypatch.setattr(la, "_rref_p2", rref_p2)
     monkeypatch.setattr(la, "_rref_modp", rref_modp)

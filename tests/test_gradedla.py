@@ -138,6 +138,69 @@ def test_rref_p2_odd_widths_and_edge_inputs(width):
         assert got.a.shape == (len(want), width)
 
 
+def skipped_run_matrix(rng: random.Random, p: int, rows: int, run: int) -> np.ndarray:
+    """Five random columns, then ``run`` columns that are combinations of
+    them, then five random columns again.  Once the first five are pivots,
+    the combined columns are zero below the pivot rows, so the elimination
+    passes them as one run of zero columns."""
+    head = random_matrix(rng, p, rows, 5).astype(np.int64)
+    mixed = head @ random_matrix(rng, p, 5, run) % p
+    return np.hstack([head, mixed, random_matrix(rng, p, rows, 5)]).astype(np.uint8)
+
+
+@pytest.mark.parametrize("p", [3, 5, 251])
+def test_rref_modp_edge_inputs(p):
+    # rref and rref_left_kernel against the list oracles on inputs that
+    # reach each branch of the odd-p loop
+    rng = random.Random(700 + p)
+    base = random_matrix(rng, p, 4, 9)
+    wide = np.array([[rng.randrange(256) for _ in range(11)] for _ in range(6)], dtype=np.uint8)
+    inputs = [
+        np.zeros((4, 6), dtype=np.uint8),
+        np.hstack([np.zeros((5, 3), dtype=np.uint8), random_matrix(rng, p, 5, 4)]),
+        np.vstack([base, base, base[::-1]]),
+        np.eye(7, dtype=np.uint8),
+        np.hstack([random_matrix(rng, p, 6, 5), np.eye(6, dtype=np.uint8)]),
+        random_matrix(rng, p, 1, 12),
+        random_matrix(rng, p, 9, 1),
+        np.zeros((1, 1), dtype=np.uint8),
+        # entries >= p, reduced on entry; at p = 3 the pivot rows of the
+        # 250 * I block are neither scaled nor cleared
+        np.hstack([250 * np.eye(6, dtype=np.uint8), wide]),
+        skipped_run_matrix(rng, p, 12, 10),         # a run inside one window
+        skipped_run_matrix(rng, p, 12, 33),         # a run that fills one window exactly
+        skipped_run_matrix(rng, p, 12, 70),         # a run over two windows and more
+        np.vstack([skipped_run_matrix(rng, p, 3, 40), np.zeros((4, 50), dtype=np.uint8)]),
+    ]
+    assert wide.max() >= p
+    for a in inputs:
+        k, n = a.shape
+        want = oracle_rref(a.tolist(), p)
+        got = la.rref(MatFp(p, a))
+        assert got.a.tolist() == want and got.a.shape == (len(want), n)
+        assert list(got.pivots) == oracle_pivots(want)
+        image, left = la.rref_left_kernel(MatFp(p, a))
+        ker = oracle_left_kernel(a.tolist(), n, p)
+        assert image.a.tolist() == want and image.pivots == got.pivots
+        assert left.a.tolist() == ker and left.a.shape == (len(ker), k)
+        assert left.pivots == tuple(oracle_pivots(ker))
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_eliminations_never_write_their_input(p):
+    # a read-only matrix, as the slice builder's cached block matrices are,
+    # is eliminated and left as it was
+    rng = random.Random(710 + p)
+    for a in (random_matrix(rng, p, 6, 9), skipped_run_matrix(rng, p, 8, 40), np.eye(5, dtype=np.uint8)):
+        before = a.copy()
+        a.setflags(write=False)
+        mat = MatFp(p, a)
+        assert mat.a is a
+        la.rref(mat)
+        la.rref_left_kernel(mat)
+        assert a.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("width", [7, 65, 130])
 def test_reduce_rows_p2_matches_plain_residual(width):
     rng = random.Random(600 + width)
