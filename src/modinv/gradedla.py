@@ -16,13 +16,18 @@ the int32 working matrix, so no stacked copy is formed.  One reduction
 kernel, ``_subtract``, takes coefficients times basis rows off vectors on
 the columns a caller asks for: mod 2 in one gathered XOR, odd p in one
 float64 product of the basis rows the vectors need, on those columns where
-the rows are nonzero.  ``reduce_rows`` reduces vectors modulo a canonical
+the rows are nonzero, subtracted from the vectors and reduced once.  Every
+odd-p product that ends in a residue is reduced once, as x - (x // p) * p
+(a multiply and a shift, where ``%`` divides element by element), in int32
+while its exactness bound allows and int64 beyond; float64 products are
+refused from 2**53 on.  ``reduce_rows`` reduces vectors modulo a canonical
 basis with it.  ``extend`` adds rows to a canonical basis and eliminates
 only their residues off its pivots, merging them in with
 ``merge_residues`` (mod 2, the canonical rows enter the one elimination
 with no XOR).  One product layout serves every p: a multiplication map
 scatters the transposed basis through each term's column map, one
-contiguous uint8 row per target monomial (``_product_t``).
+contiguous uint8 row per target monomial, the first term written and the
+others added (``_product_t``).
 ``reduced_product`` is a product reduced modulo a canonical basis, as
 quotient coordinates need it: the product stays transposed, so the
 vectors' coefficients and the kept columns are row gathers.  Every
@@ -202,25 +207,36 @@ def rref(mat: MatFp) -> MatFp:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p through float64; valid while the inner dimension
-    times (p-1)**2 stays below 2**53."""
+    """Exact (a @ b) % p for entries in [0, p), through one float64
+    product reduced once.  Every partial sum is an integer of at most
+    inner * (p-1)**2, so the product is exact below 2**53 and is refused
+    from there on, before any float64 copy; it is cast to int32 while that
+    bound is below 2**31 (int64 beyond) and reduced as x - (x // p) * p,
+    which numpy takes with a multiply and a shift, not a division."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    if a.shape[1] * (p - 1) ** 2 >= 2**53:
+    bound = a.shape[1] * (p - 1) ** 2
+    if bound >= 2**53:
         raise ValueError("inner dimension too large for exact float64 product")
-    prod = a.astype(np.float64) @ b.astype(np.float64)
-    return (np.rint(prod).astype(np.int64) % p).astype(np.uint8)
+    prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int32 if bound < 2**31 else np.int64)
+    prod -= prod // p * p
+    return prod.astype(np.uint8)
 
 
 def _subtract(out: np.ndarray, coeffs: np.ndarray, basis_rows: np.ndarray,
               cols: np.ndarray | slice, p: int) -> None:
-    """``out -= coeffs @ basis_rows[:, cols]`` over F_p, in place.  Each
-    gather takes the rows first and then the columns.  Mod 2 every vector
-    XORs in the rows its coefficients select, in one gathered reduction per
-    vector; odd p multiplies only the rows some vector needs, on the columns
-    where they are nonzero."""
+    """``out -= coeffs @ basis_rows[:, cols]`` over F_p, in place, for
+    entries in [0, p).  Each gather takes the rows first and then the
+    columns.  Mod 2 every vector XORs in the rows its coefficients select,
+    in one gathered reduction per vector.  Odd p takes only the rows some
+    vector needs (``used``), on the columns where they are nonzero
+    (``hit``), and reduces once: out minus the float64 product is an
+    integer x with -used * (p-1)**2 <= x <= p - 1, exact while
+    used * (p-1)**2 + p - 1 < 2**53 (refused beyond), cast to int32 while
+    used * (p-1)**2 < 2**31 - p (int64 beyond, so that x // p * p fits too)
+    and reduced as x - (x // p) * p."""
     if p == 2:
         vec, piv = np.nonzero(coeffs)
         if vec.size:
@@ -232,7 +248,14 @@ def _subtract(out: np.ndarray, coeffs: np.ndarray, basis_rows: np.ndarray,
     used = np.flatnonzero(coeffs.any(axis=0))
     rows = basis_rows[used][:, cols]
     hit = np.flatnonzero(rows.any(axis=0))
-    out[:, hit] = (out[:, hit].astype(np.int16) - matmul_mod(coeffs[:, used], rows[:, hit], p)) % p
+    bound = used.size * (p - 1) ** 2
+    if bound + p - 1 >= 2**53:
+        raise ValueError("too many basis rows for an exact float64 product")
+    x = coeffs[:, used].astype(np.float64) @ rows[:, hit].astype(np.float64)
+    np.subtract(out[:, hit], x, out=x)
+    x = x.astype(np.int32 if bound < 2**31 - p else np.int64)
+    x -= x // p * p
+    out[:, hit] = x
 
 
 def reduce_rows(vectors: np.ndarray, basis: MatFp, cols: Sequence[int] | None = None) -> np.ndarray:
@@ -399,15 +422,24 @@ def _product_t(basis: MatFp, maps: list[tuple[np.ndarray, int]], wide: int) -> n
     coefficients are ``maps``, transposed: one row per target monomial of
     the ``wide`` ones, one column per basis row.  Each column map is
     injective, so scattering the transposed basis through it, one
-    contiguous row per monomial, adds each term exactly once: mod 2 by XOR,
-    odd p in int32 and reduced at once (each sum is below 251 + 250**2)."""
+    contiguous row per monomial, adds each term exactly once.  The first
+    term is written, not added to zeros (times its coefficient mod p when
+    that is not 1); later ones are added mod 2 by XOR, odd p in int32 and
+    reduced once as x - (x // p) * p (each sum is below 251 + 250**2)."""
+    p = basis.p
     t = np.ascontiguousarray(basis.a.T)
     out = np.zeros((wide, basis.nrows), dtype=np.uint8)
-    for at, c in maps:
-        if basis.p == 2:
+    for k, (at, c) in enumerate(maps):
+        if not k and c == 1:
+            out[at] = t
+        elif p == 2:
             out[at] ^= t
         else:
-            out[at] = (out[at] + np.multiply(t, c, dtype=np.int32)) % basis.p
+            term = np.multiply(t, c, dtype=np.int32)
+            if k:
+                term += out[at]
+            term -= term // p * p
+            out[at] = term
     return out
 
 

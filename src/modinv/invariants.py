@@ -89,17 +89,20 @@ def _block_sigma(p: int, size: int, degree: int, power: int) -> np.ndarray:
 def _slab_power(p: int, blocks: tuple[int, ...], multidegree: tuple[int, ...],
                 peel: tuple[int, int], power: int) -> np.ndarray:
     """The generator's ``power``-th power on one piece at its slab rows, in
-    int64: the Kronecker product of its powers on the blocks' symmetric
+    int32: the Kronecker product of its powers on the blocks' symmetric
     powers, with block j's restricted to its rows from ``keep`` on, for
-    ``peel`` = (j, keep)."""
+    ``peel`` = (j, keep).  Each factor's entries are residues below p, so
+    every entry of a Kronecker step is a product below p**2; it is reduced
+    at once, as x - (x // p) * p."""
     j, keep = peel
     mats = [_block_sigma(p, size, e, power) for size, e in zip(blocks, multidegree)]
     mats[j] = mats[j][keep:]
-    out = mats[0].astype(np.int64)
+    out = mats[0].astype(np.int32)
     for mat in mats[1:]:
         # the Kronecker product, without np.kron's general-case overhead
         out = (out[:, None, :, None] * mat[None, :, None, :]).reshape(
-            out.shape[0] * mat.shape[0], out.shape[1] * mat.shape[1]) % p
+            out.shape[0] * mat.shape[0], out.shape[1] * mat.shape[1])
+        out -= out // p * p
     return out
 
 
@@ -107,12 +110,15 @@ def _slab_transfer(p: int, blocks: tuple[int, ...], multidegree: tuple[int, ...]
                    peel: tuple[int, int], slab: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """The transfer on one piece at its slab rows: the sum of the
     generator's powers 0..p-1 there, given its first power ``sig``; power 0
-    is the identity, whose slab rows are unit vectors at ``slab``."""
+    is the identity, whose slab rows are unit vectors at ``slab``.  The
+    p - 1 powers from 1 on are residues, so with the identity the int32 sum
+    stays below p**2 and is reduced once."""
     total = sig.copy()
     total[np.arange(slab.size), slab] += 1
     for k in range(2, p):
         total += _slab_power(p, blocks, multidegree, peel, k)
-    return total % p
+    total -= total // p * p
+    return total
 
 
 def _peel(blocks: tuple[int, ...], multidegree: tuple[int, ...]) -> tuple[int, int]:
@@ -206,11 +212,14 @@ def _slices(rep: CpRep, max_degree: int) -> tuple[GradedBasis, GradedBasis]:
             g = _merge_pieces(p, 2 * width, [(np.concatenate([carried, width + carried]), g)])
             t = _merge_pieces(p, width, [(carried, t)])
             sig = _slab_power(p, blocks, multidegree, peel, 1)
-            step = np.zeros((slab.size, 2 * width), dtype=np.int64)
+            # the slab rows of [sigma - 1 | I]: only the diagonal entries change
+            at = np.arange(slab.size)
+            step = np.zeros((slab.size, 2 * width), dtype=np.uint8)
             step[:, :width] = sig
-            step[np.arange(slab.size), slab] -= 1
-            step[np.arange(slab.size), width + slab] = 1
-            g = la.extend(g, step % p)
+            diagonal = sig[at, slab]
+            step[at, slab] = np.where(diagonal, diagonal - 1, p - 1)
+            step[at, width + slab] = 1
+            g = la.extend(g, step)
             top = bisect_left(g.pivots, width)
             inv_piece = MatFp(p, g.a[top:, width:], tuple(c - width for c in g.pivots[top:]))
             carried_pivots = set(t.pivots)

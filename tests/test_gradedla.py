@@ -296,7 +296,7 @@ def test_matfp_refuses_primes_above_uint8_range():
 
 def test_matmul_mod_exact():
     rng = random.Random(8)
-    for p in (2, 3, 251):
+    for p in (2, 3, 5, 251):
         a = np.array([[rng.randrange(p) for _ in range(7)] for _ in range(4)], dtype=np.int64)
         b = np.array([[rng.randrange(p) for _ in range(3)] for _ in range(7)], dtype=np.int64)
         want = [[sum(int(a[i, k]) * int(b[k, j]) for k in range(7)) % p for j in range(3)]
@@ -304,6 +304,52 @@ def test_matmul_mod_exact():
         assert la.matmul_mod(a, b, p).tolist() == want
     with pytest.raises(ValueError):
         la.matmul_mod(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64), 3)
+
+
+def python_product(a: np.ndarray, b: np.ndarray) -> list[list[int]]:
+    """a @ b in Python integers."""
+    rows, cols = a.tolist(), b.T.tolist()
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows]
+
+
+@pytest.mark.parametrize("inner", [34_359, 34_360])
+def test_odd_p_kernels_at_the_int32_edge(inner):
+    # every entry p - 1 = 250: inner * 250**2 + 250 < 2**31 holds at 34,359,
+    # the last size reduced in int32, and fails at 34,360, which needs int64;
+    # out's entries lie below the product, so its differences are negative
+    p = 251
+    coeffs = np.full((2, inner), p - 1, dtype=np.uint8)
+    rows = np.full((inner, 3), p - 1, dtype=np.uint8)
+    total = inner * (p - 1) ** 2
+    assert la.matmul_mod(coeffs, rows, p).tolist() == [[total % p] * 3] * 2
+    out = np.array([[0, 1, 250], [7, 100, 249]], dtype=np.uint8)
+    want = [[(o - total) % p for o in row] for row in out.tolist()]
+    la._subtract(out, coeffs, rows, slice(None), p)
+    assert out.dtype == np.uint8 and out.tolist() == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 251])
+def test_subtract_matches_python_integers(p):
+    rng = np.random.default_rng(p)
+    for m, inner, n in [(1, 1, 1), (5, 9, 7), (12, 40, 30), (3, 200, 2)]:
+        coeffs = rng.integers(0, p, (m, inner)).astype(np.uint8)
+        rows = rng.integers(0, p, (inner, n)).astype(np.uint8)
+        rows[:, ::3] = 0  # columns no row hits
+        coeffs[:, 1::4] = 0  # rows no vector uses
+        out = rng.integers(0, p, (m, n)).astype(np.uint8)
+        want = [[(o - v) % p for o, v in zip(*pair)] for pair in zip(out.tolist(), python_product(coeffs, rows))]
+        la._subtract(out, coeffs, rows, slice(None), p)
+        assert out.tolist() == want
+
+
+def test_matmul_mod_refuses_an_inexact_product_before_copying():
+    # inner * 250**2 reaches 2**53 here; zero-stride operands allocate nothing,
+    # so a refusal that came after the float64 copies could not pass
+    inner = -(-2**53 // 250**2)
+    a = np.broadcast_to(np.uint8(250), (1, inner))
+    b = np.broadcast_to(np.uint8(250), (inner, 1))
+    with pytest.raises(ValueError, match="exact"):
+        la.matmul_mod(a, b, 251)
 
 
 def test_reduce_rows_membership_and_residual():
@@ -703,7 +749,11 @@ def test_products_and_reduced_products_match_the_pure_oracle(p):
     nvars, degree = 3, 3
     x = [Poly.variable(p, nvars, i) for i in range(nvars)]
     width = num_monomials(nvars, degree)
-    for f in (x[0] * x[1], x[0] + x[1] + Poly.constant(p, nvars, p - 1) * x[2],
+    # single terms with coefficient 1 and p - 1 (written, not added, by the
+    # scatter), and two terms whose first has coefficient p - 1
+    for f in (x[0] * x[1], Poly(p, nvars, {(1, 0, 0): p - 1}), Poly(p, nvars, {(0, 2, 0): p - 1}),
+              Poly(p, nvars, {(1, 0, 0): p - 1, (0, 0, 1): 1}),
+              x[0] + x[1] + Poly.constant(p, nvars, p - 1) * x[2],
               x[0] * x[0] + x[1] * x[2] + x[2] * x[2], Poly.zero(p, nvars)):
         wide = num_monomials(nvars, degree + f.homogeneous_degree())
         for k in (0, 1, 7):
