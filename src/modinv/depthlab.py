@@ -784,18 +784,17 @@ def expected_depth(rep: CpRep) -> int:
     return min(rep.num_blocks + 2, rep.nvars)
 
 
-def _prefix_modules(rep: CpRep, gens: Sequence[Poly], max_degree: int,
-                    ring: GradedModuleView | None = None
+def _prefix_modules(ring: GradedModuleView, gens: Sequence[Poly]
                     ) -> Iterator[tuple[GradedModuleView, GradedModuleView]]:
     """For every prefix g_1..g_k of the generators, the ideal it generates
     inside the invariant ring and the ring modulo that ideal, as graded
     modules over the ring, from one chain: the k-th quotient is the
     (k-1)-th one by g_k, and its denominator is the ideal.  The chain starts
-    at ``ring``, the invariant ring's view up to max_degree, when given, so
-    that its memo serves the chain; else at a new one.  Each generator is
-    validated once.  The ideal views have zero denominators."""
-    zero = GradedBasis.zero(rep.p, rep.nvars, max_degree)
-    quotient = ring_module(rep, max_degree) if ring is None else ring
+    at ``ring``, the invariant ring's view, whose memo serves it.  Each
+    generator is validated once.  The ideal views have zero denominators."""
+    rep = ring.rep
+    zero = GradedBasis.zero(rep.p, rep.nvars, ring.max_degree)
+    quotient = ring
     names = []
     for g in gens:
         invariant_degree(rep, g)
@@ -984,7 +983,7 @@ def depth_report(rep: CpRep, max_degree: int = DEFAULT_MAX_DEGREE,
     ring_cm_domain = ring_ev.maximal and ring_ev.lower == rep.nvars
 
     instances = []
-    for k, (ideal, quotient) in enumerate(_prefix_modules(rep, seq, max_degree, ring), 1):
+    for k, (ideal, quotient) in enumerate(_prefix_modules(ring, seq), 1):
         ideal_ev = bounded_depth(ideal, search_degree_cap=search_degree_cap)
         quot_ev = bounded_depth(quotient, search_degree_cap=search_degree_cap)
         reports.extend(ideal_ev.reports)

@@ -4,37 +4,37 @@ Matrices follow the row convention: a row is a vector, and a linear map
 sends ``v`` to ``v @ A``.  Coordinates in degree ``d`` are indexed by the
 rows of ``exponents``, the one monomial enumeration (descending
 lexicographic order).  This is the only layer that branches on the
-characteristic.  Mod-2 elimination keeps each row as one Python integer;
-odd primes use one Gauss-Jordan loop on int32 (exact for p <= 251:
-entries stay below p and each update term is at most (p-1)**2) that
-reads each pivot column once, updates only the columns from the pivot on
-and passes a run of columns that are zero below the pivot rows in one
-scan.  A left kernel comes from the same elimination as the RREF, of the
-matrix beside an identity block (``rref_left_kernel``); the block is set
-as the rows are read, mod 2 as one bit of each row's integer and odd p in
-the int32 working matrix, so no stacked copy is formed.  One reduction
-kernel, ``_subtract``, takes coefficients times basis rows off vectors on
-the columns a caller asks for: mod 2 in one gathered XOR, odd p in one
-float64 product of the basis rows the vectors need, on those columns where
-the rows are nonzero, subtracted from the vectors and reduced once.  Every
-odd-p product that ends in a residue is reduced once, as x - (x // p) * p
-(a multiply and a shift, where ``%`` divides element by element), in int32
-while its exactness bound allows and int64 beyond; float64 products are
-refused from 2**53 on.  ``reduce_rows`` reduces vectors modulo a canonical
-basis with it.  ``extend`` adds rows to a canonical basis and eliminates
-only their residues off its pivots, merging them in with
-``merge_residues`` (mod 2, the canonical rows enter the one elimination
-with no XOR).  One product layout serves every p: a multiplication map
-scatters the transposed basis through each term's column map, one
-contiguous uint8 row per target monomial, the first term written and the
-others added (``_product_t``).
-``reduced_product`` is a product reduced modulo a canonical basis, as
-quotient coordinates need it: the product stays transposed, so the
-vectors' coefficients and the kept columns are row gathers.  Every
-monomial position is a binomial rank of exponent rows
-(``monomial_positions``).  A graded subspace (``GradedBasis``) holds one
-canonical echelon basis per degree; it takes them as they are, with no
-elimination.
+characteristic.  Every kernel takes and returns residues in [0, p) and
+reduces no input (``MatFp``).  Mod-2 elimination keeps each row as one
+Python integer; odd primes use one Gauss-Jordan loop on int32 (exact for
+p <= 251: entries stay below p and each update term is at most (p-1)**2)
+that reads each pivot column once, updates only the columns from the
+pivot on and passes a run of columns that are zero below the pivot rows
+in one scan.  A left kernel comes from the same elimination as the RREF,
+of the matrix beside an identity block (``rref_left_kernel``); the block
+is set as the rows are read, mod 2 as one bit of each row's integer and
+odd p in the int32 working matrix, so no stacked copy is formed.  One
+reduction kernel, ``_subtract``, takes coefficients times basis rows off
+vectors on the columns a caller asks for: mod 2 in one gathered XOR, odd
+p in one float64 product of the basis rows the vectors need, on those
+columns where the rows are nonzero, subtracted from the vectors and
+reduced once.  Every odd-p product that ends in a residue is reduced
+once, as x - (x // p) * p (a multiply and a shift, where ``%`` divides
+element by element), in int32 while its exactness bound allows and int64
+beyond; float64 products are refused from 2**53 on.  ``reduce_rows``
+reduces vectors modulo a canonical basis with it.  ``extend`` adds rows
+to a canonical basis and eliminates only their residues off its pivots,
+merging them in with ``merge_residues`` (mod 2, the canonical rows enter
+the one elimination with no XOR).  One product layout serves every p: a
+multiplication map scatters the transposed basis through each term's
+column map, one contiguous uint8 row per target monomial, the first term
+written and the others added (``_product_t``).  ``reduced_product`` is a
+product reduced modulo a canonical basis, as quotient coordinates need
+it: the product stays transposed, so the vectors' coefficients and the
+kept columns are row gathers.  Every monomial position is a binomial rank
+of exponent rows (``monomial_positions``).  A graded subspace
+(``GradedBasis``) holds one canonical echelon basis per degree; it takes
+them as they are, with no elimination.
 """
 
 from __future__ import annotations
@@ -50,11 +50,13 @@ from .poly import Mono, Poly, num_monomials
 
 
 class MatFp:
-    """A matrix over the field with ``p`` elements, entries in uint8, so
-    ``p`` may be at most 251, the largest prime below 256.
-
+    """A matrix over the field with ``p`` elements.  Its entries are
+    residues in [0, p), stored as uint8, so ``p`` is at most 251.  Every
+    kernel takes and returns residues and reduces none of its input: a
+    caller that builds a matrix from other data reduces it first.
     ``pivots`` is set (a tuple of pivot column indices) exactly when the
-    matrix is a canonical reduced row echelon form with zero rows dropped.
+    matrix is a canonical reduced row echelon form with zero rows dropped;
+    no kernel re-checks either claim.
     """
 
     __slots__ = ("p", "a", "pivots")
@@ -138,9 +140,8 @@ def _rref_p2(a: np.ndarray, identity: bool = False) -> tuple[np.ndarray, tuple[i
 
 
 def _rref_modp(a: np.ndarray, p: int, identity: bool = False) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Gauss-Jordan over F_p for odd p, on an int32 copy of ``a`` reduced
-    mod p.  With ``identity`` it is the RREF of [a | I_k], k the number of
-    rows, built straight into that copy.
+    """Gauss-Jordan over F_p for odd p, on an int32 copy of ``a``.  With
+    ``identity``, the RREF of [a | I_k] (k rows), built into that copy.
 
     Rows from ``rank`` down are zero left of the current column: each
     earlier column was a pivot column, cleared, or zero from ``rank`` down,
@@ -160,7 +161,7 @@ def _rref_modp(a: np.ndarray, p: int, identity: bool = False) -> tuple[np.ndarra
     if nrows == 0 or wide == 0:
         return np.zeros((0, wide), dtype=np.uint8), ()
     m = np.zeros((nrows, wide), dtype=np.int32)
-    m[:, :ncols] = a % p
+    m[:, :ncols] = a
     if identity:
         m[np.arange(nrows), ncols + np.arange(nrows)] = 1
     rank, col = 0, 0
@@ -480,12 +481,12 @@ def reduced_product(basis: MatFp, f: Poly, degree: int, cols: np.ndarray,
 
 def vec_to_poly(p: int, nvars: int, degree: int, row: np.ndarray | Sequence[int]) -> Poly:
     exps = exponents(nvars, degree)
-    data = np.asarray(row, dtype=np.int64) % p
+    data = np.asarray(row)
     if data.shape != (len(exps),):
         raise ValueError(f"row length {data.shape} does not match degree-{degree} slice")
     nonzero = np.flatnonzero(data)
-    # tolist: exponents and coefficients are Python ints, as in every Poly
-    return Poly(p, nvars, dict(zip(map(tuple, exps[nonzero].tolist()), data[nonzero].tolist())))
+    # residues need no normalizing; tolist gives Python ints, as in every Poly
+    return Poly._raw(p, nvars, dict(zip(map(tuple, exps[nonzero].tolist()), data[nonzero].tolist())))
 
 
 class GradedBasis:

@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 
 from modinv import gradedla as la
-from modinv.depthlab import _prefix_modules, _regular_candidate_degree, _regular_report
+from modinv.depthlab import _prefix_modules, _regular_candidate_degree, _regular_report, ring_module
 from modinv.gradedla import GradedBasis, MatFp
 from modinv.invariants import invariant_slice
 from modinv.poly import Poly, num_monomials
@@ -126,7 +126,7 @@ def ideal_modules(rep, gens, max_degree: int):
     """The ideal generated by invariant elements inside the invariant ring,
     and the invariant ring modulo that ideal, as graded modules over the
     ring: the last pair of the package's prefix chain."""
-    pairs = list(_prefix_modules(rep, gens, max_degree))
+    pairs = list(_prefix_modules(ring_module(rep, max_degree), gens))
     if not pairs:
         raise ValueError("an ideal needs at least one generator")
     return pairs[-1]

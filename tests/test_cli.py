@@ -330,6 +330,32 @@ def test_grade_with_a_norm_that_is_not_regular_reports_the_failed_reduction(monk
                                   "module; the depth-grade relation was not evaluated"]
 
 
+def test_runs_hand_every_matrix_residues(monkeypatch):
+    # MatFp's contract, on which no kernel reduces its input: every array a
+    # run hands to a matrix holds residues in [0, p), at p = 2, at an odd p
+    # and at the largest supported p; the caches are cleared first, so the
+    # slice builds' matrices are among them
+    init = MatFp.__init__
+    seen = {}
+
+    def recording(self, p, a, pivots=None):
+        if a.size:
+            low, high = seen.get(p, (0, 0))
+            seen[p] = (min(low, int(a.min())), max(high, int(a.max())))
+        init(self, p, a, pivots)
+
+    for cache in (invariants._slices, depthlab._generators, depthlab._candidate_pool):
+        cache.cache_clear()
+    monkeypatch.setattr(MatFp, "__init__", recording)
+    runs = [invoke(argv) for argv in (
+        ["depth-report", "--p", "2", "--blocks", "2,2", "--max-degree", "6"],
+        ["transfer-quotient", "--p", "3", "--blocks", "2,3", "--max-degree", "6"],
+        ["hilbert", "--p", "251", "--blocks", "2,3", "--max-degree", "6"])]
+    assert sorted(seen) == [2, 3, 251]
+    assert all(low >= 0 and high < p for p, (low, high) in seen.items()), seen
+    assert [(code, err) for code, _, err in runs] == [(0, "")] * 3
+
+
 @pytest.mark.parametrize("command", ["transfer-quotient", "hilbert"])
 def test_corrupted_transfer_piece_exits_three(monkeypatch, command):
     # an orbit sum that is the identity spans every slab, so the degree-1
